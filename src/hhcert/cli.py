@@ -2,12 +2,14 @@
 
 Exit codes: 0 when every requested check holds, 1 when a violation or a
 failing inequality was found (the report is still printed), 2 for usage
-errors and domain errors.
+errors and domain errors, with nothing written to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import io
 import json
 import sys
 
@@ -15,7 +17,7 @@ from .convexity import (CheckResult, GridSpec, NonPositiveFunction,
                         check_alpha_m_convex, check_dominated_alpha_m,
                         check_dominated_r, check_r_convex)
 from .expr import DomainError, Interval, ParseError, parse
-from .hh import NEEDS_G, THEOREM_IDS, report_json, run_verifier
+from .hh import THEOREM_IDS, _witness_dict, report_json, run_verifier
 from .jsonio import dumps, fmt_float
 from .means import MeanBranch, gen_log_mean, power_mean
 from .quadrature import NonConvergence, integrate
@@ -155,10 +157,7 @@ def _class_args(args) -> tuple[str, dict]:
 
 def _witness_payload(res: CheckResult) -> dict:
     def wd(w):
-        if w is None:
-            return None
-        return {"x": w.x, "y": w.y, "lambda": w.lam,
-                "lhs": w.lhs, "rhs": w.rhs, "gap": w.gap}
+        return None if w is None else _witness_dict(w)
     return {"verdict": "pass" if res.passed else "violation",
             "points_checked": res.points_checked,
             "witness": wd(res.witness),
@@ -184,40 +183,28 @@ def _print_check(res: CheckResult, label: str, json_out: bool, out) -> int:
     return 0 if res.passed else 1
 
 
-def _cmd_check_convexity(args, out) -> int:
+def _cmd_check(args, out) -> int:
+    """check-convexity, or check-dominance when the command takes --g."""
     kind, kw = _class_args(args)
     iv = Interval(args.a, args.b)
     grid = GridSpec(args.grid_xy, args.grid_lambda, args.tol)
     f = parse(args.f)
+    g = parse(args.g) if args.command == "check-dominance" else None
     if kind == "alpha_m":
-        res = check_alpha_m_convex(f, iv, kw["alpha"], kw["m"], grid)
-        label = f"({_f(kw['alpha'])}, {_f(kw['m'])})-convexity"
+        cls = f"({_f(kw['alpha'])}, {_f(kw['m'])})"
+        res = (check_alpha_m_convex(f, iv, kw["alpha"], kw["m"], grid) if g is None
+               else check_dominated_alpha_m(f, g, iv, kw["alpha"], kw["m"], grid))
     else:
-        res = check_r_convex(f, iv, kw["r"], grid)
-        label = f"{_f(kw['r'])}-convexity"
-    return _print_check(res, label, args.json, out)
-
-
-def _cmd_check_dominance(args, out) -> int:
-    kind, kw = _class_args(args)
-    iv = Interval(args.a, args.b)
-    grid = GridSpec(args.grid_xy, args.grid_lambda, args.tol)
-    f = parse(args.f)
-    g = parse(args.g)
-    if kind == "alpha_m":
-        res = check_dominated_alpha_m(f, g, iv, kw["alpha"], kw["m"], grid)
-        label = f"(g, ({_f(kw['alpha'])}, {_f(kw['m'])}))-dominance"
-    else:
-        res = check_dominated_r(f, g, iv, kw["r"], grid)
-        label = f"(g, {_f(kw['r'])})-dominance"
+        cls = _f(kw["r"])
+        res = (check_r_convex(f, iv, kw["r"], grid) if g is None
+               else check_dominated_r(f, g, iv, kw["r"], grid))
+    label = f"{cls}-convexity" if g is None else f"(g, {cls})-dominance"
     return _print_check(res, label, args.json, out)
 
 
 def _cmd_verify(args, out) -> int:
     f = parse(args.f)
     g = parse(args.g) if args.g is not None else None
-    if args.theorem_id in NEEDS_G and g is None:
-        raise ValueError(f"{args.theorem_id} needs --g")
     grid = GridSpec(args.grid_xy, args.grid_lambda)
     rep = run_verifier(args.theorem_id, f, g, a=args.a, b=args.b,
                        alpha=args.alpha, m=args.m, r=args.r, tol=args.tol,
@@ -241,23 +228,38 @@ def _cmd_verify(args, out) -> int:
     return 0 if rep.holds else 1
 
 
+_GRID_KEYS = {"grid_xy": "n_xy", "grid_lambda": "n_lambda"}
+
+
+def _stress_config_from(raw) -> StressConfig:
+    """A StressConfig from a JSON object keyed by its field names, with
+    grid_xy and grid_lambda for the grid; absent keys keep its defaults."""
+    if not isinstance(raw, dict):
+        raise ValueError("stress config must be a JSON object")
+    defaults = {fld.name: fld.default for fld in dataclasses.fields(StressConfig)}
+    kw: dict = {}
+    grid: dict = {}
+    try:
+        for key, value in raw.items():
+            if key in _GRID_KEYS:
+                grid[_GRID_KEYS[key]] = int(value)
+            elif key == "intervals":
+                kw[key] = tuple(Interval(float(lo), float(hi)) for lo, hi in value)
+            elif isinstance(defaults.get(key), tuple):
+                kw[key] = tuple(float(v) for v in value)
+            elif key in defaults and key != "grid":
+                kw[key] = type(defaults[key])(value)
+            else:
+                raise ValueError(f"unknown stress config key {key!r}")
+    except TypeError as exc:
+        raise ValueError(f"bad stress config value: {exc}") from exc
+    return StressConfig(**kw, **({"grid": GridSpec(**grid)} if grid else {}))
+
+
 def _load_stress_config(args) -> StressConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return StressConfig(
-            seed=int(raw.get("seed", 0)),
-            trials=int(raw.get("trials", 100)),
-            intervals=tuple(Interval(float(lo), float(hi))
-                            for lo, hi in raw.get("intervals", [[0.0, 1.0]])),
-            alpha_pool=tuple(float(v) for v in raw.get("alpha_pool", [])),
-            m_pool=tuple(float(v) for v in raw.get("m_pool", [])),
-            r_pool=tuple(float(v) for v in raw.get("r_pool", [])),
-            atom_budget=int(raw.get("atom_budget", 3)),
-            grid=GridSpec(int(raw.get("grid_xy", 33)),
-                          int(raw.get("grid_lambda", 65))),
-            tol=float(raw.get("tol", 1e-8)),
-        )
+            return _stress_config_from(json.load(fh))
     grid = GridSpec(args.grid_xy, args.grid_lambda)
     interval = (Interval(args.a, args.b),)
     if args.r is not None:
@@ -308,8 +310,8 @@ def _cmd_scan(args, out) -> int:
 _HANDLERS = {
     "means": _cmd_means,
     "integrate": _cmd_integrate,
-    "check-convexity": _cmd_check_convexity,
-    "check-dominance": _cmd_check_dominance,
+    "check-convexity": _cmd_check,
+    "check-dominance": _cmd_check,
     "verify": _cmd_verify,
     "stress": _cmd_stress,
     "scan": _cmd_scan,
@@ -325,12 +327,16 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # render into a buffer so that an error leaves nothing on stdout
+    buf = io.StringIO()
     try:
-        return _HANDLERS[args.command](args, out)
+        code = _HANDLERS[args.command](args, buf)
     except (ParseError, DomainError, NonPositiveFunction, NonConvergence,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
+    out.write(buf.getvalue())
+    return code
 
 
 def main() -> None:

@@ -107,6 +107,8 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"interval needs finite ends, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
 

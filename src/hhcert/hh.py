@@ -19,11 +19,16 @@ The catalogue (names refer to the shape of the inequality):
 * gr_dominated        dominance bound for the log-mean form
 
 ``avg integral`` always means 1/(b-a) * integral over [a, b].
+
+Every bound compares the average of an integrand with a point form, so the
+catalogue is one table with a row per report id, run by one engine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,17 +51,6 @@ __all__ = [
 TOL_DEFAULT = 1e-8
 QUAD_TOL_DEFAULT = 1e-10
 
-THEOREM_IDS = (
-    "classic_hh_left", "classic_hh_right",
-    "dragomir_left", "dragomir_right",
-    "theorem_a_first", "theorem_a_second",
-    "set_midpoint", "set_trapezoid", "gill_r",
-    "t1_first", "t1_second", "t2", "gr_dominated",
-)
-
-NEEDS_G = frozenset({"theorem_a_first", "theorem_a_second",
-                     "t1_first", "t1_second", "t2", "gr_dominated"})
-
 
 @dataclass(frozen=True)
 class HypothesisStatus:
@@ -76,14 +70,6 @@ class IneqReport:
     holds: bool
     quad_error: float
     hypothesis: dict[str, HypothesisStatus]
-
-
-def _report(theorem_id: str, params: dict[str, float], lhs: float, rhs: float,
-            tol: float, quad_error: float,
-            hypothesis: dict[str, HypothesisStatus]) -> IneqReport:
-    slack = rhs - lhs
-    return IneqReport(theorem_id, params, float(lhs), float(rhs), float(slack),
-                      tol, bool(slack >= -tol), float(quad_error), hypothesis)
 
 
 # ------------------------- serialization -------------------------
@@ -120,35 +106,46 @@ def report_json(rep: IneqReport) -> str:
     return dumps(report_to_dict(rep))
 
 
-# ------------------------- shared pieces -------------------------
+# ------------------------- integrands and point forms -------------------------
 
-_SKIPPED = HypothesisStatus("skipped")
-
-
-def _check_ab(a: float, b: float) -> None:
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-
-
-def _mean_integral(e: Expr, a: float, b: float, quad_tol: float) -> tuple[float, float]:
-    res = integrate(e, Interval(a, b), quad_tol)
-    w = b - a
-    return res.value / w, res.error_bound / w
+class _Class(NamedTuple):
+    """Class parameters of one row; a row without alpha or m has them at 1."""
+    alpha: float = 1.0
+    m: float = 1.0
+    r: float | None = None
 
 
-def _half_sum_integrand(f: Expr, m: float) -> Expr:
+def _mean_integral(e: Expr, iv: Interval, quad_tol: float) -> tuple[float, float]:
+    res = integrate(e, iv, quad_tol)
+    return res.value / iv.width, res.error_bound / iv.width
+
+
+def _plain(f: Expr, c: _Class) -> Expr:
+    return f
+
+
+def _half_sum(f: Expr, c: _Class) -> Expr:
     """(f(x) + m*f(x/m)) / 2 as an expression tree."""
-    return lin_comb(0.5, f, 0.5 * m, compose_affine(f, 1.0 / m, 0.0))
+    return lin_comb(0.5, f, 0.5 * c.m, compose_affine(f, 1.0 / c.m, 0.0))
 
 
-def _weighted_integrand(f: Expr, alpha: float, m: float) -> Expr:
+def _weighted(f: Expr, c: _Class) -> Expr:
     """(f(x) + m*(2^alpha - 1)*f(x/m)) / 2^alpha as an expression tree."""
-    two_a = 2.0 ** alpha
-    return lin_comb(1.0 / two_a, f, m * (two_a - 1.0) / two_a,
-                    compose_affine(f, 1.0 / m, 0.0))
+    two_a = 2.0 ** c.alpha
+    return lin_comb(1.0 / two_a, f, c.m * (two_a - 1.0) / two_a,
+                    compose_affine(f, 1.0 / c.m, 0.0))
 
 
-def _trapezoid_form(f: Expr, a: float, b: float, alpha: float, m: float) -> float:
+def _midpoint(f: Expr, a: float, b: float, c: _Class) -> float:
+    return evaluate(f, 0.5 * (a + b))
+
+
+def _ends(f: Expr, a: float, b: float, c: _Class) -> float:
+    return 0.5 * (evaluate(f, a) + evaluate(f, b))
+
+
+def _trapezoid(f: Expr, a: float, b: float, c: _Class) -> float:
+    alpha, m = c.alpha, c.m
     fa = evaluate(f, a)
     fb = evaluate(f, b)
     fam = evaluate(f, a / m)
@@ -156,13 +153,70 @@ def _trapezoid_form(f: Expr, a: float, b: float, alpha: float, m: float) -> floa
     return 0.5 * ((fa + fb + (m * alpha) * fam + (m * alpha) * fbm) / (alpha + 1.0))
 
 
-def _endpoint_form(f: Expr, a: float, b: float, alpha: float, m: float) -> float:
+def _endpoint(f: Expr, a: float, b: float, c: _Class) -> float:
+    alpha, m = c.alpha, c.m
     fa = evaluate(f, a)
     fam = evaluate(f, a / m)
     fbm = evaluate(f, b / m)
     fbm2 = evaluate(f, b / m ** 2)
     return 0.5 * ((fa + m * fam) / (alpha + 1.0)
                   + (m * alpha) * ((fbm + m * fbm2) / (alpha + 1.0)))
+
+
+def _log_mean(f: Expr, a: float, b: float, c: _Class) -> float:
+    return gen_log_mean(evaluate(f, a), evaluate(f, b), c.r).value
+
+
+# ------------------------- the catalogue -------------------------
+
+@dataclass(frozen=True)
+class _Row:
+    params: tuple[str, ...]      # class parameters, in report order
+    integrand: Callable          # (f, class) -> expression averaged over [a, b]
+    form: Callable               # (f, a, b, class) -> the point side
+    avg_upper: bool              # the average is the larger side
+    hyp_class: str               # names the hypothesis key f_<class> / g_<class>
+    cert: int | None             # certify on [0, b/m^cert], or on [a, b] if None
+    dominated: bool = False      # bound f's deviation by g's
+
+
+_AM = ("alpha", "m")
+
+_TABLE = {
+    "classic_hh_left": _Row((), _plain, _midpoint, True, "convex", None),
+    "classic_hh_right": _Row((), _plain, _ends, False, "convex", None),
+    "dragomir_left": _Row(("m",), _half_sum, _midpoint, True, "m_convex", 2),
+    "dragomir_right": _Row(("m",), _half_sum, _endpoint, False, "m_convex", 2),
+    "theorem_a_first": _Row(("m",), _half_sum, _midpoint, True, "m_convex", 2, True),
+    "theorem_a_second": _Row(("m",), _half_sum, _endpoint, False, "m_convex", 2, True),
+    "set_midpoint": _Row(_AM, _weighted, _midpoint, True, "alpha_m_convex", 1),
+    "set_trapezoid": _Row(_AM, _plain, _trapezoid, False, "alpha_m_convex", 1),
+    "gill_r": _Row(("r",), _plain, _log_mean, False, "r_convex", None),
+    "t1_first": _Row(_AM, _weighted, _midpoint, True, "alpha_m_convex", 1, True),
+    "t1_second": _Row(_AM, _half_sum, _endpoint, False, "alpha_m_convex", 2, True),
+    "t2": _Row(_AM, _plain, _trapezoid, False, "alpha_m_convex", 1, True),
+    "gr_dominated": _Row(("r",), _plain, _log_mean, False, "r_convex", None, True),
+}
+
+THEOREM_IDS = tuple(_TABLE)
+
+NEEDS_G = frozenset(tid for tid, row in _TABLE.items() if row.dominated)
+
+
+# ------------------------- the engine -------------------------
+
+_SKIPPED = HypothesisStatus("skipped")
+
+
+def _check_class(c: _Class, a: float, m_family: bool) -> None:
+    if not 0.0 < c.m <= 1.0:
+        raise ValueError(f"m must lie in (0, 1], got {c.m}")
+    if not 0.0 < c.alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {c.alpha}")
+    if m_family and a < 0.0:
+        raise ValueError(f"this family needs a >= 0, got a={a}")
+    if c.r is not None and not math.isfinite(c.r):
+        raise ValueError(f"r must be finite, got {c.r}")
 
 
 def _sample_positive(f: Expr, a: float, b: float, name: str) -> None:
@@ -174,10 +228,18 @@ def _sample_positive(f: Expr, a: float, b: float, name: str) -> None:
         raise NonPositiveFunction(name, float(xs[idx]), float(np.asarray(vals)[idx]))
 
 
-def _convexity_status(f: Expr, iv: Interval, alpha: float, m: float,
-                      grid: GridSpec) -> HypothesisStatus:
+def _status(c: _Class, bounds: tuple[float, float], f: Expr, g: Expr | None,
+            grid: GridSpec) -> HypothesisStatus:
+    """Grid-certify f's class membership or, with g, f's dominance by g."""
     try:
-        res = check_alpha_m_convex(f, iv, alpha, m, grid)
+        iv = Interval(*bounds)
+        if c.r is not None:
+            res = (check_r_convex(f, iv, c.r, grid) if g is None
+                   else check_dominated_r(f, g, iv, c.r, grid))
+        elif g is None:
+            res = check_alpha_m_convex(f, iv, c.alpha, c.m, grid)
+        else:
+            res = check_dominated_alpha_m(f, g, iv, c.alpha, c.m, grid)
     except (DomainError, NonPositiveFunction, ValueError) as exc:
         return HypothesisStatus("domain_error", detail=str(exc))
     if res.passed:
@@ -185,36 +247,76 @@ def _convexity_status(f: Expr, iv: Interval, alpha: float, m: float,
     return HypothesisStatus("violation", witness=res.witness)
 
 
-def _dominance_status(f: Expr, g: Expr, iv: Interval, alpha: float, m: float,
-                      grid: GridSpec) -> HypothesisStatus:
-    try:
-        res = check_dominated_alpha_m(f, g, iv, alpha, m, grid)
-    except (DomainError, NonPositiveFunction, ValueError) as exc:
-        return HypothesisStatus("domain_error", detail=str(exc))
-    if res.passed:
-        return HypothesisStatus("pass")
-    return HypothesisStatus("violation", witness=res.witness)
+def _run(ids: tuple[str, ...], f: Expr, g: Expr | None, a: float, b: float,
+         params: dict[str, float | None], tol: float, quad_tol: float,
+         hypotheses: bool, grid: GridSpec) -> tuple[IneqReport, ...]:
+    """Run the rows ``ids`` on one input and return one report per id.
 
+    Integrals, point forms and hypothesis statuses are computed once per
+    call, keyed by the row's builder and by which function they belong to,
+    so the two halves of a pair share them.
+    """
+    todo = []
+    for tid in ids:
+        row = _TABLE.get(tid)
+        if row is None:
+            raise ValueError(f"unknown theorem id {tid!r}")
+        if row.dominated and g is None:
+            raise ValueError(f"{tid} needs --g")
+        for name in row.params:
+            if params.get(name) is None:
+                raise ValueError(f"{tid} needs --{name}")
+        todo.append((tid, row, _Class(**{name: params[name] for name in row.params})))
+    for name, value in (("tol", tol), ("quad_tol", quad_tol)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not a < b:
+        raise ValueError(f"need a < b, got a={a}, b={b}")
+    iv = Interval(a, b)
+    fg = {"f": f, "g": g}
+    for tid, row, c in todo:
+        _check_class(c, a, "m" in row.params)
+        if c.r is not None:
+            for name in ("g", "f") if row.dominated else ("f",):
+                _sample_positive(fg[name], a, b, name)
 
-def _r_convex_status(f: Expr, iv: Interval, r: float, grid: GridSpec) -> HypothesisStatus:
-    try:
-        res = check_r_convex(f, iv, r, grid)
-    except (DomainError, NonPositiveFunction, ValueError) as exc:
-        return HypothesisStatus("domain_error", detail=str(exc))
-    if res.passed:
-        return HypothesisStatus("pass")
-    return HypothesisStatus("violation", witness=res.witness)
+    memo: dict = {}
 
+    def once(key, compute):
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
-def _r_dominance_status(f: Expr, g: Expr, iv: Interval, r: float,
-                        grid: GridSpec) -> HypothesisStatus:
-    try:
-        res = check_dominated_r(f, g, iv, r, grid)
-    except (DomainError, NonPositiveFunction, ValueError) as exc:
-        return HypothesisStatus("domain_error", detail=str(exc))
-    if res.passed:
-        return HypothesisStatus("pass")
-    return HypothesisStatus("violation", witness=res.witness)
+    # every side before any hypothesis: a domain error costs no grid check
+    sides = []
+    for tid, row, c in todo:
+        who = ("f", "g") if row.dominated else ("f",)
+        avgs = [once((row.integrand, w, c), lambda: _mean_integral(
+            row.integrand(fg[w], c), iv, quad_tol)) for w in who]
+        points = [once((row.form, w, c), lambda: row.form(fg[w], a, b, c))
+                  for w in who]
+        lower_upper = [(pt, avg) if row.avg_upper else (avg, pt)
+                       for (avg, _), pt in zip(avgs, points)]
+        if row.dominated:
+            (lo_f, up_f), (lo_g, up_g) = lower_upper
+            sides.append((abs(up_f - lo_f), up_g - lo_g, avgs[0][1] + avgs[1][1]))
+        else:
+            sides.append((*lower_upper[0], avgs[0][1]))
+
+    reports = []
+    for (tid, row, c), (lhs, rhs, err) in zip(todo, sides):
+        if row.dominated:
+            checks = {f"g_{row.hyp_class}": (g, None), "f_dominated": (f, g)}
+        else:
+            checks = {f"f_{row.hyp_class}": (f, None)}
+        bounds = (a, b) if row.cert is None else (0.0, b / c.m ** row.cert)
+        hyp = {key: once((row.cert, key, c), lambda: _status(c, bounds, e, dom, grid))
+               if hypotheses else _SKIPPED for key, (e, dom) in checks.items()}
+        params_out = {"a": a, "b": b, **{name: getattr(c, name) for name in row.params}}
+        slack = rhs - lhs
+        reports.append(IneqReport(tid, params_out, float(lhs), float(rhs), float(slack),
+                                  tol, bool(slack >= -tol), float(err), hyp))
+    return tuple(reports)
 
 
 # ------------------------- verifiers -------------------------
@@ -223,17 +325,8 @@ def classic_hh(f: Expr, a: float, b: float, *, tol: float = TOL_DEFAULT,
                quad_tol: float = QUAD_TOL_DEFAULT, hypotheses: bool = True,
                grid: GridSpec = DEFAULT_GRID) -> tuple[IneqReport, IneqReport]:
     """Both halves of the classical midpoint/trapezoid sandwich for convex f."""
-    _check_ab(a, b)
-    avg, err = _mean_integral(f, a, b, quad_tol)
-    mid = evaluate(f, 0.5 * (a + b))
-    ends = 0.5 * (evaluate(f, a) + evaluate(f, b))
-    if hypotheses:
-        hyp = {"f_convex": _convexity_status(f, Interval(a, b), 1.0, 1.0, grid)}
-    else:
-        hyp = {"f_convex": _SKIPPED}
-    params = {"a": a, "b": b}
-    return (_report("classic_hh_left", params, mid, avg, tol, err, hyp),
-            _report("classic_hh_right", params, avg, ends, tol, err, hyp))
+    return _run(("classic_hh_left", "classic_hh_right"), f, None, a, b, {},
+                tol, quad_tol, hypotheses, grid)
 
 
 def dragomir_m(f: Expr, a: float, b: float, m: float, *, tol: float = TOL_DEFAULT,
@@ -241,19 +334,8 @@ def dragomir_m(f: Expr, a: float, b: float, m: float, *, tol: float = TOL_DEFAUL
                grid: GridSpec = DEFAULT_GRID) -> tuple[IneqReport, IneqReport]:
     """The m-convex sandwich: midpoint value, averaged half-sum integral,
     and the four-point endpoint form."""
-    _check_ab(a, b)
-    _check_m_family(a, m)
-    avg, err = _mean_integral(_half_sum_integrand(f, m), a, b, quad_tol)
-    mid = evaluate(f, 0.5 * (a + b))
-    ends = _endpoint_form(f, a, b, 1.0, m)
-    if hypotheses:
-        hyp = {"f_m_convex": _convexity_status(
-            f, Interval(0.0, b / m ** 2), 1.0, m, grid)}
-    else:
-        hyp = {"f_m_convex": _SKIPPED}
-    params = {"a": a, "b": b, "m": m}
-    return (_report("dragomir_left", params, mid, avg, tol, err, hyp),
-            _report("dragomir_right", params, avg, ends, tol, err, hyp))
+    return _run(("dragomir_left", "dragomir_right"), f, None, a, b, {"m": m},
+                tol, quad_tol, hypotheses, grid)
 
 
 def theorem_a(f: Expr, g: Expr, a: float, b: float, m: float, *,
@@ -262,60 +344,24 @@ def theorem_a(f: Expr, g: Expr, a: float, b: float, m: float, *,
               grid: GridSpec = DEFAULT_GRID) -> tuple[IneqReport, IneqReport]:
     """Dominance refinement of both halves of the m-convex sandwich: the
     deviation of f's forms is bounded by the matching deviation of g's."""
-    _check_ab(a, b)
-    _check_m_family(a, m)
-    avg_f, err_f = _mean_integral(_half_sum_integrand(f, m), a, b, quad_tol)
-    avg_g, err_g = _mean_integral(_half_sum_integrand(g, m), a, b, quad_tol)
-    err = err_f + err_g
-    mid_f = evaluate(f, 0.5 * (a + b))
-    mid_g = evaluate(g, 0.5 * (a + b))
-    ends_f = _endpoint_form(f, a, b, 1.0, m)
-    ends_g = _endpoint_form(g, a, b, 1.0, m)
-    if hypotheses:
-        cert_iv = Interval(0.0, b / m ** 2)
-        hyp = {"g_m_convex": _convexity_status(g, cert_iv, 1.0, m, grid),
-               "f_dominated": _dominance_status(f, g, cert_iv, 1.0, m, grid)}
-    else:
-        hyp = {"g_m_convex": _SKIPPED, "f_dominated": _SKIPPED}
-    params = {"a": a, "b": b, "m": m}
-    return (_report("theorem_a_first", params, abs(avg_f - mid_f),
-                    avg_g - mid_g, tol, err, hyp),
-            _report("theorem_a_second", params, abs(ends_f - avg_f),
-                    ends_g - avg_g, tol, err, hyp))
+    return _run(("theorem_a_first", "theorem_a_second"), f, g, a, b, {"m": m},
+                tol, quad_tol, hypotheses, grid)
 
 
 def set_midpoint(f: Expr, a: float, b: float, alpha: float, m: float, *,
                  tol: float = TOL_DEFAULT, quad_tol: float = QUAD_TOL_DEFAULT,
                  hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Midpoint half for (alpha, m)-convex f with the 2^alpha weighting."""
-    _check_ab(a, b)
-    _check_m_family(a, m, alpha)
-    avg, err = _mean_integral(_weighted_integrand(f, alpha, m), a, b, quad_tol)
-    mid = evaluate(f, 0.5 * (a + b))
-    if hypotheses:
-        hyp = {"f_alpha_m_convex": _convexity_status(
-            f, Interval(0.0, b / m), alpha, m, grid)}
-    else:
-        hyp = {"f_alpha_m_convex": _SKIPPED}
-    params = {"a": a, "b": b, "alpha": alpha, "m": m}
-    return _report("set_midpoint", params, mid, avg, tol, err, hyp)
+    return _run(("set_midpoint",), f, None, a, b, {"alpha": alpha, "m": m},
+                tol, quad_tol, hypotheses, grid)[0]
 
 
 def set_trapezoid(f: Expr, a: float, b: float, alpha: float, m: float, *,
                   tol: float = TOL_DEFAULT, quad_tol: float = QUAD_TOL_DEFAULT,
                   hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Trapezoid half for (alpha, m)-convex f with the (alpha+1) weighting."""
-    _check_ab(a, b)
-    _check_m_family(a, m, alpha)
-    avg, err = _mean_integral(f, a, b, quad_tol)
-    trap = _trapezoid_form(f, a, b, alpha, m)
-    if hypotheses:
-        hyp = {"f_alpha_m_convex": _convexity_status(
-            f, Interval(0.0, b / m), alpha, m, grid)}
-    else:
-        hyp = {"f_alpha_m_convex": _SKIPPED}
-    params = {"a": a, "b": b, "alpha": alpha, "m": m}
-    return _report("set_trapezoid", params, avg, trap, tol, err, hyp)
+    return _run(("set_trapezoid",), f, None, a, b, {"alpha": alpha, "m": m},
+                tol, quad_tol, hypotheses, grid)[0]
 
 
 def gill_r(f: Expr, a: float, b: float, r: float, *, tol: float = TOL_DEFAULT,
@@ -323,16 +369,8 @@ def gill_r(f: Expr, a: float, b: float, r: float, *, tol: float = TOL_DEFAULT,
            grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Averaged integral of a positive r-convex f against the generalized
     log mean of its endpoint values."""
-    _check_ab(a, b)
-    _sample_positive(f, a, b, "f")
-    avg, err = _mean_integral(f, a, b, quad_tol)
-    rhs = gen_log_mean(evaluate(f, a), evaluate(f, b), r).value
-    if hypotheses:
-        hyp = {"f_r_convex": _r_convex_status(f, Interval(a, b), r, grid)}
-    else:
-        hyp = {"f_r_convex": _SKIPPED}
-    params = {"a": a, "b": b, "r": r}
-    return _report("gill_r", params, avg, rhs, tol, err, hyp)
+    return _run(("gill_r",), f, None, a, b, {"r": r},
+                tol, quad_tol, hypotheses, grid)[0]
 
 
 def t1_first(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
@@ -340,21 +378,8 @@ def t1_first(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
              hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Dominance bound on the deviation of the weighted integral average
     from the midpoint value."""
-    _check_ab(a, b)
-    _check_m_family(a, m, alpha)
-    avg_f, err_f = _mean_integral(_weighted_integrand(f, alpha, m), a, b, quad_tol)
-    avg_g, err_g = _mean_integral(_weighted_integrand(g, alpha, m), a, b, quad_tol)
-    mid_f = evaluate(f, 0.5 * (a + b))
-    mid_g = evaluate(g, 0.5 * (a + b))
-    if hypotheses:
-        cert_iv = Interval(0.0, b / m)
-        hyp = {"g_alpha_m_convex": _convexity_status(g, cert_iv, alpha, m, grid),
-               "f_dominated": _dominance_status(f, g, cert_iv, alpha, m, grid)}
-    else:
-        hyp = {"g_alpha_m_convex": _SKIPPED, "f_dominated": _SKIPPED}
-    params = {"a": a, "b": b, "alpha": alpha, "m": m}
-    return _report("t1_first", params, abs(avg_f - mid_f), avg_g - mid_g,
-                   tol, err_f + err_g, hyp)
+    return _run(("t1_first",), f, g, a, b, {"alpha": alpha, "m": m},
+                tol, quad_tol, hypotheses, grid)[0]
 
 
 def t1_second(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
@@ -362,21 +387,8 @@ def t1_second(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
               hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Dominance bound on the deviation of the endpoint form from the
     averaged half-sum integral."""
-    _check_ab(a, b)
-    _check_m_family(a, m, alpha)
-    avg_f, err_f = _mean_integral(_half_sum_integrand(f, m), a, b, quad_tol)
-    avg_g, err_g = _mean_integral(_half_sum_integrand(g, m), a, b, quad_tol)
-    ends_f = _endpoint_form(f, a, b, alpha, m)
-    ends_g = _endpoint_form(g, a, b, alpha, m)
-    if hypotheses:
-        cert_iv = Interval(0.0, b / m ** 2)
-        hyp = {"g_alpha_m_convex": _convexity_status(g, cert_iv, alpha, m, grid),
-               "f_dominated": _dominance_status(f, g, cert_iv, alpha, m, grid)}
-    else:
-        hyp = {"g_alpha_m_convex": _SKIPPED, "f_dominated": _SKIPPED}
-    params = {"a": a, "b": b, "alpha": alpha, "m": m}
-    return _report("t1_second", params, abs(ends_f - avg_f), ends_g - avg_g,
-                   tol, err_f + err_g, hyp)
+    return _run(("t1_second",), f, g, a, b, {"alpha": alpha, "m": m},
+                tol, quad_tol, hypotheses, grid)[0]
 
 
 def t2(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
@@ -384,21 +396,8 @@ def t2(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
        hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Dominance bound on the deviation of the trapezoid form from the
     averaged integral."""
-    _check_ab(a, b)
-    _check_m_family(a, m, alpha)
-    avg_f, err_f = _mean_integral(f, a, b, quad_tol)
-    avg_g, err_g = _mean_integral(g, a, b, quad_tol)
-    trap_f = _trapezoid_form(f, a, b, alpha, m)
-    trap_g = _trapezoid_form(g, a, b, alpha, m)
-    if hypotheses:
-        cert_iv = Interval(0.0, b / m)
-        hyp = {"g_alpha_m_convex": _convexity_status(g, cert_iv, alpha, m, grid),
-               "f_dominated": _dominance_status(f, g, cert_iv, alpha, m, grid)}
-    else:
-        hyp = {"g_alpha_m_convex": _SKIPPED, "f_dominated": _SKIPPED}
-    params = {"a": a, "b": b, "alpha": alpha, "m": m}
-    return _report("t2", params, abs(trap_f - avg_f), trap_g - avg_g,
-                   tol, err_f + err_g, hyp)
+    return _run(("t2",), f, g, a, b, {"alpha": alpha, "m": m},
+                tol, quad_tol, hypotheses, grid)[0]
 
 
 def trapezoid_residual(f: Expr, a: float, b: float, alpha: float, m: float,
@@ -406,8 +405,8 @@ def trapezoid_residual(f: Expr, a: float, b: float, alpha: float, m: float,
     """Trapezoid form minus averaged integral; nonnegative for (alpha, m)-
     convex f.  The bound of :func:`t2` holds exactly when this residual is
     nonnegative for both g + f and g - f."""
-    avg, _ = _mean_integral(f, a, b, quad_tol)
-    return _trapezoid_form(f, a, b, alpha, m) - avg
+    avg, _ = _mean_integral(f, Interval(a, b), quad_tol)
+    return _trapezoid(f, a, b, _Class(alpha, m)) - avg
 
 
 def gr_dominated(f: Expr, g: Expr, a: float, b: float, r: float, *,
@@ -415,31 +414,8 @@ def gr_dominated(f: Expr, g: Expr, a: float, b: float, r: float, *,
                  hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Dominance bound on the deviation of the endpoint log mean from the
     averaged integral."""
-    _check_ab(a, b)
-    _sample_positive(g, a, b, "g")
-    _sample_positive(f, a, b, "f")
-    avg_f, err_f = _mean_integral(f, a, b, quad_tol)
-    avg_g, err_g = _mean_integral(g, a, b, quad_tol)
-    lf = gen_log_mean(evaluate(f, a), evaluate(f, b), r).value
-    lg = gen_log_mean(evaluate(g, a), evaluate(g, b), r).value
-    if hypotheses:
-        iv = Interval(a, b)
-        hyp = {"g_r_convex": _r_convex_status(g, iv, r, grid),
-               "f_dominated": _r_dominance_status(f, g, iv, r, grid)}
-    else:
-        hyp = {"g_r_convex": _SKIPPED, "f_dominated": _SKIPPED}
-    params = {"a": a, "b": b, "r": r}
-    return _report("gr_dominated", params, abs(lf - avg_f), lg - avg_g,
-                   tol, err_f + err_g, hyp)
-
-
-def _check_m_family(a: float, m: float, alpha: float | None = None) -> None:
-    if not 0.0 < m <= 1.0:
-        raise ValueError(f"m must lie in (0, 1], got {m}")
-    if alpha is not None and not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if a < 0.0:
-        raise ValueError(f"this family needs a >= 0, got a={a}")
+    return _run(("gr_dominated",), f, g, a, b, {"r": r},
+                tol, quad_tol, hypotheses, grid)[0]
 
 
 # ------------------------- dispatch by theorem id -------------------------
@@ -451,39 +427,5 @@ def run_verifier(theorem_id: str, f: Expr, g: Expr | None = None, *,
                  hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Run a single verifier by report id (pairs split into left/right or
     first/second) and return its report."""
-    if theorem_id not in THEOREM_IDS:
-        raise ValueError(f"unknown theorem id {theorem_id!r}")
-    if theorem_id in NEEDS_G and g is None:
-        raise ValueError(f"{theorem_id} needs a dominating function g")
-    kw = dict(tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)
-
-    def need(name: str, value: float | None) -> float:
-        if value is None:
-            raise ValueError(f"{theorem_id} needs --{name}")
-        return value
-
-    if theorem_id == "classic_hh_left":
-        return classic_hh(f, a, b, **kw)[0]
-    if theorem_id == "classic_hh_right":
-        return classic_hh(f, a, b, **kw)[1]
-    if theorem_id == "dragomir_left":
-        return dragomir_m(f, a, b, need("m", m), **kw)[0]
-    if theorem_id == "dragomir_right":
-        return dragomir_m(f, a, b, need("m", m), **kw)[1]
-    if theorem_id == "theorem_a_first":
-        return theorem_a(f, g, a, b, need("m", m), **kw)[0]
-    if theorem_id == "theorem_a_second":
-        return theorem_a(f, g, a, b, need("m", m), **kw)[1]
-    if theorem_id == "set_midpoint":
-        return set_midpoint(f, a, b, need("alpha", alpha), need("m", m), **kw)
-    if theorem_id == "set_trapezoid":
-        return set_trapezoid(f, a, b, need("alpha", alpha), need("m", m), **kw)
-    if theorem_id == "gill_r":
-        return gill_r(f, a, b, need("r", r), **kw)
-    if theorem_id == "t1_first":
-        return t1_first(f, g, a, b, need("alpha", alpha), need("m", m), **kw)
-    if theorem_id == "t1_second":
-        return t1_second(f, g, a, b, need("alpha", alpha), need("m", m), **kw)
-    if theorem_id == "t2":
-        return t2(f, g, a, b, need("alpha", alpha), need("m", m), **kw)
-    return gr_dominated(f, g, a, b, need("r", r), **kw)
+    return _run((theorem_id,), f, g, a, b, {"alpha": alpha, "m": m, "r": r},
+                tol, quad_tol, hypotheses, grid)[0]

@@ -3,12 +3,18 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import hhcert
+from hhcert import cli
 from hhcert.cli import build_parser, run
+from hhcert.search import StressConfig, stress, summary_json
 
 
 def _run(argv):
@@ -202,6 +208,46 @@ def test_bad_interval_exit_two():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "gill_r", "--f", "exp(x)", "--a", "0", "--b", "1", "--r", "nan",
+     "--skip-hypotheses"],
+    ["verify", "t2", "--f", "x^2", "--g", "x^2", "--a", "0", "--b", "1",
+     "--alpha", "1", "--m", "1", "--skip-hypotheses", "--tol", "-1"],
+    ["integrate", "--f", "x", "--a", "0", "--b", "inf"],
+], ids=["nan_r", "negative_tol", "infinite_interval"])
+def test_bad_numeric_input_exit_two_promptly(argv):
+    start = time.perf_counter()
+    code, out, err = _run(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_error_after_output_leaves_stdout_empty(monkeypatch):
+    def half_done(args, out):
+        print("partial", file=out)
+        raise ValueError("late failure")
+
+    monkeypatch.setitem(cli._HANDLERS, "means", half_done)
+    code, out, err = _run(["means", "--kind", "power", "--x", "1", "--y", "2",
+                           "--r", "1"])
+    assert code == 2
+    assert out == ""
+    assert "late failure" in err
+
+
+def test_left_half_ignores_right_half_domain():
+    # f(b/m^2) = sqrt(2.5 - 4) is undefined, but only the right half uses it
+    code, out, err = _run(["verify", "dragomir_left", "--f", "sqrt(2.5-x)",
+                           "--a", "0", "--b", "1", "--m", "0.5",
+                           "--skip-hypotheses"])
+    assert code == 1
+    assert "theorem: dragomir_left" in out
+    assert "holds = false" in out
+    assert err == ""
+
+
 # ------------------------- wiring -------------------------
 
 
@@ -214,10 +260,14 @@ def test_parser_lists_all_subcommands():
 
 
 def test_module_entry_point():
+    # the child imports the same hhcert as this test, installed or not
+    src = str(Path(hhcert.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "hhcert", "means", "--kind", "power",
          "--x", "2", "--y", "4", "--lambda", "0.5", "--r", "-1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert float(proc.stdout) == pytest.approx(8.0 / 3.0, rel=1e-15)
 
@@ -232,6 +282,30 @@ def test_stress_config_file(tmp_path):
     code, out, _ = _run(["stress", "--config", str(cfg), "--json"])
     assert code == 0
     assert json.loads(out)["trials"] == 3
+
+
+@pytest.mark.parametrize("raw, config", [
+    ({"trials": 2}, StressConfig(trials=2)),
+    ({"trials": 5, "alpha_pool": [0.5], "m_pool": [0.5], "max_attempts": 1},
+     StressConfig(trials=5, alpha_pool=(0.5,), m_pool=(0.5,), max_attempts=1)),
+], ids=["defaults", "max_attempts"])
+def test_stress_config_file_matches_api(tmp_path, raw, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    code, out, _ = _run(["stress", "--config", str(cfg), "--json"])
+    assert code == 0
+    assert out == summary_json(stress(config)) + "\n"
+
+
+@pytest.mark.parametrize("raw", [{"trials": 2, "trails": 3}, {"grid": 9},
+                                 {"trials": None}, [1, 2]])
+def test_stress_config_file_bad_content_exit_two(tmp_path, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    code, out, err = _run(["stress", "--config", str(cfg), "--json"])
+    assert code == 2
+    assert out == ""
+    assert "stress config" in err
 
 
 def test_stress_config_file_missing_exit_two(tmp_path):

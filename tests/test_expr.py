@@ -244,6 +244,9 @@ def test_interval_validation():
         Interval(1.0, 1.0)
     with pytest.raises(ValueError):
         Interval(2.0, -2.0)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            Interval(lo, hi)
     with pytest.raises(dataclasses.FrozenInstanceError):
         iv.lo = 0.0
 

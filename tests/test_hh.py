@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
+from hhcert import hh
 from hhcert.convexity import GridSpec, NonPositiveFunction
 from hhcert.expr import Const, Interval, compose_affine, lin_comb, parse
 from hhcert.hh import (NEEDS_G, THEOREM_IDS, classic_hh, dragomir_m, gill_r,
-                       gr_dominated, report_json, report_to_dict, run_verifier,
+                       gr_dominated, report_json, run_verifier,
                        set_midpoint, set_trapezoid, t1_first, t1_second, t2,
                        theorem_a, trapezoid_residual)
 
@@ -261,10 +263,46 @@ def test_run_verifier_covers_every_theorem():
         assert math.isfinite(rep.slack)
 
 
+# the public function behind each report id, and which half of a pair it is
+_WRAPPERS = {
+    "classic_hh_left": (classic_hh, 0), "classic_hh_right": (classic_hh, 1),
+    "dragomir_left": (dragomir_m, 0), "dragomir_right": (dragomir_m, 1),
+    "theorem_a_first": (theorem_a, 0), "theorem_a_second": (theorem_a, 1),
+    "set_midpoint": (set_midpoint, None), "set_trapezoid": (set_trapezoid, None),
+    "gill_r": (gill_r, None), "t1_first": (t1_first, None),
+    "t1_second": (t1_second, None), "t2": (t2, None),
+    "gr_dominated": (gr_dominated, None),
+}
+
+
 def test_run_verifier_matches_direct_call():
-    rep = run_verifier("t2", X2, X2, a=0.0, b=1.0, alpha=1.0, m=1.0)
-    direct = t2(X2, X2, 0.0, 1.0, 1.0, 1.0)
-    assert report_to_dict(rep) == report_to_dict(direct)
+    f, g = parse("exp(x) + x^2"), parse("2*exp(x) + 3*x^2")
+    for tid in THEOREM_IDS:
+        for hypotheses in (False, True):
+            kw = dict(_dispatch_args(tid), hypotheses=hypotheses)
+            rep = run_verifier(tid, f, g if tid in NEEDS_G else None, **kw)
+            fn, half = _WRAPPERS[tid]
+            names = inspect.signature(fn).parameters
+            direct = fn(**{k: v for k, v in dict(kw, f=f, g=g).items() if k in names})
+            if half is not None:
+                direct = direct[half]
+            assert report_json(rep) == report_json(direct), (tid, hypotheses)
+
+
+def test_pairs_integrate_each_function_once(monkeypatch):
+    calls = []
+    real = hh.integrate
+
+    def counting(e, iv, tol):
+        calls.append(e)
+        return real(e, iv, tol)
+
+    monkeypatch.setattr(hh, "integrate", counting)
+    classic_hh(X2, 0.0, 1.0, hypotheses=False)
+    assert len(calls) == 1
+    calls.clear()
+    theorem_a(X2, EX, 0.0, 1.0, 0.5, hypotheses=False)
+    assert len(calls) == 2
 
 
 def test_run_verifier_rejects_bad_input():
@@ -278,6 +316,10 @@ def test_run_verifier_rejects_bad_input():
         run_verifier("gill_r", EX, a=0.0, b=1.0)          # missing r
     with pytest.raises(ValueError):
         run_verifier("classic_hh_left", X2, a=1.0, b=0.0)  # empty interval
+    with pytest.raises(ValueError):
+        run_verifier("t2", X2, X2, a=0.0, b=1.0, alpha=1.0, m=1.0, tol=-1.0)
+    with pytest.raises(ValueError):
+        run_verifier("gill_r", EX, a=0.0, b=1.0, r=math.nan)
 
 
 # ------------------------- report serialization -------------------------
