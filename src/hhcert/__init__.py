@@ -5,11 +5,11 @@ The package has three layers:
 
 - expression trees (`parse`, `evaluate`, `compose_affine`) for the
   functions under test;
-- grid certifiers (`check_alpha_m_convex`, `check_r_convex` and the
-  dominance variants) that either pass or return a concrete witness;
-- inequality verifiers (`run_verifier` and friends) that integrate with
-  an adaptive Gauss-Kronrod rule and report left side, right side and
-  slack for each bound.
+- grid certifiers (`check`, for a class `AlphaM` or `RConvex` with an
+  optional dominating g) that either pass or return a concrete witness;
+- inequality verifiers (`run_verifiers`, `run_verifier` and friends)
+  that integrate with an adaptive Gauss-Kronrod rule and report left
+  side, right side and slack for each bound.
 
 `stress` drives randomized soundness campaigns over generated instances.
 """
@@ -17,7 +17,7 @@ The package has three layers:
 from __future__ import annotations
 
 from .convexity import (AlphaM, CheckResult, GridSpec, NonPositiveFunction,
-                        RConvex, Witness, alpha_m_gap_grid,
+                        RConvex, Witness, alpha_m_gap_grid, check,
                         check_alpha_m_convex, check_dominated_alpha_m,
                         check_dominated_r, check_r_convex,
                         construct_dominated_pair, dominated_alpha_m_gap_grid,
@@ -27,8 +27,9 @@ from .expr import (AffineArg, Const, DomainError, Expr, Interval, ParseError,
                    to_string)
 from .hh import (NEEDS_G, THEOREM_IDS, HypothesisStatus, IneqReport,
                  classic_hh, dragomir_m, gill_r, gr_dominated, report_json,
-                 report_to_dict, run_verifier, set_midpoint, set_trapezoid,
-                 t1_first, t1_second, t2, theorem_a, trapezoid_residual)
+                 report_to_dict, run_verifier, run_verifiers, set_midpoint,
+                 set_trapezoid, t1_first, t1_second, t2, theorem_a,
+                 trapezoid_residual)
 from .means import MeanBranch, MeanBranchTag, gen_log_mean, power_mean
 from .quadrature import IntegralResult, NonConvergence, integrate
 from .search import (ScanRow, StressConfig, StressSummary, TheoremStats,
@@ -43,12 +44,12 @@ __all__ = [
     "Interval", "MeanBranch", "MeanBranchTag", "NEEDS_G", "NonConvergence",
     "NonPositiveFunction", "ParseError", "RConvex", "ScanRow", "StressConfig",
     "StressSummary", "THEOREM_IDS", "TheoremStats", "Var", "Witness", "X",
-    "alpha_m_gap_grid", "check_alpha_m_convex", "check_dominated_alpha_m",
+    "alpha_m_gap_grid", "check", "check_alpha_m_convex", "check_dominated_alpha_m",
     "check_dominated_r", "check_r_convex", "classic_hh", "compose_affine",
     "construct_dominated_pair", "dominated_alpha_m_gap_grid", "dragomir_m",
     "evaluate", "gen_log_mean", "gill_r", "gr_dominated", "integrate",
     "lin_comb", "parse", "power_mean", "random_convex_expr", "report_json",
-    "report_to_dict", "run_verifier", "scan_csv", "set_midpoint",
+    "report_to_dict", "run_verifier", "run_verifiers", "scan_csv", "set_midpoint",
     "set_trapezoid", "split_pair", "stress", "summary_json",
     "summary_to_dict", "t1_first", "t1_second", "t2", "theorem_a",
     "tightness_scan", "to_string", "trapezoid_residual",

@@ -13,9 +13,8 @@ import io
 import json
 import sys
 
-from .convexity import (CheckResult, GridSpec, NonPositiveFunction,
-                        check_alpha_m_convex, check_dominated_alpha_m,
-                        check_dominated_r, check_r_convex)
+from .convexity import (AlphaM, CheckResult, ClassParams, GridSpec,
+                        NonPositiveFunction, RConvex, check)
 from .expr import DomainError, Interval, ParseError, parse
 from .hh import THEOREM_IDS, _witness_dict, report_json, run_verifier
 from .jsonio import dumps, fmt_float
@@ -144,15 +143,14 @@ def _cmd_integrate(args, out) -> int:
     return 0
 
 
-def _class_args(args) -> tuple[str, dict]:
-    has_am = args.alpha is not None or args.m is not None
-    if args.r is not None and has_am:
-        raise ValueError("give either --alpha with --m, or --r, not both")
+def _class_args(args) -> ClassParams:
     if args.r is not None:
-        return "r", {"r": args.r}
+        if args.alpha is not None or args.m is not None:
+            raise ValueError("give either --alpha with --m, or --r, not both")
+        return RConvex(args.r)
     if args.alpha is None or args.m is None:
         raise ValueError("give both --alpha and --m, or --r")
-    return "alpha_m", {"alpha": args.alpha, "m": args.m}
+    return AlphaM(args.alpha, args.m)
 
 
 def _witness_payload(res: CheckResult) -> dict:
@@ -185,19 +183,14 @@ def _print_check(res: CheckResult, label: str, json_out: bool, out) -> int:
 
 def _cmd_check(args, out) -> int:
     """check-convexity, or check-dominance when the command takes --g."""
-    kind, kw = _class_args(args)
+    params = _class_args(args)
     iv = Interval(args.a, args.b)
     grid = GridSpec(args.grid_xy, args.grid_lambda, args.tol)
     f = parse(args.f)
     g = parse(args.g) if args.command == "check-dominance" else None
-    if kind == "alpha_m":
-        cls = f"({_f(kw['alpha'])}, {_f(kw['m'])})"
-        res = (check_alpha_m_convex(f, iv, kw["alpha"], kw["m"], grid) if g is None
-               else check_dominated_alpha_m(f, g, iv, kw["alpha"], kw["m"], grid))
-    else:
-        cls = _f(kw["r"])
-        res = (check_r_convex(f, iv, kw["r"], grid) if g is None
-               else check_dominated_r(f, g, iv, kw["r"], grid))
+    res = check(f, iv, params, g, grid)
+    cls = (_f(params.r) if isinstance(params, RConvex)
+           else f"({_f(params.alpha)}, {_f(params.m)})")
     label = f"{cls}-convexity" if g is None else f"(g, {cls})-dominance"
     return _print_check(res, label, args.json, out)
 
@@ -261,15 +254,14 @@ def _load_stress_config(args) -> StressConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             return _stress_config_from(json.load(fh))
     grid = GridSpec(args.grid_xy, args.grid_lambda)
-    interval = (Interval(args.a, args.b),)
     if args.r is not None:
-        return StressConfig(seed=args.seed, trials=args.trials,
-                            intervals=interval, alpha_pool=(), m_pool=(),
-                            r_pool=(args.r,), grid=grid, tol=args.tol)
-    alpha = 1.0 if args.alpha is None else args.alpha
-    m = 1.0 if args.m is None else args.m
-    return StressConfig(seed=args.seed, trials=args.trials, intervals=interval,
-                        alpha_pool=(alpha,), m_pool=(m,), grid=grid, tol=args.tol)
+        pools = {"alpha_pool": (), "m_pool": (), "r_pool": (args.r,)}
+    else:
+        pools = {"alpha_pool": (1.0 if args.alpha is None else args.alpha,),
+                 "m_pool": (1.0 if args.m is None else args.m,)}
+    return StressConfig(seed=args.seed, trials=args.trials,
+                        intervals=(Interval(args.a, args.b),), grid=grid,
+                        tol=args.tol, **pools)
 
 
 def _cmd_stress(args, out) -> int:

@@ -18,6 +18,7 @@ held at every sampled triple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .means import _power_mean_raw
 
 __all__ = [
     "AlphaM", "RConvex", "ClassParams", "GridSpec", "DEFAULT_GRID",
-    "Witness", "CheckResult", "NonPositiveFunction",
+    "Witness", "CheckResult", "NonPositiveFunction", "check",
     "check_alpha_m_convex", "check_r_convex",
     "check_dominated_alpha_m", "check_dominated_r",
     "alpha_m_gap_grid", "dominated_alpha_m_gap_grid",
@@ -50,7 +51,12 @@ class AlphaM:
 
 @dataclass(frozen=True)
 class RConvex:
+    """Order of the r-convex class: any finite real."""
     r: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r}")
 
 
 ClassParams = AlphaM | RConvex
@@ -163,66 +169,32 @@ def _f0_flag(f: Expr, iv: Interval) -> bool | None:
         return None
 
 
-# ------------------------- (alpha, m) checks -------------------------
+# ------------------------- one check for every class -------------------------
 
-def _alpha_m_sides(f: Expr, iv: Interval, alpha: float, m: float, grid: GridSpec):
-    AlphaM(alpha, m)  # validate ranges
-    if iv.lo < 0.0:
-        raise ValueError(f"(alpha, m) classes live on [0, b]; interval starts at {iv.lo}")
+def _sides(f: Expr, iv: Interval, params: ClassParams, grid: GridSpec,
+           name: str, need_positive: bool):
+    """Both sides of params' defining inequality for f on the grid, as
+    (lhs, rhs, xs, ts).  For r-convexity, need_positive demands that f
+    (called ``name`` in errors) be strictly positive at every sample."""
     xs, ts, x3, y3, t3 = _grids(iv, grid)
-    comb = (t3 * x3) + (m * (1.0 - t3)) * y3
-    lhs = evaluate(f, comb)
-    fvals = evaluate(f, xs)
-    ta = np.power(ts, alpha)
-    rhs = (ta[None, None, :] * fvals[:, None, None]
-           + (m * (1.0 - ta))[None, None, :] * fvals[None, :, None])
-    return lhs, np.broadcast_to(rhs, lhs.shape), xs, ts
-
-
-def alpha_m_gap_grid(f: Expr, iv: Interval, alpha: float, m: float,
-                     grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
-    """Pointwise violation gap lhs - rhs of the (alpha, m) inequality,
-    shaped (n_xy, n_xy, n_lambda); a positive entry beyond tol is a
-    violation at that triple."""
-    lhs, rhs, _, _ = _alpha_m_sides(f, iv, alpha, m, grid)
-    return lhs - rhs
-
-
-def check_alpha_m_convex(f: Expr, iv: Interval, alpha: float, m: float,
-                         grid: GridSpec = DEFAULT_GRID) -> CheckResult:
-    lhs, rhs, xs, ts = _alpha_m_sides(f, iv, alpha, m, grid)
-    return _scan(lhs, rhs, xs, ts, grid.tol, _f0_flag(f, iv))
-
-
-def check_dominated_alpha_m(f: Expr, g: Expr, iv: Interval, alpha: float,
-                            m: float, grid: GridSpec = DEFAULT_GRID) -> CheckResult:
-    """Check |combination(f) - f(point)| <= combination(g) - g(point) on the grid."""
-    lhs_f, rhs_f, xs, ts = _alpha_m_sides(f, iv, alpha, m, grid)
-    lhs_g, rhs_g, _, _ = _alpha_m_sides(g, iv, alpha, m, grid)
-    dom_lhs = np.abs(rhs_f - lhs_f)
-    dom_rhs = rhs_g - lhs_g
-    return _scan(dom_lhs, dom_rhs, xs, ts, grid.tol)
-
-
-def dominated_alpha_m_gap_grid(f: Expr, g: Expr, iv: Interval, alpha: float,
-                               m: float, grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
-    lhs_f, rhs_f, _, _ = _alpha_m_sides(f, iv, alpha, m, grid)
-    lhs_g, rhs_g, _, _ = _alpha_m_sides(g, iv, alpha, m, grid)
-    return np.abs(rhs_f - lhs_f) - (rhs_g - lhs_g)
-
-
-# ------------------------- r-convexity checks -------------------------
-
-def _r_sides(f: Expr, iv: Interval, r: float, grid: GridSpec,
-             name: str, need_positive: bool):
-    xs, ts, x3, y3, t3 = _grids(iv, grid)
+    if isinstance(params, AlphaM):
+        if iv.lo < 0.0:
+            raise ValueError(f"(alpha, m) classes live on [0, b]; interval starts at {iv.lo}")
+        alpha, m = params.alpha, params.m
+        comb = (t3 * x3) + (m * (1.0 - t3)) * y3
+        lhs = evaluate(f, comb)
+        fvals = evaluate(f, xs)
+        ta = np.power(ts, alpha)
+        rhs = (ta[None, None, :] * fvals[:, None, None]
+               + (m * (1.0 - ta))[None, None, :] * fvals[None, :, None])
+        return lhs, np.broadcast_to(rhs, lhs.shape), xs, ts
     comb = (t3 * x3) + (1.0 - t3) * y3
     fvals = evaluate(f, xs)
     fcomb = evaluate(f, comb)
     if need_positive:
         _require_positive(fvals, xs, name)
         _require_positive(fcomb, comb, name)
-    mr = _power_mean_raw(fvals[:, None, None], fvals[None, :, None], t3, r)
+    mr = _power_mean_raw(fvals[:, None, None], fvals[None, :, None], t3, params.r)
     if not np.all(np.isfinite(mr)):
         bad = ~np.isfinite(np.broadcast_to(mr, fcomb.shape))
         idx = int(np.argmax(bad.ravel()))
@@ -231,26 +203,75 @@ def _r_sides(f: Expr, iv: Interval, r: float, grid: GridSpec,
     return fcomb, np.broadcast_to(mr, fcomb.shape), xs, ts
 
 
+def _dominance(f: Expr, g: Expr, iv: Interval, params: ClassParams, grid: GridSpec):
+    """|combination(f) - f(point)| and combination(g) - g(point) on the grid.
+
+    r-dominance needs g strictly positive, so g is validated before f; f
+    must be positive too when r <= 0 (the power mean of order r <= 0 needs
+    positive entries).  (alpha, m) dominance evaluates f before g.
+    """
+    if isinstance(params, RConvex):
+        lhs_g, rhs_g, xs, ts = _sides(g, iv, params, grid, "g", True)
+        lhs_f, rhs_f, _, _ = _sides(f, iv, params, grid, "f", params.r <= 0.0)
+    else:
+        lhs_f, rhs_f, xs, ts = _sides(f, iv, params, grid, "f", False)
+        lhs_g, rhs_g, _, _ = _sides(g, iv, params, grid, "g", False)
+    return np.abs(rhs_f - lhs_f), rhs_g - lhs_g, xs, ts
+
+
+def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
+          grid: GridSpec = DEFAULT_GRID) -> CheckResult:
+    """Grid-check that f belongs to the class ``params`` or, given g, that
+    f is g-dominated over it.  r-convexity needs f strictly positive at
+    every sampled point; the (alpha, m) membership check also reports the
+    f(0) <= 0 side condition."""
+    if g is not None:
+        return _scan(*_dominance(f, g, iv, params, grid), grid.tol)
+    lhs, rhs, xs, ts = _sides(f, iv, params, grid, "f", True)
+    f0 = _f0_flag(f, iv) if isinstance(params, AlphaM) else None
+    return _scan(lhs, rhs, xs, ts, grid.tol, f0)
+
+
+def alpha_m_gap_grid(f: Expr, iv: Interval, alpha: float, m: float,
+                     grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
+    """Pointwise violation gap lhs - rhs of the (alpha, m) inequality,
+    shaped (n_xy, n_xy, n_lambda); a positive entry beyond tol is a
+    violation at that triple."""
+    lhs, rhs, _, _ = _sides(f, iv, AlphaM(alpha, m), grid, "f", False)
+    return lhs - rhs
+
+
+def dominated_alpha_m_gap_grid(f: Expr, g: Expr, iv: Interval, alpha: float,
+                               m: float, grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
+    dom_lhs, dom_rhs, _, _ = _dominance(f, g, iv, AlphaM(alpha, m), grid)
+    return dom_lhs - dom_rhs
+
+
+def check_alpha_m_convex(f: Expr, iv: Interval, alpha: float, m: float,
+                         grid: GridSpec = DEFAULT_GRID) -> CheckResult:
+    return check(f, iv, AlphaM(alpha, m), grid=grid)
+
+
+def check_dominated_alpha_m(f: Expr, g: Expr, iv: Interval, alpha: float,
+                            m: float, grid: GridSpec = DEFAULT_GRID) -> CheckResult:
+    """Check |combination(f) - f(point)| <= combination(g) - g(point) on the grid."""
+    return check(f, iv, AlphaM(alpha, m), g, grid)
+
+
 def check_r_convex(f: Expr, iv: Interval, r: float,
                    grid: GridSpec = DEFAULT_GRID) -> CheckResult:
     """Check f(t*x + (1-t)*y) <= M_r(f(x), f(y); t); f must be strictly
     positive at every sampled point."""
-    fcomb, mr, xs, ts = _r_sides(f, iv, r, grid, "f", need_positive=True)
-    return _scan(fcomb, mr, xs, ts, grid.tol)
+    return check(f, iv, RConvex(r), grid=grid)
 
 
 def check_dominated_r(f: Expr, g: Expr, iv: Interval, r: float,
                       grid: GridSpec = DEFAULT_GRID) -> CheckResult:
     """Check |M_r(f(x), f(y); t) - f(point)| <= M_r(g(x), g(y); t) - g(point).
 
-    g must be strictly positive everywhere; f must be when r <= 0 (the
-    power mean of order r <= 0 needs positive entries).
+    g must be strictly positive everywhere; f must be when r <= 0.
     """
-    gcomb, mg, xs, ts = _r_sides(g, iv, r, grid, "g", need_positive=True)
-    fcomb, mf, _, _ = _r_sides(f, iv, r, grid, "f", need_positive=(r <= 0.0))
-    dom_lhs = np.abs(mf - fcomb)
-    dom_rhs = mg - gcomb
-    return _scan(dom_lhs, dom_rhs, xs, ts, grid.tol)
+    return check(f, iv, RConvex(r), g, grid)
 
 
 # ------------------------- dominated pairs -------------------------

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .convexity import (DEFAULT_GRID, GridSpec, NonPositiveFunction, Witness,
-                        check_alpha_m_convex, check_dominated_alpha_m,
-                        check_dominated_r, check_r_convex)
+from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec,
+                        NonPositiveFunction, RConvex, Witness, _require_positive,
+                        check)
 from .expr import DomainError, Expr, Interval, compose_affine, evaluate, lin_comb
 from .jsonio import dumps
 from .means import gen_log_mean
@@ -45,7 +45,7 @@ __all__ = [
     "HypothesisStatus", "IneqReport", "report_json", "report_to_dict",
     "classic_hh", "dragomir_m", "theorem_a", "set_midpoint", "set_trapezoid",
     "gill_r", "t1_first", "t1_second", "t2", "gr_dominated",
-    "trapezoid_residual", "run_verifier", "NEEDS_G",
+    "trapezoid_residual", "run_verifier", "run_verifiers", "NEEDS_G",
 ]
 
 TOL_DEFAULT = 1e-8
@@ -108,43 +108,36 @@ def report_json(rep: IneqReport) -> str:
 
 # ------------------------- integrands and point forms -------------------------
 
-class _Class(NamedTuple):
-    """Class parameters of one row; a row without alpha or m has them at 1."""
-    alpha: float = 1.0
-    m: float = 1.0
-    r: float | None = None
-
-
 def _mean_integral(e: Expr, iv: Interval, quad_tol: float) -> tuple[float, float]:
     res = integrate(e, iv, quad_tol)
     return res.value / iv.width, res.error_bound / iv.width
 
 
-def _plain(f: Expr, c: _Class) -> Expr:
+def _plain(f: Expr, c: ClassParams) -> Expr:
     return f
 
 
-def _half_sum(f: Expr, c: _Class) -> Expr:
+def _half_sum(f: Expr, c: ClassParams) -> Expr:
     """(f(x) + m*f(x/m)) / 2 as an expression tree."""
     return lin_comb(0.5, f, 0.5 * c.m, compose_affine(f, 1.0 / c.m, 0.0))
 
 
-def _weighted(f: Expr, c: _Class) -> Expr:
+def _weighted(f: Expr, c: ClassParams) -> Expr:
     """(f(x) + m*(2^alpha - 1)*f(x/m)) / 2^alpha as an expression tree."""
     two_a = 2.0 ** c.alpha
     return lin_comb(1.0 / two_a, f, c.m * (two_a - 1.0) / two_a,
                     compose_affine(f, 1.0 / c.m, 0.0))
 
 
-def _midpoint(f: Expr, a: float, b: float, c: _Class) -> float:
+def _midpoint(f: Expr, a: float, b: float, c: ClassParams) -> float:
     return evaluate(f, 0.5 * (a + b))
 
 
-def _ends(f: Expr, a: float, b: float, c: _Class) -> float:
+def _ends(f: Expr, a: float, b: float, c: ClassParams) -> float:
     return 0.5 * (evaluate(f, a) + evaluate(f, b))
 
 
-def _trapezoid(f: Expr, a: float, b: float, c: _Class) -> float:
+def _trapezoid(f: Expr, a: float, b: float, c: ClassParams) -> float:
     alpha, m = c.alpha, c.m
     fa = evaluate(f, a)
     fb = evaluate(f, b)
@@ -153,7 +146,7 @@ def _trapezoid(f: Expr, a: float, b: float, c: _Class) -> float:
     return 0.5 * ((fa + fb + (m * alpha) * fam + (m * alpha) * fbm) / (alpha + 1.0))
 
 
-def _endpoint(f: Expr, a: float, b: float, c: _Class) -> float:
+def _endpoint(f: Expr, a: float, b: float, c: ClassParams) -> float:
     alpha, m = c.alpha, c.m
     fa = evaluate(f, a)
     fam = evaluate(f, a / m)
@@ -163,7 +156,7 @@ def _endpoint(f: Expr, a: float, b: float, c: _Class) -> float:
                   + (m * alpha) * ((fbm + m * fbm2) / (alpha + 1.0)))
 
 
-def _log_mean(f: Expr, a: float, b: float, c: _Class) -> float:
+def _log_mean(f: Expr, a: float, b: float, c: ClassParams) -> float:
     return gen_log_mean(evaluate(f, a), evaluate(f, b), c.r).value
 
 
@@ -171,7 +164,7 @@ def _log_mean(f: Expr, a: float, b: float, c: _Class) -> float:
 
 @dataclass(frozen=True)
 class _Row:
-    params: tuple[str, ...]      # class parameters, in report order
+    params: tuple[str, ...]      # class parameters in report order; alpha, m default to 1
     integrand: Callable          # (f, class) -> expression averaged over [a, b]
     form: Callable               # (f, a, b, class) -> the point side
     avg_upper: bool              # the average is the larger side
@@ -208,38 +201,16 @@ NEEDS_G = frozenset(tid for tid, row in _TABLE.items() if row.dominated)
 _SKIPPED = HypothesisStatus("skipped")
 
 
-def _check_class(c: _Class, a: float, m_family: bool) -> None:
-    if not 0.0 < c.m <= 1.0:
-        raise ValueError(f"m must lie in (0, 1], got {c.m}")
-    if not 0.0 < c.alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {c.alpha}")
-    if m_family and a < 0.0:
-        raise ValueError(f"this family needs a >= 0, got a={a}")
-    if c.r is not None and not math.isfinite(c.r):
-        raise ValueError(f"r must be finite, got {c.r}")
+def _class_of(row: _Row, params: dict[str, float]) -> ClassParams:
+    given = {name: params[name] for name in row.params}
+    return RConvex(**given) if "r" in given else AlphaM(**{"alpha": 1.0, "m": 1.0, **given})
 
 
-def _sample_positive(f: Expr, a: float, b: float, name: str) -> None:
-    xs = np.linspace(a, b, 129)
-    vals = evaluate(f, xs)
-    bad = np.asarray(vals <= 0.0)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise NonPositiveFunction(name, float(xs[idx]), float(np.asarray(vals)[idx]))
-
-
-def _status(c: _Class, bounds: tuple[float, float], f: Expr, g: Expr | None,
+def _status(c: ClassParams, bounds: tuple[float, float], f: Expr, g: Expr | None,
             grid: GridSpec) -> HypothesisStatus:
     """Grid-certify f's class membership or, with g, f's dominance by g."""
     try:
-        iv = Interval(*bounds)
-        if c.r is not None:
-            res = (check_r_convex(f, iv, c.r, grid) if g is None
-                   else check_dominated_r(f, g, iv, c.r, grid))
-        elif g is None:
-            res = check_alpha_m_convex(f, iv, c.alpha, c.m, grid)
-        else:
-            res = check_dominated_alpha_m(f, g, iv, c.alpha, c.m, grid)
+        res = check(f, Interval(*bounds), c, g, grid)
     except (DomainError, NonPositiveFunction, ValueError) as exc:
         return HypothesisStatus("domain_error", detail=str(exc))
     if res.passed:
@@ -247,16 +218,21 @@ def _status(c: _Class, bounds: tuple[float, float], f: Expr, g: Expr | None,
     return HypothesisStatus("violation", witness=res.witness)
 
 
-def _run(ids: tuple[str, ...], f: Expr, g: Expr | None, a: float, b: float,
-         params: dict[str, float | None], tol: float, quad_tol: float,
-         hypotheses: bool, grid: GridSpec) -> tuple[IneqReport, ...]:
-    """Run the rows ``ids`` on one input and return one report per id.
+def run_verifiers(ids: tuple[str, ...], f: Expr, g: Expr | None = None, *,
+                  a: float, b: float, alpha: float | None = None,
+                  m: float | None = None, r: float | None = None,
+                  tol: float = TOL_DEFAULT, quad_tol: float = QUAD_TOL_DEFAULT,
+                  hypotheses: bool = True,
+                  grid: GridSpec = DEFAULT_GRID) -> tuple[IneqReport, ...]:
+    """Run the verifiers ``ids`` on one input and return one report per id.
 
     Integrals, point forms and hypothesis statuses are computed once per
-    call, keyed by the row's builder and by which function they belong to,
-    so the two halves of a pair share them.
+    call, keyed by the row's builder, by which function they belong to and
+    by the class parameters, so rows that agree on those share them (the
+    two halves of a pair; theorem_a and t1_second at alpha = 1).
     """
-    todo = []
+    params = {"alpha": alpha, "m": m, "r": r}
+    rows = []
     for tid in ids:
         row = _TABLE.get(tid)
         if row is None:
@@ -266,7 +242,7 @@ def _run(ids: tuple[str, ...], f: Expr, g: Expr | None, a: float, b: float,
         for name in row.params:
             if params.get(name) is None:
                 raise ValueError(f"{tid} needs --{name}")
-        todo.append((tid, row, _Class(**{name: params[name] for name in row.params})))
+        rows.append((tid, row))
     for name, value in (("tol", tol), ("quad_tol", quad_tol)):
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -274,11 +250,16 @@ def _run(ids: tuple[str, ...], f: Expr, g: Expr | None, a: float, b: float,
         raise ValueError(f"need a < b, got a={a}, b={b}")
     iv = Interval(a, b)
     fg = {"f": f, "g": g}
-    for tid, row, c in todo:
-        _check_class(c, a, "m" in row.params)
-        if c.r is not None:
+    todo = []
+    for tid, row in rows:
+        c = _class_of(row, params)
+        if "m" in row.params and a < 0.0:
+            raise ValueError(f"this family needs a >= 0, got a={a}")
+        if isinstance(c, RConvex):
+            xs = np.linspace(a, b, 129)
             for name in ("g", "f") if row.dominated else ("f",):
-                _sample_positive(fg[name], a, b, name)
+                _require_positive(evaluate(fg[name], xs), xs, name)
+        todo.append((tid, row, c))
 
     memo: dict = {}
 
@@ -325,8 +306,8 @@ def classic_hh(f: Expr, a: float, b: float, *, tol: float = TOL_DEFAULT,
                quad_tol: float = QUAD_TOL_DEFAULT, hypotheses: bool = True,
                grid: GridSpec = DEFAULT_GRID) -> tuple[IneqReport, IneqReport]:
     """Both halves of the classical midpoint/trapezoid sandwich for convex f."""
-    return _run(("classic_hh_left", "classic_hh_right"), f, None, a, b, {},
-                tol, quad_tol, hypotheses, grid)
+    return run_verifiers(("classic_hh_left", "classic_hh_right"), f, a=a, b=b,
+                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)
 
 
 def dragomir_m(f: Expr, a: float, b: float, m: float, *, tol: float = TOL_DEFAULT,
@@ -334,8 +315,8 @@ def dragomir_m(f: Expr, a: float, b: float, m: float, *, tol: float = TOL_DEFAUL
                grid: GridSpec = DEFAULT_GRID) -> tuple[IneqReport, IneqReport]:
     """The m-convex sandwich: midpoint value, averaged half-sum integral,
     and the four-point endpoint form."""
-    return _run(("dragomir_left", "dragomir_right"), f, None, a, b, {"m": m},
-                tol, quad_tol, hypotheses, grid)
+    return run_verifiers(("dragomir_left", "dragomir_right"), f, a=a, b=b, m=m,
+                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)
 
 
 def theorem_a(f: Expr, g: Expr, a: float, b: float, m: float, *,
@@ -344,24 +325,24 @@ def theorem_a(f: Expr, g: Expr, a: float, b: float, m: float, *,
               grid: GridSpec = DEFAULT_GRID) -> tuple[IneqReport, IneqReport]:
     """Dominance refinement of both halves of the m-convex sandwich: the
     deviation of f's forms is bounded by the matching deviation of g's."""
-    return _run(("theorem_a_first", "theorem_a_second"), f, g, a, b, {"m": m},
-                tol, quad_tol, hypotheses, grid)
+    return run_verifiers(("theorem_a_first", "theorem_a_second"), f, g, a=a, b=b, m=m,
+                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)
 
 
 def set_midpoint(f: Expr, a: float, b: float, alpha: float, m: float, *,
                  tol: float = TOL_DEFAULT, quad_tol: float = QUAD_TOL_DEFAULT,
                  hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Midpoint half for (alpha, m)-convex f with the 2^alpha weighting."""
-    return _run(("set_midpoint",), f, None, a, b, {"alpha": alpha, "m": m},
-                tol, quad_tol, hypotheses, grid)[0]
+    return run_verifiers(("set_midpoint",), f, a=a, b=b, alpha=alpha, m=m,
+                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
 
 
 def set_trapezoid(f: Expr, a: float, b: float, alpha: float, m: float, *,
                   tol: float = TOL_DEFAULT, quad_tol: float = QUAD_TOL_DEFAULT,
                   hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Trapezoid half for (alpha, m)-convex f with the (alpha+1) weighting."""
-    return _run(("set_trapezoid",), f, None, a, b, {"alpha": alpha, "m": m},
-                tol, quad_tol, hypotheses, grid)[0]
+    return run_verifiers(("set_trapezoid",), f, a=a, b=b, alpha=alpha, m=m,
+                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
 
 
 def gill_r(f: Expr, a: float, b: float, r: float, *, tol: float = TOL_DEFAULT,
@@ -369,8 +350,8 @@ def gill_r(f: Expr, a: float, b: float, r: float, *, tol: float = TOL_DEFAULT,
            grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Averaged integral of a positive r-convex f against the generalized
     log mean of its endpoint values."""
-    return _run(("gill_r",), f, None, a, b, {"r": r},
-                tol, quad_tol, hypotheses, grid)[0]
+    return run_verifiers(("gill_r",), f, a=a, b=b, r=r,
+                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
 
 
 def t1_first(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
@@ -378,8 +359,8 @@ def t1_first(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
              hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Dominance bound on the deviation of the weighted integral average
     from the midpoint value."""
-    return _run(("t1_first",), f, g, a, b, {"alpha": alpha, "m": m},
-                tol, quad_tol, hypotheses, grid)[0]
+    return run_verifiers(("t1_first",), f, g, a=a, b=b, alpha=alpha, m=m,
+                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
 
 
 def t1_second(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
@@ -387,8 +368,8 @@ def t1_second(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
               hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Dominance bound on the deviation of the endpoint form from the
     averaged half-sum integral."""
-    return _run(("t1_second",), f, g, a, b, {"alpha": alpha, "m": m},
-                tol, quad_tol, hypotheses, grid)[0]
+    return run_verifiers(("t1_second",), f, g, a=a, b=b, alpha=alpha, m=m,
+                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
 
 
 def t2(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
@@ -396,8 +377,8 @@ def t2(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
        hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Dominance bound on the deviation of the trapezoid form from the
     averaged integral."""
-    return _run(("t2",), f, g, a, b, {"alpha": alpha, "m": m},
-                tol, quad_tol, hypotheses, grid)[0]
+    return run_verifiers(("t2",), f, g, a=a, b=b, alpha=alpha, m=m,
+                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
 
 
 def trapezoid_residual(f: Expr, a: float, b: float, alpha: float, m: float,
@@ -406,7 +387,7 @@ def trapezoid_residual(f: Expr, a: float, b: float, alpha: float, m: float,
     convex f.  The bound of :func:`t2` holds exactly when this residual is
     nonnegative for both g + f and g - f."""
     avg, _ = _mean_integral(f, Interval(a, b), quad_tol)
-    return _trapezoid(f, a, b, _Class(alpha, m)) - avg
+    return _trapezoid(f, a, b, AlphaM(alpha, m)) - avg
 
 
 def gr_dominated(f: Expr, g: Expr, a: float, b: float, r: float, *,
@@ -414,8 +395,8 @@ def gr_dominated(f: Expr, g: Expr, a: float, b: float, r: float, *,
                  hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Dominance bound on the deviation of the endpoint log mean from the
     averaged integral."""
-    return _run(("gr_dominated",), f, g, a, b, {"r": r},
-                tol, quad_tol, hypotheses, grid)[0]
+    return run_verifiers(("gr_dominated",), f, g, a=a, b=b, r=r,
+                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
 
 
 # ------------------------- dispatch by theorem id -------------------------
@@ -427,5 +408,5 @@ def run_verifier(theorem_id: str, f: Expr, g: Expr | None = None, *,
                  hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
     """Run a single verifier by report id (pairs split into left/right or
     first/second) and return its report."""
-    return _run((theorem_id,), f, g, a, b, {"alpha": alpha, "m": m, "r": r},
-                tol, quad_tol, hypotheses, grid)[0]
+    return run_verifiers((theorem_id,), f, g, a=a, b=b, alpha=alpha, m=m, r=r,
+                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]

@@ -95,8 +95,15 @@ def gen_log_mean(x: float, y: float, r: float) -> MeanBranch:
         tag, value = MeanBranchTag.HARMONIC_LOG, x * y * u / d
     else:
         # (r/(r+1)) * (x^(r+1) - y^(r+1)) / (x^r - y^r) rewritten via
-        # x^s - y^s = y^s * expm1(s*u); the y^s factors reduce to a single y
+        # x^s - y^s = y^s * expm1(s*u); the y^s factors reduce to a single y.
+        # Where that overflows, r and r+1 share a sign (|u| <= ~709.8), so
+        # the same form with x and y swapped (L_r is symmetric, u -> -u)
+        # has two negative exponents and cannot overflow
         tag = MeanBranchTag.GENERAL_R
-        value = (r / (r + 1.0)) * y * math.expm1((r + 1.0) * u) / math.expm1(r * u)
+        k = r / (r + 1.0)
+        try:
+            value = k * y * math.expm1((r + 1.0) * u) / math.expm1(r * u)
+        except OverflowError:
+            value = k * x * math.expm1(-(r + 1.0) * u) / math.expm1(-r * u)
     value = min(max(value, min(x, y)), max(x, y))
     return MeanBranch(tag, value)

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec,
-                        NonPositiveFunction, RConvex, check_alpha_m_convex,
-                        check_dominated_r, check_r_convex,
-                        construct_dominated_pair)
+                        NonPositiveFunction, RConvex, check, construct_dominated_pair)
 from .expr import Add, Const, DomainError, Expr, Interval, Mul, Pow, Sub, Exp, X
-from .hh import IneqReport, gill_r, gr_dominated, t1_first, t1_second, t2, theorem_a
+from .hh import IneqReport, run_verifier, run_verifiers
 from .jsonio import dumps
 from .quadrature import NonConvergence
 
@@ -152,13 +150,9 @@ def _allowed_atoms(params: ClassParams) -> tuple[str, ...]:
 
 def _certifies(e: Expr, params: ClassParams, iv: Interval, grid: GridSpec) -> bool:
     try:
-        if isinstance(params, AlphaM):
-            res = check_alpha_m_convex(e, iv, params.alpha, params.m, grid)
-        else:
-            res = check_r_convex(e, iv, params.r, grid)
+        return check(e, iv, params, grid=grid).passed
     except (DomainError, NonPositiveFunction):
         return False
-    return res.passed
 
 
 def _draw_certified(rng: np.random.Generator, params: ClassParams, iv: Interval,
@@ -225,6 +219,8 @@ def stress(config: StressConfig) -> StressSummary:
         rng = _trial_rng(config.seed, index)
         iv = config.intervals[int(rng.integers(0, len(config.intervals)))]
         params = pool[int(rng.integers(0, len(pool)))]
+        kw = dict(a=iv.lo, b=iv.hi, tol=config.tol, quad_tol=config.quad_tol,
+                  hypotheses=False)
 
         reports: list[IneqReport] = []
         ran: set[str] = set()
@@ -239,14 +235,11 @@ def stress(config: StressConfig) -> StressSummary:
                 rejected_trials += 1
             else:
                 f, g = construct_dominated_pair(h, k)
-                kw = dict(tol=config.tol, quad_tol=config.quad_tol, hypotheses=False)
+                ids = ("t1_first", "t1_second", "t2")
+                if params.alpha == 1.0:
+                    ids = ("theorem_a_first", "theorem_a_second") + ids
                 try:
-                    if params.alpha == 1.0:
-                        first, second = theorem_a(f, g, iv.lo, iv.hi, params.m, **kw)
-                        reports += [first, second]
-                    reports.append(t1_first(f, g, iv.lo, iv.hi, params.alpha, params.m, **kw))
-                    reports.append(t1_second(f, g, iv.lo, iv.hi, params.alpha, params.m, **kw))
-                    reports.append(t2(f, g, iv.lo, iv.hi, params.alpha, params.m, **kw))
+                    reports += run_verifiers(ids, f, g, alpha=params.alpha, m=params.m, **kw)
                 except (DomainError, NonPositiveFunction, NonConvergence):
                     reports = []
         else:
@@ -265,13 +258,12 @@ def stress(config: StressConfig) -> StressSummary:
                 rejected_trials += 1
             else:
                 f, g = construct_dominated_pair(h, k)
-                kw = dict(tol=config.tol, quad_tol=config.quad_tol, hypotheses=False)
                 try:
                     # run only what the construction actually certifies
-                    if check_dominated_r(f, g, iv, params.r, config.grid).passed:
-                        reports.append(gr_dominated(f, g, iv.lo, iv.hi, params.r, **kw))
+                    if check(f, iv, params, g, config.grid).passed:
+                        reports.append(run_verifier("gr_dominated", f, g, r=params.r, **kw))
                     if _certifies(g, params, iv, config.grid):
-                        reports.append(gill_r(g, iv.lo, iv.hi, params.r, **kw))
+                        reports.append(run_verifier("gill_r", g, r=params.r, **kw))
                 except (DomainError, NonPositiveFunction, NonConvergence):
                     reports = []
 
@@ -307,17 +299,17 @@ def tightness_scan(f: Expr, g: Expr, iv: Interval,
                    alphas: tuple[float, ...], ms: tuple[float, ...], *,
                    tol: float = 1e-8, quad_tol: float = 1e-10) -> list[ScanRow]:
     """Slack of the three (alpha, m) dominance bounds over a parameter
-    grid; rows where evaluation leaves the domain are marked skipped."""
+    grid; rows where evaluation leaves the domain are marked skipped.
+    Invalid parameters or tolerances raise ValueError."""
     rows: list[ScanRow] = []
     for alpha in alphas:
         for m in ms:
-            for tid, fn in (("t1_first", t1_first), ("t1_second", t1_second),
-                            ("t2", t2)):
+            for tid in ("t1_first", "t1_second", "t2"):
                 try:
-                    rep = fn(f, g, iv.lo, iv.hi, alpha, m,
-                             tol=tol, quad_tol=quad_tol, hypotheses=False)
+                    rep = run_verifier(tid, f, g, a=iv.lo, b=iv.hi, alpha=alpha, m=m,
+                                       tol=tol, quad_tol=quad_tol, hypotheses=False)
                     rows.append(ScanRow(alpha, m, tid, rep.slack, rep.holds))
-                except (DomainError, NonPositiveFunction, NonConvergence, ValueError):
+                except (DomainError, NonPositiveFunction, NonConvergence):
                     rows.append(ScanRow(alpha, m, tid, math.nan, False, skipped=True))
     return rows
 

@@ -3,32 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hhcert.expr import Add, Const, Exp, Mul, Pow, Sub, X
+from hhcert.search import ATOM_KINDS, _draw_candidate
 
 
 def atom_combination(rng: np.random.Generator, budget: int = 3):
     """Positive linear combination of simple convex atoms.
 
-    Mirrors the generator used by the stress module but without the
-    certification step, so tests can feed both passing and failing
-    candidates to the checkers.
+    The stress module's candidate generator without its certification
+    step, so tests can feed both passing and failing candidates to the
+    checkers.
     """
-    kinds = ("power", "expm1", "linear", "const")
-    n = int(rng.integers(1, budget + 1))
-    expr = None
-    for _ in range(n):
-        c = float(rng.uniform(0.25, 2.0))
-        kind = kinds[int(rng.integers(0, len(kinds)))]
-        if kind == "power":
-            atom = Mul(Const(c), Pow(X, float(rng.integers(2, 5))))
-        elif kind == "expm1":
-            atom = Mul(Const(c), Sub(Exp(X), Const(1.0)))
-        elif kind == "linear":
-            atom = Mul(Const(c), X)
-        else:
-            atom = Const(c)
-        expr = atom if expr is None else Add(expr, atom)
-    return expr
+    return _draw_candidate(rng, ATOM_KINDS, budget, False)
 
 
 @pytest.fixture

@@ -214,7 +214,13 @@ def test_bad_interval_exit_two():
     ["verify", "t2", "--f", "x^2", "--g", "x^2", "--a", "0", "--b", "1",
      "--alpha", "1", "--m", "1", "--skip-hypotheses", "--tol", "-1"],
     ["integrate", "--f", "x", "--a", "0", "--b", "inf"],
-], ids=["nan_r", "negative_tol", "infinite_interval"])
+    ["check-convexity", "--f", "exp(x)", "--a", "0", "--b", "1", "--r", "nan"],
+    ["scan", "--f", "0.5*x^2", "--g", "x^2", "--a", "0", "--b", "1",
+     "--alpha-list", "1", "--m-list", "1", "--tol", "-1"],
+    ["scan", "--f", "0.5*x^2", "--g", "x^2", "--a", "0", "--b", "1",
+     "--alpha-list", "0,1"],
+], ids=["nan_r", "negative_tol", "infinite_interval", "check_nan_r",
+        "scan_negative_tol", "scan_zero_alpha"])
 def test_bad_numeric_input_exit_two_promptly(argv):
     start = time.perf_counter()
     code, out, err = _run(argv)
@@ -235,6 +241,15 @@ def test_error_after_output_leaves_stdout_empty(monkeypatch):
     assert code == 2
     assert out == ""
     assert "late failure" in err
+
+
+def test_gill_r_large_order_prints_report():
+    # the log mean of f(0) = 1, f(1) = 2 at r = -2000 overflows the direct form
+    code, out, err = _run(["verify", "gill_r", "--f", "x+1", "--a", "0", "--b", "1",
+                           "--r", "-2000", "--skip-hypotheses"])
+    assert code in (0, 1)
+    assert "theorem: gill_r" in out
+    assert err == ""
 
 
 def test_left_half_ignores_right_half_domain():

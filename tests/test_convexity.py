@@ -7,11 +7,11 @@ import pytest
 
 from hhcert.convexity import (DEFAULT_GRID, AlphaM, CheckResult, GridSpec,
                               NonPositiveFunction, RConvex, Witness,
-                              alpha_m_gap_grid, check_alpha_m_convex,
+                              alpha_m_gap_grid, check, check_alpha_m_convex,
                               check_dominated_alpha_m, check_dominated_r,
                               check_r_convex, construct_dominated_pair,
                               dominated_alpha_m_gap_grid, split_pair)
-from hhcert.expr import Const, Interval, evaluate, lin_comb, parse
+from hhcert.expr import Const, DomainError, Interval, evaluate, lin_comb, parse
 from hhcert.means import power_mean
 
 from conftest import atom_combination
@@ -30,7 +30,12 @@ def test_class_params_validate():
             AlphaM(bad, 1.0)
         with pytest.raises(ValueError):
             AlphaM(1.0, bad)
-    RConvex(-3.0)   # any real order is fine
+    RConvex(-3.0)   # any finite real order is fine
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            check(parse("exp(x)"), UNIT, RConvex(bad))
+        with pytest.raises(ValueError):
+            check_r_convex(parse("exp(x)"), UNIT, bad)
 
 
 def test_grid_spec_validate():
@@ -287,3 +292,40 @@ def test_pass_result_has_no_witness():
     assert res.witness is None
     assert res.first_witness is None
     assert res.points_checked == 33 * 33 * 65
+
+
+# ------------------------- the single entry point -------------------------
+
+
+@pytest.mark.parametrize("params, f_member, f_planted, g", [
+    (AlphaM(1.0, 1.0), "x^2 + 1", "-x^2", "3*x^2"),
+    (AlphaM(0.5, 0.5), "x^3", "sqrt(x + 0.1)", "4*x^3"),
+    (RConvex(0.0), "exp(x)", "2 - x^2", "3*exp(2*x)"),
+    (RConvex(-2.0), "1/(3 - x)^0.25", "2 - x^2", "5 + 4*x^2"),
+])
+def test_check_matches_public_checkers(params, f_member, f_planted, g):
+    grid = GridSpec(9, 9)
+    g = parse(g)
+    for f in (parse(f_member), parse(f_planted)):
+        if isinstance(params, AlphaM):
+            member = check_alpha_m_convex(f, UNIT, params.alpha, params.m, grid)
+            dominated = check_dominated_alpha_m(f, g, UNIT, params.alpha, params.m, grid)
+        else:
+            member = check_r_convex(f, UNIT, params.r, grid)
+            dominated = check_dominated_r(f, g, UNIT, params.r, grid)
+        assert check(f, UNIT, params, grid=grid) == member
+        assert check(f, UNIT, params, g, grid) == dominated
+    assert not check(parse(f_planted), UNIT, params, grid=grid).passed
+    assert check(parse(f_member), UNIT, params, grid=grid).passed
+
+
+def test_dominance_evaluation_order():
+    # both f and g leave the domain; the message names the one checked first
+    f, g = parse("log(x - 2)"), parse("sqrt(x - 2)")
+    for params in (RConvex(1.0), RConvex(-1.0)):
+        with pytest.raises(DomainError, match="sqrt"):   # g before f
+            check(f, UNIT, params, g)
+    with pytest.raises(DomainError, match="log"):        # f before g
+        check(f, UNIT, AlphaM(1.0, 1.0), g)
+    with pytest.raises(NonPositiveFunction, match="^g must"):
+        check(parse("x - 5"), UNIT, RConvex(-1.0), parse("x - 3"))

@@ -11,7 +11,7 @@ from hhcert import hh
 from hhcert.convexity import GridSpec, NonPositiveFunction
 from hhcert.expr import Const, Interval, compose_affine, lin_comb, parse
 from hhcert.hh import (NEEDS_G, THEOREM_IDS, classic_hh, dragomir_m, gill_r,
-                       gr_dominated, report_json, run_verifier,
+                       gr_dominated, report_json, run_verifier, run_verifiers,
                        set_midpoint, set_trapezoid, t1_first, t1_second, t2,
                        theorem_a, trapezoid_residual)
 
@@ -303,6 +303,34 @@ def test_pairs_integrate_each_function_once(monkeypatch):
     calls.clear()
     theorem_a(X2, EX, 0.0, 1.0, 0.5, hypotheses=False)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("ids, kw", [
+    (("theorem_a_first", "theorem_a_second", "t1_first", "t1_second", "t2"),
+     dict(alpha=1.0, m=1.0)),
+    (("theorem_a_first", "theorem_a_second", "t1_first", "t1_second", "t2"),
+     dict(alpha=1.0, m=0.5)),
+    (("gr_dominated", "gill_r"), dict(r=0.5)),
+])
+def test_run_verifiers_shares_work_without_changing_values(monkeypatch, ids, kw):
+    f, g = parse("exp(x) + x^2"), parse("2*exp(x) + 3*x^2")
+    calls = []
+    real = hh.integrate
+
+    def counting(e, iv, tol):
+        calls.append(e)
+        return real(e, iv, tol)
+
+    monkeypatch.setattr(hh, "integrate", counting)
+    for hypotheses in (False, True):
+        args = dict(kw, a=0.0, b=1.0, hypotheses=hypotheses)
+        calls.clear()
+        together = run_verifiers(ids, f, g, **args)
+        shared = len(calls)
+        calls.clear()
+        alone = [run_verifier(tid, f, g, **args) for tid in ids]
+        assert [report_json(rep) for rep in together] == [report_json(rep) for rep in alone]
+        assert shared < len(calls)
 
 
 def test_run_verifier_rejects_bad_input():

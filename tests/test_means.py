@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -140,6 +141,22 @@ def test_gen_log_mean_branch_continuity():
         for dr in (1e-7, -1e-7):
             assert abs(gen_log_mean(x, y, dr).value - at0) <= 1e-5 * at0
             assert abs(gen_log_mean(x, y, -1.0 + dr).value - atm1) <= 1e-5 * atm1
+
+
+@pytest.mark.parametrize("x, y, r", [(1.0, 2.0, -2000.0), (2.0, 1.0, -2000.0),
+                                     (1.0, 2.0, 2000.0), (2.0, 1.0, 2000.0),
+                                     (1e20, 1.0, 50.0), (0.5, 3.0, -900.0)])
+def test_gen_log_mean_large_orders(x, y, r):
+    # each case, or its mirror, overflows the direct general-branch form
+    with mpmath.workdps(50):
+        mx, my, mr = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(r)
+        want = float(mr / (mr + 1) * (mx ** (mr + 1) - my ** (mr + 1))
+                     / (mx ** mr - my ** mr))
+    mb = gen_log_mean(x, y, r)
+    assert mb.tag is MeanBranchTag.GENERAL_R
+    assert mb.value == pytest.approx(want, rel=1e-15)
+    if (x, y, r) == (1.0, 2.0, -2000.0):
+        assert mb.value == 1.0005002501250626
 
 
 def test_gen_log_mean_rejects_nonpositive():
