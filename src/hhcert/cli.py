@@ -13,10 +13,11 @@ import io
 import json
 import sys
 
-from .convexity import (AlphaM, CheckResult, ClassParams, GridSpec,
-                        NonPositiveFunction, RConvex, check)
-from .expr import DomainError, Interval, ParseError, parse
-from .hh import THEOREM_IDS, _witness_dict, report_json, run_verifier
+from .convexity import (DEFAULT_GRID, AlphaM, CheckResult, ClassParams,
+                        GridSpec, RConvex, check)
+from .expr import DomainError, Interval, parse
+from .hh import (QUAD_TOL_DEFAULT, THEOREM_IDS, TOL_DEFAULT, _witness_dict,
+                 report_json, run_verifier)
 from .jsonio import dumps, fmt_float
 from .means import MeanBranch, gen_log_mean, power_mean
 from .quadrature import NonConvergence, integrate
@@ -29,6 +30,18 @@ def _f(v: float) -> str:
     return fmt_float(float(v))
 
 
+# StressConfig's field defaults, read without constructing one
+_STRESS = {fld.name: fld.default for fld in dataclasses.fields(StressConfig)}
+
+
+def _flags(*names: str, **kw) -> argparse.ArgumentParser:
+    """A parent parser that declares each flag in ``names`` with ``kw``."""
+    p = argparse.ArgumentParser(add_help=False)
+    for name in names:
+        p.add_argument(name, **kw)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="hhcert",
@@ -36,82 +49,61 @@ def build_parser() -> argparse.ArgumentParser:
                     "Hermite-Hadamard-type integral inequalities.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("means", help="evaluate a power mean or generalized log mean")
-    p.add_argument("--kind", choices=("power", "logmean"), required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
+    # flags that several subcommands share, each declared once; a factory
+    # gives the required or optional form, or the command's default
+    f = _flags("--f", required=True, help='function of x, e.g. "x^2 + exp(x)"')
+    g = lambda need: _flags("--g", required=need)
+    ab = lambda need: _flags("--a", "--b", type=float, required=need)
+    r = lambda need: _flags("--r", type=float, required=need,
+                            help="order r of the mean or of the r-convex class")
+    am = _flags("--alpha", "--m", type=float)
+    grid = _flags("--grid-xy", "--grid-lambda", type=int)
+    grid.set_defaults(grid_xy=DEFAULT_GRID.n_xy, grid_lambda=DEFAULT_GRID.n_lambda)
+    class_grid = [am, r(False), grid]
+    tol = lambda default: _flags("--tol", type=float, default=default)
+    js = _flags("--json", action="store_true")
+
+    # a subcommand's own leading flags are parents too, so that argparse
+    # names missing required flags in their documented order
+    kind = _flags("--kind", choices=("power", "logmean"), required=True)
+    xy = _flags("--x", "--y", type=float, required=True)
+    p = sub.add_parser("means", parents=[kind, xy, r(True), js],
+                       help="evaluate a power mean or generalized log mean")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5,
                    help="weight in [0, 1] (power mean only; default 0.5)")
-    p.add_argument("--r", type=float, required=True, help="order parameter")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("integrate", help="adaptive quadrature of an expression")
-    p.add_argument("--f", required=True, help="integrand, e.g. \"x^2 + exp(x)\"")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--json", action="store_true")
+    sub.add_parser("integrate", parents=[f, ab(True), tol(QUAD_TOL_DEFAULT), js],
+                   help="adaptive quadrature of an expression")
 
-    for name, needs_g in (("check-convexity", False), ("check-dominance", True)):
-        p = sub.add_parser(
-            name, help="grid-certify class membership" if not needs_g
-            else "grid-certify a dominance relation")
-        p.add_argument("--f", required=True)
-        if needs_g:
-            p.add_argument("--g", required=True)
-        p.add_argument("--a", type=float, required=True)
-        p.add_argument("--b", type=float, required=True)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--m", type=float)
-        p.add_argument("--r", type=float)
-        p.add_argument("--grid-xy", type=int, default=33)
-        p.add_argument("--grid-lambda", type=int, default=65)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--json", action="store_true")
+    for name, fg in (("check-convexity", [f]), ("check-dominance", [f, g(True)])):
+        sub.add_parser(name, parents=fg + [ab(True)] + class_grid
+                       + [tol(DEFAULT_GRID.tol), js],
+                       help="grid-certify class membership" if len(fg) == 1
+                       else "grid-certify a dominance relation")
 
-    p = sub.add_parser("verify", help="verify one inequality and report slack")
-    p.add_argument("theorem_id", choices=THEOREM_IDS)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--m", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--quad-tol", type=float, default=1e-10)
-    p.add_argument("--grid-xy", type=int, default=33)
-    p.add_argument("--grid-lambda", type=int, default=65)
+    tid = _flags("theorem_id", choices=THEOREM_IDS)
+    p = sub.add_parser("verify", parents=[tid, f, g(False), ab(True)] + class_grid
+                       + [tol(TOL_DEFAULT), js],
+                       help="verify one inequality and report slack")
+    p.add_argument("--quad-tol", type=float, default=QUAD_TOL_DEFAULT)
     p.add_argument("--skip-hypotheses", action="store_true",
                    help="do not grid-certify the inequality's hypotheses")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("stress", help="randomized soundness campaign")
+    p = sub.add_parser("stress", parents=[ab(False)] + class_grid
+                       + [tol(_STRESS["tol"]), js],
+                       help="randomized soundness campaign; --alpha and --m "
+                            "(default 1) or --r give the class")
+    p.set_defaults(a=_STRESS["intervals"][0].lo, b=_STRESS["intervals"][0].hi)
     p.add_argument("--config", help="JSON file with StressConfig fields")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_STRESS["seed"])
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, help="alpha pool entry (default 1)")
-    p.add_argument("--m", type=float, help="m pool entry (default 1)")
-    p.add_argument("--r", type=float,
-                   help="use the r-convex family with this order instead")
-    p.add_argument("--grid-xy", type=int, default=33)
-    p.add_argument("--grid-lambda", type=int, default=65)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("scan", help="slack of the dominance bounds over an "
-                                    "(alpha, m) parameter grid")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
+    p = sub.add_parser("scan", parents=[f, g(True), ab(True), tol(TOL_DEFAULT)],
+                       help="slack of the dominance bounds over an "
+                            "(alpha, m) parameter grid")
     p.add_argument("--alpha-list", default="0.25,0.5,0.75,1")
     p.add_argument("--m-list", default="0.25,0.5,0.75,1")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--csv", action="store_true")
-
     return top
 
 
@@ -229,7 +221,6 @@ def _stress_config_from(raw) -> StressConfig:
     grid_xy and grid_lambda for the grid; absent keys keep its defaults."""
     if not isinstance(raw, dict):
         raise ValueError("stress config must be a JSON object")
-    defaults = {fld.name: fld.default for fld in dataclasses.fields(StressConfig)}
     kw: dict = {}
     grid: dict = {}
     try:
@@ -238,30 +229,31 @@ def _stress_config_from(raw) -> StressConfig:
                 grid[_GRID_KEYS[key]] = int(value)
             elif key == "intervals":
                 kw[key] = tuple(Interval(float(lo), float(hi)) for lo, hi in value)
-            elif isinstance(defaults.get(key), tuple):
+            elif isinstance(_STRESS.get(key), tuple):
                 kw[key] = tuple(float(v) for v in value)
-            elif key in defaults and key != "grid":
-                kw[key] = type(defaults[key])(value)
+            elif key in _STRESS and key != "grid":
+                kw[key] = type(_STRESS[key])(value)
             else:
-                raise ValueError(f"unknown stress config key {key!r}")
-    except TypeError as exc:
-        raise ValueError(f"bad stress config value: {exc}") from exc
-    return StressConfig(**kw, **({"grid": GridSpec(**grid)} if grid else {}))
+                raise ValueError(f"unknown key {key!r}")
+        return StressConfig(**kw, **({"grid": GridSpec(**grid)} if grid else {}))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad stress config: {exc}") from exc
 
 
 def _load_stress_config(args) -> StressConfig:
+    """The --config file if given, else the flags as the same JSON object."""
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             return _stress_config_from(json.load(fh))
-    grid = GridSpec(args.grid_xy, args.grid_lambda)
+    raw = {"seed": args.seed, "trials": args.trials,
+           "grid_xy": args.grid_xy, "grid_lambda": args.grid_lambda,
+           "intervals": [[args.a, args.b]], "tol": args.tol}
     if args.r is not None:
-        pools = {"alpha_pool": (), "m_pool": (), "r_pool": (args.r,)}
+        raw.update(alpha_pool=[], m_pool=[], r_pool=[args.r])
     else:
-        pools = {"alpha_pool": (1.0 if args.alpha is None else args.alpha,),
-                 "m_pool": (1.0 if args.m is None else args.m,)}
-    return StressConfig(seed=args.seed, trials=args.trials,
-                        intervals=(Interval(args.a, args.b),), grid=grid,
-                        tol=args.tol, **pools)
+        raw.update({key: [v] for key, v in (("alpha_pool", args.alpha),
+                                            ("m_pool", args.m)) if v is not None})
+    return _stress_config_from(raw)
 
 
 def _cmd_stress(args, out) -> int:
@@ -323,8 +315,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
     buf = io.StringIO()
     try:
         code = _HANDLERS[args.command](args, buf)
-    except (ParseError, DomainError, NonPositiveFunction, NonConvergence,
-            ValueError, OSError) as exc:
+    except (ValueError, DomainError, NonConvergence, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     out.write(buf.getvalue())

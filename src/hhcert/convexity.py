@@ -62,6 +62,12 @@ class RConvex:
 ClassParams = AlphaM | RConvex
 
 
+def _require_tol(name: str, value: float) -> None:
+    """Reject a tolerance that is not positive and finite (inf passes anything)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Certification grid: n_xy points per axis, n_lambda weights, and the
@@ -75,8 +81,7 @@ class GridSpec:
             raise ValueError(f"n_xy must be >= 2, got {self.n_xy}")
         if self.n_lambda < 3:
             raise ValueError(f"n_lambda must be >= 3, got {self.n_lambda}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        _require_tol("tol", self.tol)
 
 
 DEFAULT_GRID = GridSpec()

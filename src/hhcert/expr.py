@@ -232,36 +232,6 @@ def lin_comb(c1: float, f: Expr, c2: float, g: Expr) -> Expr:
     return Add(Mul(Const(c1), f), Mul(Const(c2), g))
 
 
-def _substitute(e: Expr, arg: Expr) -> Expr:
-    """Replace the free variable of ``e`` with the expression ``arg``."""
-    match e:
-        case Const(_):
-            return e
-        case Var():
-            return arg
-        case Add(l, r):
-            return Add(_substitute(l, arg), _substitute(r, arg))
-        case Sub(l, r):
-            return Sub(_substitute(l, arg), _substitute(r, arg))
-        case Mul(l, r):
-            return Mul(_substitute(l, arg), _substitute(r, arg))
-        case Div(l, r):
-            return Div(_substitute(l, arg), _substitute(r, arg))
-        case Pow(b, ex):
-            return Pow(_substitute(b, arg), ex)
-        case Exp(a):
-            return Exp(_substitute(a, arg))
-        case Log(a):
-            return Log(_substitute(a, arg))
-        case Sqrt(a):
-            return Sqrt(_substitute(a, arg))
-        case Abs(a):
-            return Abs(_substitute(a, arg))
-        case AffineArg(inner, p, q):
-            return _substitute(inner, Add(Mul(Const(p), arg), Const(q)))
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
 # ------------------------- printing -------------------------
 
 # precedence levels used by the printer; a child is parenthesized when its
@@ -275,32 +245,35 @@ def _fmt_number(v: float) -> str:
     return repr(float(v))
 
 
-def _fmt(e: Expr, min_level: int) -> str:
+def _fmt(e: Expr, min_level: int, arg: Expr = X) -> str:
+    """Render ``e`` with its variable standing for the expression ``arg``."""
     match e:
         case Const(v):
             text, level = _fmt_number(v), (_L_ATOM if v >= 0 else _L_FACTOR)
+        case Var() if arg != X:
+            return _fmt(arg, min_level)
         case Var():
             text, level = "x", _L_ATOM
         case Add(l, r):
-            text, level = f"{_fmt(l, _L_ADD)} + {_fmt(r, _L_MUL)}", _L_ADD
+            text, level = f"{_fmt(l, _L_ADD, arg)} + {_fmt(r, _L_MUL, arg)}", _L_ADD
         case Sub(l, r):
-            text, level = f"{_fmt(l, _L_ADD)} - {_fmt(r, _L_MUL)}", _L_ADD
+            text, level = f"{_fmt(l, _L_ADD, arg)} - {_fmt(r, _L_MUL, arg)}", _L_ADD
         case Mul(l, r):
-            text, level = f"{_fmt(l, _L_MUL)}*{_fmt(r, _L_FACTOR)}", _L_MUL
+            text, level = f"{_fmt(l, _L_MUL, arg)}*{_fmt(r, _L_FACTOR, arg)}", _L_MUL
         case Div(l, r):
-            text, level = f"{_fmt(l, _L_MUL)}/{_fmt(r, _L_FACTOR)}", _L_MUL
+            text, level = f"{_fmt(l, _L_MUL, arg)}/{_fmt(r, _L_FACTOR, arg)}", _L_MUL
         case Pow(b, ex):
-            text, level = f"{_fmt(b, _L_ATOM)}^{_fmt_number(ex)}", _L_FACTOR
+            text, level = f"{_fmt(b, _L_ATOM, arg)}^{_fmt_number(ex)}", _L_FACTOR
         case Exp(a):
-            text, level = f"exp({_fmt(a, _L_ADD)})", _L_ATOM
+            text, level = f"exp({_fmt(a, _L_ADD, arg)})", _L_ATOM
         case Log(a):
-            text, level = f"log({_fmt(a, _L_ADD)})", _L_ATOM
+            text, level = f"log({_fmt(a, _L_ADD, arg)})", _L_ATOM
         case Sqrt(a):
-            text, level = f"sqrt({_fmt(a, _L_ADD)})", _L_ATOM
+            text, level = f"sqrt({_fmt(a, _L_ADD, arg)})", _L_ATOM
         case Abs(a):
-            text, level = f"abs({_fmt(a, _L_ADD)})", _L_ATOM
+            text, level = f"abs({_fmt(a, _L_ADD, arg)})", _L_ATOM
         case AffineArg(inner, p, q):
-            return _fmt(_substitute(inner, Add(Mul(Const(p), X), Const(q))), min_level)
+            return _fmt(inner, min_level, Add(Mul(Const(p), arg), Const(q)))
         case _:
             raise TypeError(f"not an Expr node: {e!r}")
     if level < min_level:

@@ -26,7 +26,6 @@ catalogue is one table with a row per report id, run by one engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,11 +33,11 @@ import numpy as np
 
 from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec,
                         NonPositiveFunction, RConvex, Witness, _require_positive,
-                        check)
+                        _require_tol, check)
 from .expr import DomainError, Expr, Interval, compose_affine, evaluate, lin_comb
 from .jsonio import dumps
 from .means import gen_log_mean
-from .quadrature import integrate
+from .quadrature import QUAD_TOL_DEFAULT, integrate
 
 __all__ = [
     "TOL_DEFAULT", "QUAD_TOL_DEFAULT", "THEOREM_IDS",
@@ -49,7 +48,6 @@ __all__ = [
 ]
 
 TOL_DEFAULT = 1e-8
-QUAD_TOL_DEFAULT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -243,9 +241,8 @@ def run_verifiers(ids: tuple[str, ...], f: Expr, g: Expr | None = None, *,
             if params.get(name) is None:
                 raise ValueError(f"{tid} needs --{name}")
         rows.append((tid, row))
-    for name, value in (("tol", tol), ("quad_tol", quad_tol)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    _require_tol("tol", tol)
+    _require_tol("quad_tol", quad_tol)
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     iv = Interval(a, b)

@@ -87,23 +87,38 @@ def gen_log_mean(x: float, y: float, r: float) -> MeanBranch:
     r = float(r)
     if abs(x - y) <= EPS_XY * max(x, y):
         return MeanBranch(MeanBranchTag.DIAGONAL, x)
+    if not math.isfinite(r):
+        raise ValueError(f"gen_log_mean needs a finite order r, got {r}")
     d = x - y
-    u = math.log1p(d / y)  # log(x) - log(y), accurate near the diagonal
+    ratio = d / y
+    # u = log(x) - log(y) via log1p, accurate near the diagonal.  Where y/x
+    # exceeds ~9e15 (x/y ~1.8e308) d/y rounds to -1 (inf) and log1p has no
+    # finite value; the plain difference is then accurate, but x*y may overflow
+    far = not -1.0 < ratio < math.inf
+    u = math.log(x) - math.log(y) if far else math.log1p(ratio)
     if abs(r) < EPS_R:
         tag, value = MeanBranchTag.LOG_MEAN, d / u
     elif abs(r + 1.0) < EPS_R:
-        tag, value = MeanBranchTag.HARMONIC_LOG, x * y * u / d
+        tag = MeanBranchTag.HARMONIC_LOG
+        value = (min(x, y) * abs(u) * (max(x, y) / abs(d)) if far
+                 else x * y * u / d)
     else:
         # (r/(r+1)) * (x^(r+1) - y^(r+1)) / (x^r - y^r) rewritten via
         # x^s - y^s = y^s * expm1(s*u); the y^s factors reduce to a single y.
-        # Where that overflows, r and r+1 share a sign (|u| <= ~709.8), so
-        # the same form with x and y swapped (L_r is symmetric, u -> -u)
-        # has two negative exponents and cannot overflow
+        # Where that overflows, raising or reaching inf in the product, the
+        # same form with x and y swapped (L_r is symmetric, u -> -u) is
+        # tried; when r and r+1 share a sign its two exponents are negative
         tag = MeanBranchTag.GENERAL_R
         k = r / (r + 1.0)
-        try:
-            value = k * y * math.expm1((r + 1.0) * u) / math.expm1(r * u)
-        except OverflowError:
-            value = k * x * math.expm1(-(r + 1.0) * u) / math.expm1(-r * u)
+        for base, s in ((y, u), (x, -u)):
+            try:
+                value = k * base * math.expm1((r + 1.0) * s) / math.expm1(r * s)
+            except OverflowError:
+                continue
+            if math.isfinite(value):
+                break
+        else:
+            raise ValueError(f"generalized log mean overflows at x={x!r}, "
+                             f"y={y!r}, r={r!r}")
     value = min(max(value, min(x, y)), max(x, y))
     return MeanBranch(tag, value)

@@ -15,9 +15,11 @@ import numpy as np
 
 from .expr import Expr, Interval, evaluate
 
-__all__ = ["IntegralResult", "NonConvergence", "integrate", "MAX_PANELS"]
+__all__ = ["IntegralResult", "NonConvergence", "integrate", "MAX_PANELS",
+           "QUAD_TOL_DEFAULT"]
 
 MAX_PANELS = 2 ** 20
+QUAD_TOL_DEFAULT = 1e-10
 
 # Kronrod-15 abscissae (positive half, descending) and weights; the odd
 # indices 1, 3, 5, 7 carry the embedded Gauss-7 rule.
@@ -79,7 +81,7 @@ def _panel(f: Expr, a: float, b: float) -> tuple[float, float]:
     return half * k15, half * abs(k15 - g7)
 
 
-def integrate(f: Expr, iv: Interval, tol: float = 1e-10,
+def integrate(f: Expr, iv: Interval, tol: float = QUAD_TOL_DEFAULT,
               max_panels: int = MAX_PANELS) -> IntegralResult:
     """Integrate ``f`` over ``iv`` to an absolute error bound of ``tol``.
 

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec,
-                        NonPositiveFunction, RConvex, check, construct_dominated_pair)
+                        NonPositiveFunction, RConvex, _require_tol, check,
+                        construct_dominated_pair)
 from .expr import Add, Const, DomainError, Expr, Interval, Mul, Pow, Sub, Exp, X
-from .hh import IneqReport, run_verifier, run_verifiers
+from .hh import TOL_DEFAULT, IneqReport, run_verifier, run_verifiers
 from .jsonio import dumps
-from .quadrature import NonConvergence
+from .quadrature import QUAD_TOL_DEFAULT, NonConvergence
 
 __all__ = [
     "ATOM_KINDS", "StressConfig", "TheoremStats", "StressSummary",
@@ -57,8 +58,8 @@ class StressConfig:
     r_pool: tuple[float, ...] = ()
     atom_budget: int = 3
     grid: GridSpec = DEFAULT_GRID
-    tol: float = 1e-8
-    quad_tol: float = 1e-10
+    tol: float = TOL_DEFAULT
+    quad_tol: float = QUAD_TOL_DEFAULT
     max_attempts: int = 50
 
     def __post_init__(self) -> None:
@@ -74,6 +75,10 @@ class StressConfig:
             raise ValueError("no class parameters: alpha/m pools and r pool are empty")
         if self.atom_budget < 1:
             raise ValueError("atom_budget must be >= 1")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        _require_tol("tol", self.tol)
+        _require_tol("quad_tol", self.quad_tol)
 
     def params_pool(self) -> tuple[ClassParams, ...]:
         alpha_m = tuple(AlphaM(a, m) for a in self.alpha_pool for m in self.m_pool)
@@ -297,7 +302,8 @@ class ScanRow:
 
 def tightness_scan(f: Expr, g: Expr, iv: Interval,
                    alphas: tuple[float, ...], ms: tuple[float, ...], *,
-                   tol: float = 1e-8, quad_tol: float = 1e-10) -> list[ScanRow]:
+                   tol: float = TOL_DEFAULT,
+                   quad_tol: float = QUAD_TOL_DEFAULT) -> list[ScanRow]:
     """Slack of the three (alpha, m) dominance bounds over a parameter
     grid; rows where evaluation leaves the domain are marked skipped.
     Invalid parameters or tolerances raise ValueError."""

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -219,8 +221,10 @@ def test_bad_interval_exit_two():
      "--alpha-list", "1", "--m-list", "1", "--tol", "-1"],
     ["scan", "--f", "0.5*x^2", "--g", "x^2", "--a", "0", "--b", "1",
      "--alpha-list", "0,1"],
+    ["check-dominance", "--f", "x^2", "--g", "0*x", "--a", "0", "--b", "1",
+     "--alpha", "1", "--m", "1", "--tol", "inf", "--json"],
 ], ids=["nan_r", "negative_tol", "infinite_interval", "check_nan_r",
-        "scan_negative_tol", "scan_zero_alpha"])
+        "scan_negative_tol", "scan_zero_alpha", "check_inf_tol"])
 def test_bad_numeric_input_exit_two_promptly(argv):
     start = time.perf_counter()
     code, out, err = _run(argv)
@@ -241,6 +245,15 @@ def test_error_after_output_leaves_stdout_empty(monkeypatch):
     assert code == 2
     assert out == ""
     assert "late failure" in err
+
+
+def test_means_log_mean_far_apart_arguments():
+    # y/x = 1e20 makes (x - y)/y round to -1, where log1p has no value
+    code, out, err = _run(["means", "--kind", "logmean", "--x", "1", "--y", "1e20",
+                           "--r", "0"])
+    assert code == 0
+    assert float(out) == pytest.approx(2.1714724095162591e18, rel=1e-15)
+    assert err == ""
 
 
 def test_gill_r_large_order_prints_report():
@@ -303,7 +316,19 @@ def test_stress_config_file(tmp_path):
     ({"trials": 2}, StressConfig(trials=2)),
     ({"trials": 5, "alpha_pool": [0.5], "m_pool": [0.5], "max_attempts": 1},
      StressConfig(trials=5, alpha_pool=(0.5,), m_pool=(0.5,), max_attempts=1)),
-], ids=["defaults", "max_attempts"])
+    # the ordinary convex, scaled-class and mean-order campaigns
+    ({"seed": 1, "trials": 3, "alpha_pool": [1.0], "m_pool": [1.0]},
+     StressConfig(seed=1, trials=3, alpha_pool=(1.0,), m_pool=(1.0,))),
+    ({"seed": 2, "trials": 3, "alpha_pool": [0.5, 0.75, 1.0],
+      "m_pool": [0.5, 0.75, 1.0]},
+     StressConfig(seed=2, trials=3, alpha_pool=(0.5, 0.75, 1.0),
+                  m_pool=(0.5, 0.75, 1.0))),
+    ({"seed": 3, "trials": 3, "alpha_pool": [], "m_pool": [],
+      "r_pool": [-1.0, 0.0, 1.0, 2.0]},
+     StressConfig(seed=3, trials=3, alpha_pool=(), m_pool=(),
+                  r_pool=(-1.0, 0.0, 1.0, 2.0))),
+], ids=["defaults", "max_attempts", "ordinary_convex", "scaled_classes",
+        "mean_orders"])
 def test_stress_config_file_matches_api(tmp_path, raw, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
@@ -313,7 +338,7 @@ def test_stress_config_file_matches_api(tmp_path, raw, config):
 
 
 @pytest.mark.parametrize("raw", [{"trials": 2, "trails": 3}, {"grid": 9},
-                                 {"trials": None}, [1, 2]])
+                                 {"trials": None}, [1, 2], {"max_attempts": 0}])
 def test_stress_config_file_bad_content_exit_two(tmp_path, raw):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
@@ -327,3 +352,20 @@ def test_stress_config_file_missing_exit_two(tmp_path):
     code, _, err = _run(["stress", "--config", str(tmp_path / "nope.json")])
     assert code == 2
     assert "error" in err
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("hhcert ")]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in _readme_commands()
+                                  if "--config" not in argv],
+                         ids=lambda argv: argv[0])
+def test_readme_commands_run(argv):
+    # calls that read a file are covered by the stress config tests
+    code, out, err = _run(argv)
+    assert code in (0, 1), err
+    assert out

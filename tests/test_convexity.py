@@ -44,8 +44,9 @@ def test_grid_spec_validate():
         GridSpec(1, 5)
     with pytest.raises(ValueError):
         GridSpec(4, 2)
-    with pytest.raises(ValueError):
-        GridSpec(4, 5, tol=0.0)
+    for bad_tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            GridSpec(4, 5, tol=bad_tol)
     assert DEFAULT_GRID.n_xy == 33
     assert DEFAULT_GRID.n_lambda == 65
 

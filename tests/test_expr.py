@@ -171,6 +171,11 @@ def test_affine_arg_prints_substituted():
     s = to_string(f)
     assert "(" in s
     assert evaluate(parse(s), 0.7) == pytest.approx(evaluate(f, 0.7), rel=1e-14)
+    nested = AffineArg(AffineArg(parse("x^2"), 2.0, 0.0), 1.0, 1.0)
+    assert to_string(nested) == "(2*(1*x + 1) + 0)^2"
+    g = compose_affine(parse("exp(x)/(1+x) - x^3"), 0.5, -0.25)
+    assert to_string(g) == ("exp(0.5*x + -0.25)/(1 + (0.5*x + -0.25)) - "
+                            "(0.5*x + -0.25)^3")
 
 
 # ------------------------- printing round trip -------------------------

@@ -159,6 +159,37 @@ def test_gen_log_mean_large_orders(x, y, r):
         assert mb.value == 1.0005002501250626
 
 
+def _log_mean_mp(x: float, y: float, r: float) -> float:
+    with mpmath.workdps(60):
+        mx, my, mr = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(r)
+        u = mpmath.log(mx) - mpmath.log(my)
+        if r == 0.0:
+            return float((mx - my) / u)
+        if r == -1.0:
+            return float(mx * my * u / (mx - my))
+        return float(mr / (mr + 1) * (mx ** (mr + 1) - my ** (mr + 1))
+                     / (mx ** mr - my ** mr))
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, 0.5, 1020.0])
+@pytest.mark.parametrize("x, y", [(2e10, 1e10), (1e10, 2e10),
+                                  (1.0, 1e20), (1e20, 1.0), (1e150, 1e170)])
+def test_gen_log_mean_far_and_overflowing_inputs(x, y, r):
+    # (2e10, 1e10, 1020) overflows to inf in a product without raising;
+    # log1p(d / y) has no value for (1, 1e20), where d / y rounds to -1;
+    # and x*y overflows for (1e150, 1e170)
+    assert gen_log_mean(x, y, r).value == pytest.approx(_log_mean_mp(x, y, r),
+                                                        rel=1e-14)
+
+
+def test_gen_log_mean_raises_without_a_finite_form():
+    with pytest.raises(ValueError, match="overflows"):
+        gen_log_mean(1e308, 5e-324, -0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite order"):
+            gen_log_mean(1.0, 2.0, bad)
+
+
 def test_gen_log_mean_rejects_nonpositive():
     with pytest.raises(ValueError):
         gen_log_mean(0.0, 1.0, 1.0)

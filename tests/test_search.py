@@ -30,6 +30,13 @@ def test_stress_config_validation():
         StressConfig(alpha_pool=(0.5,), m_pool=())      # must come in pairs
     with pytest.raises(ValueError):
         StressConfig(alpha_pool=(), m_pool=(), r_pool=())  # no family at all
+    with pytest.raises(ValueError):
+        StressConfig(trials=2, max_attempts=0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            StressConfig(tol=bad)
+        with pytest.raises(ValueError):
+            StressConfig(quad_tol=bad)
 
 
 def test_params_pool_is_product():
