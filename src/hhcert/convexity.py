@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import DomainError, Expr, Interval, evaluate, lin_comb
+from .expr import DomainError, Expr, Interval, _require_tol, evaluate, lin_comb
 from .means import _power_mean_raw
 
 __all__ = [
@@ -60,12 +60,6 @@ class RConvex:
 
 
 ClassParams = AlphaM | RConvex
-
-
-def _require_tol(name: str, value: float) -> None:
-    """Reject a tolerance that is not positive and finite (inf passes anything)."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,12 @@ class Interval:
         return self.hi - self.lo
 
 
+def _require_tol(name: str, value: float) -> None:
+    """Reject a tolerance that is not positive and finite (inf passes anything)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 # ------------------------- errors -------------------------
 
 class ParseError(ValueError):

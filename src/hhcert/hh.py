@@ -33,8 +33,9 @@ import numpy as np
 
 from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec,
                         NonPositiveFunction, RConvex, Witness, _require_positive,
-                        _require_tol, check)
-from .expr import DomainError, Expr, Interval, compose_affine, evaluate, lin_comb
+                        check)
+from .expr import (DomainError, Expr, Interval, _require_tol, compose_affine,
+                   evaluate, lin_comb)
 from .jsonio import dumps
 from .means import gen_log_mean
 from .quadrature import QUAD_TOL_DEFAULT, integrate
@@ -243,8 +244,6 @@ def run_verifiers(ids: tuple[str, ...], f: Expr, g: Expr | None = None, *,
         rows.append((tid, row))
     _require_tol("tol", tol)
     _require_tol("quad_tol", quad_tol)
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
     iv = Interval(a, b)
     fg = {"f": f, "g": g}
     todo = []

@@ -54,6 +54,11 @@ def _power_mean_raw(x, y, lam, r: float):
     with np.errstate(all="ignore"):
         if abs(r) < EPS_R:
             res = np.power(x, lam) * np.power(y, 1.0 - lam)
+        elif abs(r) < 0.25:
+            # s = lam*x^r + (1-lam)*y^r lies near 1 and s^(1/r) multiplies
+            # its rounding error by 1/r; carry s - 1 through expm1/log1p
+            s1 = lam * np.expm1(r * np.log(x)) + (1.0 - lam) * np.expm1(r * np.log(y))
+            res = np.exp(np.log1p(s1) / r)
         else:
             s = lam * np.power(x, r) + (1.0 - lam) * np.power(y, r)
             res = np.power(s, 1.0 / r)
@@ -91,10 +96,11 @@ def gen_log_mean(x: float, y: float, r: float) -> MeanBranch:
         raise ValueError(f"gen_log_mean needs a finite order r, got {r}")
     d = x - y
     ratio = d / y
-    # u = log(x) - log(y) via log1p, accurate near the diagonal.  Where y/x
-    # exceeds ~9e15 (x/y ~1.8e308) d/y rounds to -1 (inf) and log1p has no
-    # finite value; the plain difference is then accurate, but x*y may overflow
-    far = not -1.0 < ratio < math.inf
+    # u = log(x) - log(y) via log1p, accurate near the diagonal.  Once
+    # max/min reaches 1024, 1 + d/y no longer holds the digits of min/max
+    # (and d/y rounds to -1 past ~9e15); the plain difference of the logs is
+    # then accurate to |u|, but x*y may overflow
+    far = not -1023.0 / 1024.0 < ratio < 1023.0
     u = math.log(x) - math.log(y) if far else math.log1p(ratio)
     if abs(r) < EPS_R:
         tag, value = MeanBranchTag.LOG_MEAN, d / u

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, Interval, evaluate
+from .expr import Expr, Interval, _require_tol, evaluate
 
 __all__ = ["IntegralResult", "NonConvergence", "integrate", "MAX_PANELS",
            "QUAD_TOL_DEFAULT"]
@@ -83,13 +83,13 @@ def _panel(f: Expr, a: float, b: float) -> tuple[float, float]:
 
 def integrate(f: Expr, iv: Interval, tol: float = QUAD_TOL_DEFAULT,
               max_panels: int = MAX_PANELS) -> IntegralResult:
-    """Integrate ``f`` over ``iv`` to an absolute error bound of ``tol``.
+    """Integrate ``f`` over ``iv`` to an absolute error bound of ``tol``,
+    which must be positive and finite.
 
     Raises NonConvergence once ``max_panels`` panels have been examined,
     and propagates DomainError if the integrand leaves its domain.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _require_tol("tol", tol)
     width = iv.width
     stack = [(iv.lo, iv.hi)]
     total = 0.0

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec,
-                        NonPositiveFunction, RConvex, _require_tol, check,
-                        construct_dominated_pair)
-from .expr import Add, Const, DomainError, Expr, Interval, Mul, Pow, Sub, Exp, X
+                        NonPositiveFunction, RConvex, check, construct_dominated_pair)
+from .expr import (Add, Const, DomainError, Expr, Interval, Mul, Pow, Sub, Exp, X,
+                   _require_tol)
 from .hh import TOL_DEFAULT, IneqReport, run_verifier, run_verifiers
 from .jsonio import dumps
 from .quadrature import QUAD_TOL_DEFAULT, NonConvergence
@@ -153,10 +153,15 @@ def _allowed_atoms(params: ClassParams) -> tuple[str, ...]:
     return ATOM_KINDS
 
 
+# evaluation left the domain, a function is not positive where its class
+# needs it, or an integral did not converge: the input has no value
+_NO_VALUE = (DomainError, NonPositiveFunction, NonConvergence)
+
+
 def _certifies(e: Expr, params: ClassParams, iv: Interval, grid: GridSpec) -> bool:
     try:
         return check(e, iv, params, grid=grid).passed
-    except (DomainError, NonPositiveFunction):
+    except _NO_VALUE:
         return False
 
 
@@ -191,99 +196,81 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
-class _Tally:
-    def __init__(self) -> None:
-        self.passes = 0
-        self.fails = 0
-        self.skips = 0
-        self.min_slack: float | None = None
+def _draw_pair(rng: np.random.Generator, params: ClassParams, iv: Interval,
+               config: StressConfig) -> tuple[tuple[Expr, Expr] | None, int]:
+    """Draw two certified members and form f = (h - k)/2, g = (h + k)/2;
+    returns (pair or None, rejected candidates).  (alpha, m) draws h then k
+    on [0, b/m^2]; r draws k then delta and takes h = k + delta, so f =
+    delta/2 > 0.  Both are drawn even when the first is rejected."""
+    alpha_m = isinstance(params, AlphaM)
+    cert_iv = Interval(0.0, iv.hi / params.m ** 2) if alpha_m else iv
+    (first, n_first), (second, n_second) = (
+        _draw_certified(rng, params, cert_iv, config.atom_budget, config.grid,
+                        config.max_attempts, None, not alpha_m) for _ in range(2))
+    rejected = n_first + n_second - 2
+    if first is None or second is None:
+        return None, rejected
+    if alpha_m:
+        return construct_dominated_pair(first, second), rejected
+    h = Add(first, second)
+    if not _certifies(h, params, iv, config.grid):
+        return None, rejected + 1
+    return construct_dominated_pair(h, first), rejected
 
-    def record(self, rep: IneqReport) -> None:
-        if rep.holds:
-            self.passes += 1
-        else:
-            self.fails += 1
-        if self.min_slack is None or rep.slack < self.min_slack:
-            self.min_slack = rep.slack
 
-    def skip(self) -> None:
-        self.skips += 1
+def _verify_pair(f: Expr, g: Expr, params: ClassParams, iv: Interval,
+                 config: StressConfig) -> tuple[IneqReport, ...]:
+    """Run the verifiers whose hypotheses the construction certifies."""
+    kw = dict(a=iv.lo, b=iv.hi, tol=config.tol, quad_tol=config.quad_tol,
+              hypotheses=False)
+    if isinstance(params, AlphaM):
+        ids = ("t1_first", "t1_second", "t2")
+        if params.alpha == 1.0:
+            ids = ("theorem_a_first", "theorem_a_second") + ids
+        return run_verifiers(ids, f, g, alpha=params.alpha, m=params.m, **kw)
+    reports = ()
+    if check(f, iv, params, g, config.grid).passed:
+        reports += (run_verifier("gr_dominated", f, g, r=params.r, **kw),)
+    if _certifies(g, params, iv, config.grid):
+        reports += (run_verifier("gill_r", g, r=params.r, **kw),)
+    return reports
 
 
 def stress(config: StressConfig) -> StressSummary:
     """Run the configured number of randomized trials and tally verifier
     outcomes.  Rejected trials and verifiers whose hypotheses the trial
     cannot guarantee count as skips, never as failures."""
-    tallies = {tid: _Tally() for tid in STRESS_THEOREMS}
     pool = config.params_pool()
-    rejected_trials = 0
-    rejected_candidates = 0
-    worst: dict | None = None
-
+    rejected_trials = rejected_candidates = 0
+    runs: list[tuple[int, IneqReport]] = []
     for index in range(config.trials):
         rng = _trial_rng(config.seed, index)
         iv = config.intervals[int(rng.integers(0, len(config.intervals)))]
         params = pool[int(rng.integers(0, len(pool)))]
-        kw = dict(a=iv.lo, b=iv.hi, tol=config.tol, quad_tol=config.quad_tol,
-                  hypotheses=False)
+        pair, rejected = _draw_pair(rng, params, iv, config)
+        rejected_candidates += rejected
+        if pair is None:
+            rejected_trials += 1
+            continue
+        try:
+            reports = _verify_pair(*pair, params, iv, config)
+        except _NO_VALUE:
+            continue
+        runs += ((index, rep) for rep in reports)
 
-        reports: list[IneqReport] = []
-        ran: set[str] = set()
-        if isinstance(params, AlphaM):
-            cert_iv = Interval(0.0, iv.hi / params.m ** 2)
-            h, att_h = _draw_certified(rng, params, cert_iv, config.atom_budget,
-                                       config.grid, config.max_attempts, None, False)
-            k, att_k = _draw_certified(rng, params, cert_iv, config.atom_budget,
-                                       config.grid, config.max_attempts, None, False)
-            rejected_candidates += (att_h - 1) + (att_k - 1)
-            if h is None or k is None:
-                rejected_trials += 1
-            else:
-                f, g = construct_dominated_pair(h, k)
-                ids = ("t1_first", "t1_second", "t2")
-                if params.alpha == 1.0:
-                    ids = ("theorem_a_first", "theorem_a_second") + ids
-                try:
-                    reports += run_verifiers(ids, f, g, alpha=params.alpha, m=params.m, **kw)
-                except (DomainError, NonPositiveFunction, NonConvergence):
-                    reports = []
-        else:
-            # build f positive by construction: h = k + delta with delta > 0,
-            # so f = (h - k)/2 = delta/2 stays strictly positive
-            k, att_k = _draw_certified(rng, params, iv, config.atom_budget,
-                                       config.grid, config.max_attempts, None, True)
-            delta, att_d = _draw_certified(rng, params, iv, config.atom_budget,
-                                           config.grid, config.max_attempts, None, True)
-            rejected_candidates += (att_k - 1) + (att_d - 1)
-            h = Add(k, delta) if k is not None and delta is not None else None
-            if h is not None and not _certifies(h, params, iv, config.grid):
-                rejected_candidates += 1
-                h = None
-            if h is None:
-                rejected_trials += 1
-            else:
-                f, g = construct_dominated_pair(h, k)
-                try:
-                    # run only what the construction actually certifies
-                    if check(f, iv, params, g, config.grid).passed:
-                        reports.append(run_verifier("gr_dominated", f, g, r=params.r, **kw))
-                    if _certifies(g, params, iv, config.grid):
-                        reports.append(run_verifier("gill_r", g, r=params.r, **kw))
-                except (DomainError, NonPositiveFunction, NonConvergence):
-                    reports = []
-
-        for rep in reports:
-            tallies[rep.theorem_id].record(rep)
-            ran.add(rep.theorem_id)
-            if not rep.holds and (worst is None or rep.slack < worst["slack"]):
-                worst = {"trial": index, "theorem_id": rep.theorem_id,
-                         "slack": rep.slack, "params": dict(rep.params)}
-        for tid in STRESS_THEOREMS:
-            if tid not in ran:
-                tallies[tid].skip()
-
-    verifiers = {tid: TheoremStats(t.passes, t.fails, t.skips, t.min_slack)
-                 for tid, t in tallies.items()}
+    verifiers = {}
+    for tid in STRESS_THEOREMS:
+        reps = [rep for _, rep in runs if rep.theorem_id == tid]
+        passes = sum(rep.holds for rep in reps)
+        verifiers[tid] = TheoremStats(passes, len(reps) - passes, config.trials - len(reps),
+                                      min((rep.slack for rep in reps), default=None))
+    failed = [(index, rep) for index, rep in runs if not rep.holds]
+    worst = None
+    if failed:
+        # the first of the smallest slacks, in trial order
+        index, rep = min(failed, key=lambda run: run[1].slack)
+        worst = {"trial": index, "theorem_id": rep.theorem_id,
+                 "slack": rep.slack, "params": dict(rep.params)}
     return StressSummary(config.trials, rejected_trials, rejected_candidates,
                          verifiers, worst)
 
@@ -315,7 +302,7 @@ def tightness_scan(f: Expr, g: Expr, iv: Interval,
                     rep = run_verifier(tid, f, g, a=iv.lo, b=iv.hi, alpha=alpha, m=m,
                                        tol=tol, quad_tol=quad_tol, hypotheses=False)
                     rows.append(ScanRow(alpha, m, tid, rep.slack, rep.holds))
-                except (DomainError, NonPositiveFunction, NonConvergence):
+                except _NO_VALUE:
                     rows.append(ScanRow(alpha, m, tid, math.nan, False, skipped=True))
     return rows
 

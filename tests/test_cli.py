@@ -223,8 +223,10 @@ def test_bad_interval_exit_two():
      "--alpha-list", "0,1"],
     ["check-dominance", "--f", "x^2", "--g", "0*x", "--a", "0", "--b", "1",
      "--alpha", "1", "--m", "1", "--tol", "inf", "--json"],
+    ["integrate", "--f", "x", "--a", "0", "--b", "1", "--tol", "inf"],
 ], ids=["nan_r", "negative_tol", "infinite_interval", "check_nan_r",
-        "scan_negative_tol", "scan_zero_alpha", "check_inf_tol"])
+        "scan_negative_tol", "scan_zero_alpha", "check_inf_tol",
+        "integrate_inf_tol"])
 def test_bad_numeric_input_exit_two_promptly(argv):
     start = time.perf_counter()
     code, out, err = _run(argv)

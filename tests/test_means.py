@@ -57,9 +57,26 @@ def test_power_mean_internal(x, y, lam, r):
 @given(positive, positive, weights, orders)
 @settings(max_examples=200, deadline=None)
 def test_power_mean_symmetry(x, y, lam, r):
+    # a lam for which 1 - lam is exact, so the mirrored call gets the
+    # mirrored weight
+    lam = 1.0 - (1.0 - lam)
     a = power_mean(x, y, lam, r)
     b = power_mean(y, x, 1.0 - lam, r)
     assert b == pytest.approx(a, rel=1e-13)
+
+
+@given(positive, positive, weights, orders)
+@settings(max_examples=200, deadline=None)
+def test_power_mean_matches_mpmath(x, y, lam, r):
+    # |r| < EPS_R is the geometric branch by definition
+    with mpmath.workdps(60):
+        mx, my, ml, mr = (mpmath.mpf(v) for v in (x, y, lam, r))
+        if abs(r) < EPS_R:
+            want = mx ** ml * my ** (1 - ml)
+        else:
+            want = (ml * mx ** mr + (1 - ml) * my ** mr) ** (1 / mr)
+        want = float(want)
+    assert power_mean(x, y, lam, r) == pytest.approx(want, rel=1e-13)
 
 
 def test_power_mean_monotone_in_order():
@@ -173,11 +190,14 @@ def _log_mean_mp(x: float, y: float, r: float) -> float:
 
 @pytest.mark.parametrize("r", [0.0, -1.0, 0.5, 1020.0])
 @pytest.mark.parametrize("x, y", [(2e10, 1e10), (1e10, 2e10),
-                                  (1.0, 1e20), (1e20, 1.0), (1e150, 1e170)])
+                                  (1.0, 1e20), (1e20, 1.0), (1e150, 1e170),
+                                  (1.0, 1e15), (1e15, 1.0),
+                                  (1e-60, 1e-45), (1e-45, 1e-60)])
 def test_gen_log_mean_far_and_overflowing_inputs(x, y, r):
     # (2e10, 1e10, 1020) overflows to inf in a product without raising;
-    # log1p(d / y) has no value for (1, 1e20), where d / y rounds to -1;
-    # and x*y overflows for (1e150, 1e170)
+    # log1p(d / y) has no value for (1, 1e20), where d / y rounds to -1,
+    # and loses digits of log(x/y) for (1, 1e15) and (1e-60, 1e-45), where
+    # d / y is within 1e-15 of -1; and x*y overflows for (1e150, 1e170)
     assert gen_log_mean(x, y, r).value == pytest.approx(_log_mean_mp(x, y, r),
                                                         rel=1e-14)
 

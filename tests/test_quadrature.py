@@ -109,6 +109,13 @@ def test_tol_scales_error_bound():
     assert tight.subdivisions >= loose.subdivisions
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_rejects_tolerance_not_positive_and_finite(tol):
+    # an infinite tol would accept the first panel whatever its error
+    with pytest.raises(ValueError, match="positive and finite"):
+        integrate(parse("x^2"), UNIT, tol)
+
+
 def test_non_convergence_raises():
     with pytest.raises(NonConvergence):
         integrate(parse("sqrt(x)"), UNIT, 1e-15, max_panels=4)

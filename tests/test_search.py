@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -125,6 +126,23 @@ def test_stress_small_alpha_rejects_candidates():
     total = sum(st_.passes + st_.fails for st_ in s.verifiers.values())
     assert total > 0
     assert s.rejected_candidates > 0 or s.rejected_trials == 0
+
+
+@pytest.mark.parametrize("config, digest", [
+    (StressConfig(seed=0, trials=10, alpha_pool=(1.0,), m_pool=(1.0,)),
+     "3989f5c964eece8848aaddee1567a98a32393f88740c7e40732a4e6debbc87d5"),
+    (StressConfig(seed=1, trials=10, alpha_pool=(0.5, 0.75, 1.0),
+                  m_pool=(0.5, 0.75, 1.0)),
+     "83e75821f8288bf9a7ddf7c77cf760b9d5eb60f7247c6a6efb1bb05c8864877a"),
+    (StressConfig(seed=2, trials=10, alpha_pool=(), m_pool=(),
+                  r_pool=(-1.0, 0.0, 1.0, 2.0)),
+     "7271379689801d36052673b17e2f495044f2cc80bf97ab8be0197d43eb044e97"),
+], ids=["alpha_m_one", "alpha_m_pools", "r_pool"])
+def test_stress_summary_golden(config, digest):
+    # the README campaigns at 10 trials: a seeded summary is byte-identical
+    # across versions, not only between two runs of one version
+    text = summary_json(stress(config))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_summary_serialization_shape():
