@@ -2,26 +2,27 @@
 
 Exit codes: 0 when every requested check holds, 1 when a violation or a
 failing inequality was found (the report is still printed), 2 for usage
-errors and domain errors, with nothing written to stdout.
+errors, domain errors and inputs too large or too deeply nested to
+evaluate, with nothing written to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import sys
 
-from .convexity import (DEFAULT_GRID, AlphaM, CheckResult, ClassParams,
-                        GridSpec, RConvex, check)
-from .expr import DomainError, Interval, parse
+from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec, RConvex,
+                        check)
+from .expr import DomainError, Interval, parse, to_string
 from .hh import (QUAD_TOL_DEFAULT, THEOREM_IDS, TOL_DEFAULT, _witness_dict,
-                 report_json, run_verifier)
+                 report_to_dict, run_verifier)
 from .jsonio import dumps, fmt_float
-from .means import MeanBranch, gen_log_mean, power_mean
+from .means import gen_log_mean, power_mean
 from .quadrature import NonConvergence, integrate
-from .search import StressConfig, scan_csv, stress, summary_json, tightness_scan
+from .search import (StressConfig, scan_csv, stress, summary_to_dict,
+                     tightness_scan)
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -108,72 +109,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ------------------------- subcommand bodies -------------------------
+# Each returns its exit code, the payload that --json prints and a function
+# that renders the text form as lines; `run` prints one of the two forms.
 
-def _cmd_means(args, out) -> int:
+def _cmd_means(args):
     if args.kind == "power":
-        value = power_mean(args.x, args.y, args.lam, args.r)
-        payload = {"kind": "power", "x": args.x, "y": args.y,
-                   "lambda": args.lam, "r": args.r, "value": value}
+        payload = {"kind": "power", "x": args.x, "y": args.y, "lambda": args.lam,
+                   "r": args.r, "value": power_mean(args.x, args.y, args.lam, args.r)}
     else:
-        mb: MeanBranch = gen_log_mean(args.x, args.y, args.r)
-        value = mb.value
+        mb = gen_log_mean(args.x, args.y, args.r)
         payload = {"kind": "logmean", "x": args.x, "y": args.y, "r": args.r,
-                   "value": value, "branch": mb.tag.value}
-    print(dumps(payload) if args.json else _f(value), file=out)
-    return 0
+                   "value": mb.value, "branch": mb.tag.value}
+    return 0, payload, lambda: [_f(payload["value"])]
 
 
-def _cmd_integrate(args, out) -> int:
+def _cmd_integrate(args):
     res = integrate(parse(args.f), Interval(args.a, args.b), args.tol)
-    if args.json:
-        print(dumps({"value": res.value, "error_bound": res.error_bound,
-                     "subdivisions": res.subdivisions}), file=out)
-    else:
-        print(f"value = {_f(res.value)}", file=out)
-        print(f"error_bound = {_f(res.error_bound)}", file=out)
-        print(f"subdivisions = {res.subdivisions}", file=out)
-    return 0
+    payload = {"value": res.value, "error_bound": res.error_bound,
+               "subdivisions": res.subdivisions}
+    return 0, payload, lambda: [f"{k} = {_f(v)}" for k, v in payload.items()]
+
+
+def _by_r(args) -> bool:
+    """Whether --r gives the class; --alpha or --m alongside it is an error."""
+    if args.r is not None and (args.alpha is not None or args.m is not None):
+        raise ValueError("give either --alpha with --m, or --r, not both")
+    return args.r is not None
 
 
 def _class_args(args) -> ClassParams:
-    if args.r is not None:
-        if args.alpha is not None or args.m is not None:
-            raise ValueError("give either --alpha with --m, or --r, not both")
+    if _by_r(args):
         return RConvex(args.r)
     if args.alpha is None or args.m is None:
         raise ValueError("give both --alpha and --m, or --r")
     return AlphaM(args.alpha, args.m)
 
 
-def _witness_payload(res: CheckResult) -> dict:
-    def wd(w):
-        return None if w is None else _witness_dict(w)
-    return {"verdict": "pass" if res.passed else "violation",
-            "points_checked": res.points_checked,
-            "witness": wd(res.witness),
-            "first_witness": wd(res.first_witness),
-            "f0_nonpositive": res.f0_nonpositive}
-
-
-def _print_check(res: CheckResult, label: str, json_out: bool, out) -> int:
-    if json_out:
-        print(dumps(_witness_payload(res)), file=out)
-    elif res.passed:
-        print(f"PASS: {label} holds at all {res.points_checked} grid points",
-              file=out)
-    else:
-        w = res.witness
-        fw = res.first_witness
-        print(f"VIOLATION: {label} fails ({res.points_checked} points checked)",
-              file=out)
-        print(f"worst witness: x={_f(w.x)} y={_f(w.y)} t={_f(w.lam)} "
-              f"lhs={_f(w.lhs)} rhs={_f(w.rhs)} gap={_f(w.gap)}", file=out)
-        print(f"first witness: x={_f(fw.x)} y={_f(fw.y)} t={_f(fw.lam)} "
-              f"gap={_f(fw.gap)}", file=out)
-    return 0 if res.passed else 1
-
-
-def _cmd_check(args, out) -> int:
+def _cmd_check(args):
     """check-convexity, or check-dominance when the command takes --g."""
     params = _class_args(args)
     iv = Interval(args.a, args.b)
@@ -184,10 +156,25 @@ def _cmd_check(args, out) -> int:
     cls = (_f(params.r) if isinstance(params, RConvex)
            else f"({_f(params.alpha)}, {_f(params.m)})")
     label = f"{cls}-convexity" if g is None else f"(g, {cls})-dominance"
-    return _print_check(res, label, args.json, out)
+    w, fw = res.witness, res.first_witness
+    payload = {"verdict": "pass" if res.passed else "violation",
+               "points_checked": res.points_checked,
+               "witness": None if w is None else _witness_dict(w),
+               "first_witness": None if fw is None else _witness_dict(fw),
+               "f0_nonpositive": res.f0_nonpositive}
+
+    def text():
+        if res.passed:
+            return [f"PASS: {label} holds at all {res.points_checked} grid points"]
+        return [f"VIOLATION: {label} fails ({res.points_checked} points checked)",
+                f"worst witness: x={_f(w.x)} y={_f(w.y)} t={_f(w.lam)} "
+                f"lhs={_f(w.lhs)} rhs={_f(w.rhs)} gap={_f(w.gap)}",
+                f"first witness: x={_f(fw.x)} y={_f(fw.y)} t={_f(fw.lam)} "
+                f"gap={_f(fw.gap)}"]
+    return (0 if res.passed else 1), payload, text
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args):
     f = parse(args.f)
     g = parse(args.g) if args.g is not None else None
     grid = GridSpec(args.grid_xy, args.grid_lambda)
@@ -195,22 +182,16 @@ def _cmd_verify(args, out) -> int:
                        alpha=args.alpha, m=args.m, r=args.r, tol=args.tol,
                        quad_tol=args.quad_tol,
                        hypotheses=not args.skip_hypotheses, grid=grid)
-    if args.json:
-        print(report_json(rep), file=out)
-    else:
-        print(f"theorem: {rep.theorem_id}", file=out)
-        print("params: " + " ".join(f"{k}={_f(v)}" for k, v in rep.params.items()),
-              file=out)
-        print(f"lhs = {_f(rep.lhs)}", file=out)
-        print(f"rhs = {_f(rep.rhs)}", file=out)
-        print(f"slack = {_f(rep.slack)}", file=out)
-        print(f"holds = {'true' if rep.holds else 'false'}   (tol = {_f(rep.tol)})",
-              file=out)
-        print(f"quad_error = {_f(rep.quad_error)}", file=out)
-        print("hypothesis: " + " ".join(f"{k}={s.status}"
-                                        for k, s in rep.hypothesis.items()),
-              file=out)
-    return 0 if rep.holds else 1
+    return (0 if rep.holds else 1), report_to_dict(rep), lambda: [
+        f"theorem: {rep.theorem_id}",
+        "params: " + " ".join(f"{k}={_f(v)}" for k, v in rep.params.items()),
+        f"lhs = {_f(rep.lhs)}",
+        f"rhs = {_f(rep.rhs)}",
+        f"slack = {_f(rep.slack)}",
+        f"holds = {'true' if rep.holds else 'false'}   (tol = {_f(rep.tol)})",
+        f"quad_error = {_f(rep.quad_error)}",
+        "hypothesis: " + " ".join(f"{k}={s.status}"
+                                  for k, s in rep.hypothesis.items())]
 
 
 _GRID_KEYS = {"grid_xy": "n_xy", "grid_lambda": "n_lambda"}
@@ -248,7 +229,7 @@ def _load_stress_config(args) -> StressConfig:
     raw = {"seed": args.seed, "trials": args.trials,
            "grid_xy": args.grid_xy, "grid_lambda": args.grid_lambda,
            "intervals": [[args.a, args.b]], "tol": args.tol}
-    if args.r is not None:
+    if _by_r(args):
         raw.update(alpha_pool=[], m_pool=[], r_pool=[args.r])
     else:
         raw.update({key: [v] for key, v in (("alpha_pool", args.alpha),
@@ -256,39 +237,41 @@ def _load_stress_config(args) -> StressConfig:
     return _stress_config_from(raw)
 
 
-def _cmd_stress(args, out) -> int:
+def _cmd_stress(args):
     summary = stress(_load_stress_config(args))
     fails = sum(st.fails for st in summary.verifiers.values())
-    if args.json:
-        print(summary_json(summary), file=out)
-    else:
-        print(f"trials = {summary.trials}  rejected_trials = "
-              f"{summary.rejected_trials}  rejected_candidates = "
-              f"{summary.rejected_candidates}", file=out)
+
+    def text():
+        lines = [f"trials = {summary.trials}  rejected_trials = "
+                 f"{summary.rejected_trials}  rejected_candidates = "
+                 f"{summary.rejected_candidates}"]
         for tid, st in summary.verifiers.items():
             slack = "-" if st.min_slack is None else _f(st.min_slack)
-            print(f"{tid:18s} pass={st.passes:4d} fail={st.fails:4d} "
-                  f"skipped={st.skips:4d} min_slack={slack}", file=out)
+            lines.append(f"{tid:18s} pass={st.passes:4d} fail={st.fails:4d} "
+                         f"skipped={st.skips:4d} min_slack={slack}")
         if summary.worst_failure:
-            print(f"worst failure: {summary.worst_failure}", file=out)
-    return 1 if fails else 0
+            lines.append(f"worst failure: {summary.worst_failure}")
+        return lines
+    return (1 if fails else 0), summary_to_dict(summary), text
 
 
-def _cmd_scan(args, out) -> int:
+def _cmd_scan(args):
     alphas = tuple(float(v) for v in args.alpha_list.split(","))
     ms = tuple(float(v) for v in args.m_list.split(","))
     rows = tightness_scan(parse(args.f), parse(args.g),
                           Interval(args.a, args.b), alphas, ms, tol=args.tol)
-    if args.csv:
-        out.write(scan_csv(rows))
-    else:
-        print(f"{'alpha':>8} {'m':>8} {'theorem':>10} {'slack':>24} holds", file=out)
+
+    def text():
+        if args.csv:
+            return scan_csv(rows).splitlines()
+        lines = [f"{'alpha':>8} {'m':>8} {'theorem':>10} {'slack':>24} holds"]
         for row in rows:
             holds = "skipped" if row.skipped else ("true" if row.holds else "false")
-            print(f"{row.alpha:8.4g} {row.m:8.4g} {row.theorem_id:>10} "
-                  f"{row.slack:24.17g} {holds}", file=out)
+            lines.append(f"{row.alpha:8.4g} {row.m:8.4g} {row.theorem_id:>10} "
+                         f"{row.slack:24.17g} {holds}")
+        return lines
     bad = any(not row.holds and not row.skipped for row in rows)
-    return 1 if bad else 0
+    return (1 if bad else 0), None, text
 
 
 _HANDLERS = {
@@ -311,14 +294,19 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # render into a buffer so that an error leaves nothing on stdout
-    buf = io.StringIO()
+    # render the printed form in full first, so that an error leaves
+    # nothing on stdout
     try:
-        code = _HANDLERS[args.command](args, buf)
-    except (ValueError, DomainError, NonConvergence, OSError) as exc:
-        print(f"error: {exc}", file=err)
+        code, payload, text = _HANDLERS[args.command](args)
+        rendered = (dumps(payload) if getattr(args, "json", False)
+                    else "\n".join(text()))
+    except (ValueError, DomainError, NonConvergence, OSError, MemoryError,
+            RecursionError) as exc:
+        node = getattr(exc, "node", None)
+        where = "" if node is None else f" in {to_string(node)}"
+        print(f"error: {exc}{where}", file=err)
         return 2
-    out.write(buf.getvalue())
+    out.write(rendered + "\n")
     return code
 
 

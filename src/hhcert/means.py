@@ -13,6 +13,7 @@ deterministic and continuous across the cuts:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -105,9 +106,12 @@ def gen_log_mean(x: float, y: float, r: float) -> MeanBranch:
     if abs(r) < EPS_R:
         tag, value = MeanBranchTag.LOG_MEAN, d / u
     elif abs(r + 1.0) < EPS_R:
+        # x*y*u overflows, or loses digits below the normal range; the
+        # scaled form of the far branch is used there too
         tag = MeanBranchTag.HARMONIC_LOG
-        value = (min(x, y) * abs(u) * (max(x, y) / abs(d)) if far
-                 else x * y * u / d)
+        xyu = x * y * u
+        value = (xyu / d if not far and sys.float_info.min <= abs(xyu) < math.inf
+                 else min(x, y) * abs(u) * (max(x, y) / abs(d)))
     else:
         # (r/(r+1)) * (x^(r+1) - y^(r+1)) / (x^r - y^r) rewritten via
         # x^s - y^s = y^s * expm1(s*u); the y^s factors reduce to a single y.

