@@ -9,6 +9,7 @@ evaluate, with nothing written to stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -291,7 +292,8 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # render the printed form in full first, so that an error leaves

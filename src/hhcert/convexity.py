@@ -18,12 +18,15 @@ held at every sampled triple.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import DomainError, Expr, Interval, _require_tol, evaluate, lin_comb
+from .expr import DomainError, Expr, Interval, _require_tol, lin_comb
+from .expr import _evaluate as evaluate  # bench/spans.py traces this name
 from .means import _power_mean_raw
 
 __all__ = [
@@ -126,10 +129,28 @@ class NonPositiveFunction(ValueError):
 
 # ------------------------- grid plumbing -------------------------
 
-def _grids(iv: Interval, grid: GridSpec):
-    xs = np.linspace(iv.lo, iv.hi, grid.n_xy)
-    ts = np.linspace(0.0, 1.0, grid.n_lambda)
-    return xs, ts, xs[:, None, None], xs[None, :, None], ts[None, None, :]
+_WORK = threading.local()   # each thread's work cubes, of one shape at a time
+
+
+def _cube(i: int, shape: tuple) -> np.ndarray:
+    """Work cube i; nothing a check returns lives in one."""
+    cubes = _WORK.__dict__.setdefault("cubes", [])
+    if cubes and cubes[0].shape != shape:
+        cubes.clear()
+    cubes.extend(np.empty(shape) for _ in range(i + 1 - len(cubes)))
+    return cubes[i]
+
+
+@functools.lru_cache(maxsize=2)
+def _grids(lo: str, hi: str, m: float, n_xy: int, n_lambda: int):
+    """xs, ts and the cube t*x + m*(1-t)*y on [lo, hi], read-only; the ends
+    come as float.hex, which tells -0.0 from 0.0.  r-convexity uses m = 1."""
+    xs = np.linspace(float.fromhex(lo), float.fromhex(hi), n_xy)
+    ts = np.linspace(0.0, 1.0, n_lambda)
+    comb = (ts * xs[:, None, None]) + (m * (1.0 - ts)) * xs[None, :, None]
+    for a in (xs, ts, comb):
+        a.flags.writeable = False
+    return xs, ts, comb
 
 
 def _witness_at(flat: int, shape, lhs, rhs, xs, ts) -> Witness:
@@ -140,7 +161,7 @@ def _witness_at(flat: int, shape, lhs, rhs, xs, ts) -> Witness:
 
 def _scan(lhs, rhs, xs, ts, tol: float,
           f0_nonpositive: bool | None = None) -> CheckResult:
-    gaps = lhs - rhs
+    gaps = np.subtract(lhs, rhs, out=_cube(0, lhs.shape))
     mask = gaps > tol
     points = int(gaps.size)
     if not mask.any():
@@ -171,35 +192,44 @@ def _f0_flag(f: Expr, iv: Interval) -> bool | None:
 # ------------------------- one check for every class -------------------------
 
 def _sides(f: Expr, iv: Interval, params: ClassParams, grid: GridSpec,
-           name: str, need_positive: bool):
+           name: str, need_positive: bool, slot: int = 1):
     """Both sides of params' defining inequality for f on the grid, as
-    (lhs, rhs, xs, ts).  For r-convexity, need_positive demands that f
-    (called ``name`` in errors) be strictly positive at every sample."""
-    xs, ts, x3, y3, t3 = _grids(iv, grid)
+    (lhs, rhs, xs, ts), with rhs in work cube ``slot`` and lhs in the cubes
+    after it.  For r-convexity, need_positive demands that f (called
+    ``name`` in errors) be strictly positive at every sample."""
+    m = params.m if isinstance(params, AlphaM) else 1.0
+    xs, ts, comb = _grids(float(iv.lo).hex(), float(iv.hi).hex(), m, grid.n_xy, grid.n_lambda)
+
+    def reg(i: int) -> np.ndarray:      # f's tape registers follow rhs
+        return _cube(slot + 1 + i, comb.shape)
+
     if isinstance(params, AlphaM):
         if iv.lo < 0.0:
             raise ValueError(f"(alpha, m) classes live on [0, b]; interval starts at {iv.lo}")
-        alpha, m = params.alpha, params.m
-        comb = (t3 * x3) + (m * (1.0 - t3)) * y3
-        lhs = evaluate(f, comb)
+        lhs = evaluate(f, comb, reg)
         fvals = evaluate(f, xs)
-        ta = np.power(ts, alpha)
-        rhs = (ta[None, None, :] * fvals[:, None, None]
-               + (m * (1.0 - ta))[None, None, :] * fvals[None, :, None])
-        return lhs, np.broadcast_to(rhs, lhs.shape), xs, ts
-    comb = (t3 * x3) + (1.0 - t3) * y3
+        ta = np.power(ts, params.alpha)
+        rhs = np.add(ta[None, None, :] * fvals[:, None, None],
+                     (m * (1.0 - ta))[None, None, :] * fvals[None, :, None],
+                     out=_cube(slot, comb.shape))
+        return lhs, rhs, xs, ts
     fvals = evaluate(f, xs)
-    fcomb = evaluate(f, comb)
+    fcomb = evaluate(f, comb, reg)
     if need_positive:
         _require_positive(fvals, xs, name)
         _require_positive(fcomb, comb, name)
-    mr = _power_mean_raw(fvals[:, None, None], fvals[None, :, None], t3, params.r)
+    # in blocks of rows of at most 16384 entries (128 KB), whose temporaries
+    # the allocator reuses instead of returning them to the system
+    mr = _cube(slot, comb.shape)
+    step = max(1, 16384 // mr[0].size)
+    for i in range(0, len(xs), step):
+        mr[i:i + step] = _power_mean_raw(fvals[i:i + step, None, None],
+                                         fvals[None, :, None], ts, params.r)
     if not np.all(np.isfinite(mr)):
-        bad = ~np.isfinite(np.broadcast_to(mr, fcomb.shape))
-        idx = int(np.argmax(bad.ravel()))
+        idx = int(np.argmax(~np.isfinite(mr).ravel()))
         raise DomainError("power mean undefined for sampled values", None,
                           float(comb.ravel()[idx]))
-    return fcomb, np.broadcast_to(mr, fcomb.shape), xs, ts
+    return fcomb, mr, xs, ts
 
 
 def _dominance(f: Expr, g: Expr, iv: Interval, params: ClassParams, grid: GridSpec):
@@ -209,13 +239,15 @@ def _dominance(f: Expr, g: Expr, iv: Interval, params: ClassParams, grid: GridSp
     must be positive too when r <= 0 (the power mean of order r <= 0 needs
     positive entries).  (alpha, m) dominance evaluates f before g.
     """
+    # the second side's work cubes start after the first side's rhs and lhs
     if isinstance(params, RConvex):
         lhs_g, rhs_g, xs, ts = _sides(g, iv, params, grid, "g", True)
-        lhs_f, rhs_f, _, _ = _sides(f, iv, params, grid, "f", params.r <= 0.0)
+        lhs_f, rhs_f, _, _ = _sides(f, iv, params, grid, "f", params.r <= 0.0, 3)
     else:
         lhs_f, rhs_f, xs, ts = _sides(f, iv, params, grid, "f", False)
-        lhs_g, rhs_g, _, _ = _sides(g, iv, params, grid, "g", False)
-    return np.abs(rhs_f - lhs_f), rhs_g - lhs_g, xs, ts
+        lhs_g, rhs_g, _, _ = _sides(g, iv, params, grid, "g", False, 3)
+    np.abs(np.subtract(rhs_f, lhs_f, out=rhs_f), out=rhs_f)
+    return rhs_f, np.subtract(rhs_g, lhs_g, out=rhs_g), xs, ts
 
 
 def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,

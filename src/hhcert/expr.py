@@ -12,6 +12,7 @@ domain of the expression raises :class:`DomainError` instead.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -150,74 +151,141 @@ class DomainError(ArithmeticError):
 
 # ------------------------- evaluation -------------------------
 
+# Each tree compiles once into a tape for a stack machine: instructions
+# (code, node, operand, checks) in the order of a recursive walk.  evaluate
+# runs it in a fast pass and, if that fails, again in a strict pass, which
+# checks finiteness at every node but Var and Abs and so raises the error of
+# the first failing check.  The fast pass checks finiteness only at the
+# output and where a non-finite value can vanish: x/inf, exp(-inf), inf^0,
+# inf^-1, and an AffineArg argument that its inner tree ignores.
+_CONST, _VAR, _OP, _DOMAIN, _DROP = range(5)
+_STRICT, _FAST = 1, 2
+_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Exp: np.exp,
+           Log: np.log, Sqrt: np.sqrt, Abs: np.abs}
+_DOMAINS = {Log: (operator.le, "log of non-positive value"),
+            Sqrt: (operator.lt, "sqrt of negative value")}
+
+
+def _divide(den, num, out=None):
+    return np.divide(num, den, out=out)
+
+
+def _compile(f: Expr) -> tuple:
+    tape: list[tuple] = []
+    put = tape.append
+
+    def emit(node: Expr, check: int, var) -> None:
+        """Append node's instructions; ``check`` holds the passes that check
+        its value, and ``var`` appends those of its argument x."""
+        match node:
+            case Const(v):
+                return put((_CONST, node, np.float64(v), check | _STRICT))
+            case Var():
+                return var(check)
+            case Add(l, r) | Sub(l, r) | Mul(l, r):
+                emit(l, 0, var)
+                emit(r, 0, var)
+                op = (_UFUNCS[type(node)], 2)
+            case Div(l, r):
+                emit(r, _FAST, var)
+                put((_DOMAIN, node, (operator.eq, "division by zero"), 0))
+                emit(l, 0, var)
+                op = (_divide, 2)
+            case Pow(b, e):
+                emit(b, _FAST if e <= 0 else 0, var)
+                if not float(e).is_integer():
+                    put((_DOMAIN, node,
+                         (operator.le, "non-positive base with fractional exponent"), 0))
+                elif e < 0:
+                    put((_DOMAIN, node, (operator.eq, "zero base with negative exponent"), 0))
+                put((_CONST, node, e, 0))
+                op = (np.power, 2)
+            case Exp(a) | Log(a) | Sqrt(a) | Abs(a):
+                emit(a, _FAST if isinstance(node, Exp) else 0, var)
+                if type(node) in _DOMAINS:
+                    put((_DOMAIN, node, _DOMAINS[type(node)], 0))
+                op = (_UFUNCS[type(node)], 1)
+            case AffineArg(inner, p, q):
+                def arg(check: int) -> None:    # p*(the outer argument) + q
+                    put((_CONST, node, p, 0))
+                    var(0)
+                    tape.extend([(_OP, node, (np.multiply, 2), 0), (_CONST, node, q, 0),
+                                 (_OP, node, (np.add, 2), check)])
+                arg(_STRICT | _FAST)    # checked up front, then recomputed at each x
+                put((_DROP, node, None, 0))
+                return emit(inner, check, arg)
+            case _:
+                raise TypeError(f"not an Expr node: {node!r}")
+        put((_OP, node, op, check if isinstance(node, Abs) else check | _STRICT))
+
+    emit(f, _FAST, lambda check: put((_VAR, X, None, check)))
+    return tuple(tape)
+
+
+def _run(tape: tuple, xv: np.ndarray, mode: int, reg):
+    """Run a tape at the points xv with the finiteness checks of ``mode``;
+    given ``reg``, an array value at stack depth i goes to reg(i)."""
+    scalar = xv.ndim == 0
+    x = xv[()] if scalar else xv
+    isfinite = math.isfinite if scalar else (lambda v: np.isfinite(v).all())
+
+    def error(reason: str, node: Expr, bad) -> DomainError:
+        m = np.broadcast_to(bad, xv.shape).ravel()
+        return DomainError(reason, node, float(xv.ravel()[int(np.argmax(m))]))
+
+    vals: list = []
+    for code, node, k, check in tape:
+        if code == _OP:
+            fn, n = k
+            ops = vals[-n:]
+            del vals[-n:]
+            # a value that does not depend on x stays a scalar
+            arr = reg is not None and any(isinstance(o, np.ndarray) for o in ops)
+            v = fn(*ops, out=reg(len(vals)) if arr else None)
+        elif code == _CONST:
+            v = k
+        elif code == _VAR:
+            v = x
+        elif code == _DOMAIN:
+            bad = k[0](vals[-1], 0.0)
+            if bad if scalar else bad.any():
+                raise error(k[1], node, bad)
+            continue
+        else:   # _DROP
+            vals.pop()
+            continue
+        if check & mode and not isfinite(v):
+            raise error("non-finite value", node, ~np.isfinite(v))
+        vals.append(v)
+    return vals[0]
+
+
 def evaluate(f: Expr, x: float | np.ndarray) -> float | np.ndarray:
     """Evaluate ``f`` at a float or elementwise over a numpy array.
 
-    Every intermediate result is checked: a value outside the domain or a
-    non-finite intermediate raises DomainError with a witness point.
+    Raises exactly the DomainError of checking every intermediate result in
+    turn: a value outside a node's domain or a non-finite intermediate, with
+    the node and a witness point of the first check that fails.
     """
+    return _evaluate(f, x)
+
+
+def _evaluate(f: Expr, x, reg=None):
+    """:func:`evaluate`, holding an array value at stack depth i of f's tape
+    in reg(i), an array shaped like x, instead of a new array."""
     xv = np.asarray(x, dtype=float)
-    scalar = xv.ndim == 0
-
-    def bad_point(mask: np.ndarray | bool) -> float:
-        if scalar:
-            return float(xv)
-        m = np.broadcast_to(np.asarray(mask), xv.shape).ravel()
-        return float(xv.ravel()[int(np.argmax(m))])
-
-    def domain(bad: np.ndarray | bool, reason: str, node: Expr) -> None:
-        if np.any(bad):
-            raise DomainError(reason, node, bad_point(bad))
-
-    def finite(val, node: Expr):
-        ok = np.isfinite(val)
-        if not np.all(ok):
-            raise DomainError("non-finite value", node, bad_point(~np.asarray(ok)))
-        return val
-
-    def ev(node: Expr, arg):
-        match node:
-            case Const(v):
-                return finite(v, node)
-            case Var():
-                return arg
-            case Add(l, r):
-                return finite(ev(l, arg) + ev(r, arg), node)
-            case Sub(l, r):
-                return finite(ev(l, arg) - ev(r, arg), node)
-            case Mul(l, r):
-                return finite(ev(l, arg) * ev(r, arg), node)
-            case Div(l, r):
-                den = ev(r, arg)
-                domain(den == 0.0, "division by zero", node)
-                return finite(ev(l, arg) / den, node)
-            case Pow(b, e):
-                base = ev(b, arg)
-                if float(e).is_integer():
-                    if e < 0:
-                        domain(base == 0.0, "zero base with negative exponent", node)
-                else:
-                    domain(base <= 0.0, "non-positive base with fractional exponent", node)
-                return finite(np.power(base, e), node)
-            case Exp(a):
-                return finite(np.exp(ev(a, arg)), node)
-            case Log(a):
-                v = ev(a, arg)
-                domain(v <= 0.0, "log of non-positive value", node)
-                return finite(np.log(v), node)
-            case Sqrt(a):
-                v = ev(a, arg)
-                domain(v < 0.0, "sqrt of negative value", node)
-                return finite(np.sqrt(v), node)
-            case Abs(a):
-                return np.abs(ev(a, arg))
-            case AffineArg(inner, p, q):
-                return ev(inner, finite(p * arg + q, node))
-        raise TypeError(f"not an Expr node: {node!r}")
-
+    if "_tape" not in getattr(f, "__dict__", ()):
+        object.__setattr__(f, "_tape", _compile(f))
+    # with no points, a non-finite part that is constant in x never shows
+    fast = xv.size > 0
     with np.errstate(all="ignore"):
-        out = ev(f, xv)
-    if scalar:
+        try:
+            out = _run(f._tape, xv, _FAST if fast else _STRICT, reg)
+        except DomainError:
+            if not fast:
+                raise
+            out = _run(f._tape, xv, _STRICT, reg)
+    if xv.ndim == 0:
         return float(out)
     return np.broadcast_to(np.asarray(out, dtype=float), xv.shape)
 

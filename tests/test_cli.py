@@ -293,9 +293,19 @@ def test_missing_g_exit_two():
     assert "needs --g" in err
 
 
-def test_unknown_theorem_exit_two():
-    code, _, _ = _run(["verify", "no_such", "--f", "x", "--a", "0", "--b", "1"])
+def test_unknown_theorem_exit_two(capsys):
+    code, out, err = _run(["verify", "no_such", "--f", "x", "--a", "0", "--b", "1"])
     assert code == 2
+    assert out == ""
+    assert "usage: hhcert verify" in err and "no_such" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_the_given_stdout(capsys):
+    code, out, err = _run(["--help"])
+    assert code == 0
+    assert out.startswith("usage: hhcert") and err == ""
+    assert capsys.readouterr() == ("", "")
 
 
 def test_domain_error_exit_two():

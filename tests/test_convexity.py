@@ -330,3 +330,33 @@ def test_dominance_evaluation_order():
         check(f, UNIT, AlphaM(1.0, 1.0), g)
     with pytest.raises(NonPositiveFunction, match="^g must"):
         check(parse("x - 5"), UNIT, RConvex(-1.0), parse("x - 3"))
+
+
+def test_results_survive_later_checks():
+    """Grid checks reuse their work cubes; nothing they or evaluate return
+    may change when later checks run, on the same grid or another."""
+    f, g = parse("exp(x) + x^2"), parse("3*exp(x) + 2*x^2")
+    planted = parse("x^3 - 1.5*x^2 + 0.6*x")
+    ts = np.linspace(0.0, 1.0, 65)[None, None, :]
+    xs = np.linspace(0.0, 1.0, 33)
+    kept = {
+        "cube": evaluate(f, ts * xs[:, None, None] + (1.0 - ts) * xs[None, :, None]),
+        "gaps": alpha_m_gap_grid(f, UNIT, 0.5, 0.75),
+        "dominated gaps": dominated_alpha_m_gap_grid(f, g, UNIT, 0.5, 0.75),
+        "violation": check(planted, UNIT, AlphaM(1.0, 1.0)),
+    }
+    assert not kept["violation"].passed
+    copies = {name: np.copy(v) if isinstance(v, np.ndarray) else v
+              for name, v in kept.items()}
+    for grid in (DEFAULT_GRID, GridSpec(9, 5)):
+        for params in (AlphaM(0.5, 0.75), AlphaM(1.0, 1.0), RConvex(2.0), RConvex(-1.0)):
+            check(g, UNIT, params, grid=grid)
+            check(f, UNIT, params, g, grid)
+        check(planted, UNIT, AlphaM(0.5, 1.0), g, grid)
+        alpha_m_gap_grid(g, UNIT, 1.0, 0.5, grid)
+        dominated_alpha_m_gap_grid(planted, g, UNIT, 1.0, 1.0, grid)
+    for name, value in kept.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, copies[name]), name
+        else:
+            assert value == copies[name], name

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhcert import expr
 from hhcert.expr import (Abs, Add, AffineArg, Const, Div, DomainError, Exp,
                          Interval, Log, Mul, ParseError, Pow, Sqrt, Sub, Var,
                          X, compose_affine, evaluate, lin_comb, parse,
@@ -236,6 +238,9 @@ def test_nodes_are_immutable():
 
 
 def test_nodes_hashable_and_comparable():
+    f = parse("1/x + 1")
+    evaluate(f, 1.0)        # caches the compiled tape on the node
+    assert pickle.loads(pickle.dumps(f)) == f
     assert hash(parse("x + 1")) == hash(parse("x + 1"))
     assert parse("x + 1") == parse("x + 1")
     assert parse("x + 1") != parse("1 + x")
@@ -260,3 +265,156 @@ def test_affine_arg_evaluates_nested():
     inner = AffineArg(parse("x^2"), 2.0, 0.0)
     outer = AffineArg(inner, 1.0, 1.0)     # x -> inner(x + 1) = (2(x+1))^2
     assert evaluate(outer, 1.0) == 16.0
+
+
+# ------------------------- fast pass against strict checking -------------------------
+
+_SPECIAL = [0.0, -0.0, 1.0, -2.5, 0.5, 710.0, -746.0, 1e308, -1e308, 1e-308,
+            5e-324, math.inf, -math.inf, math.nan]
+
+
+def _walk(f, x):
+    """Reference: a recursive walk that checks every intermediate result, in
+    the order evaluate documents (a Div's denominator first, an AffineArg's
+    argument before its inner tree)."""
+    xv = np.asarray(x, dtype=float)
+
+    def fail(reason, node, bad):
+        m = np.broadcast_to(bad, xv.shape).ravel()
+        raise DomainError(reason, node, float(xv.ravel()[int(np.argmax(m))]))
+
+    def fin(v, node):
+        if not np.all(np.isfinite(v)):
+            fail("non-finite value", node, ~np.isfinite(v))
+        return v
+
+    def dom(bad, reason, node):
+        if np.any(bad):
+            fail(reason, node, bad)
+
+    def ev(node, arg):
+        match node:
+            case Const(v):
+                return fin(v, node)
+            case Var():
+                return arg
+            case Add(l, r):
+                return fin(ev(l, arg) + ev(r, arg), node)
+            case Sub(l, r):
+                return fin(ev(l, arg) - ev(r, arg), node)
+            case Mul(l, r):
+                return fin(ev(l, arg) * ev(r, arg), node)
+            case Div(l, r):
+                den = ev(r, arg)
+                dom(den == 0.0, "division by zero", node)
+                return fin(ev(l, arg) / den, node)
+            case Pow(b, e):
+                base = ev(b, arg)
+                if not float(e).is_integer():
+                    dom(base <= 0.0, "non-positive base with fractional exponent", node)
+                elif e < 0:
+                    dom(base == 0.0, "zero base with negative exponent", node)
+                return fin(np.power(base, e), node)
+            case Exp(a):
+                return fin(np.exp(ev(a, arg)), node)
+            case Log(a):
+                v = ev(a, arg)
+                dom(v <= 0.0, "log of non-positive value", node)
+                return fin(np.log(v), node)
+            case Sqrt(a):
+                v = ev(a, arg)
+                dom(v < 0.0, "sqrt of negative value", node)
+                return fin(np.sqrt(v), node)
+            case Abs(a):
+                return np.abs(ev(a, arg))
+            case AffineArg(inner, p, q):
+                return ev(inner, fin(p * arg + q, node))
+
+    with np.errstate(all="ignore"):
+        out = ev(f, xv)
+    return float(out) if xv.ndim == 0 else np.broadcast_to(np.asarray(out, dtype=float), xv.shape)
+
+
+def _strict(f, x):
+    """The tape run in strict mode alone, with no fast pass."""
+    xv = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        out = expr._run(expr._compile(f), xv, expr._STRICT, None)
+    return float(out) if xv.ndim == 0 else np.broadcast_to(np.asarray(out, dtype=float), xv.shape)
+
+
+def _outcome(fn, *args):
+    """Result bits (the sign of zero and NaN payloads included), or the
+    error's reason, node identity and witness bits."""
+    try:
+        return ("value", np.asarray(fn(*args), dtype=float).tobytes())
+    except DomainError as exc:
+        return ("error", exc.reason, id(exc.node), np.float64(exc.x).tobytes())
+    except ValueError as exc:   # a failing check with no point to report
+        return ("no witness", str(exc))
+
+
+def _any_tree():
+    """Trees over every node type, with constants and parameters that
+    overflow, underflow, or are not finite."""
+    leaf = st.one_of(st.just(X), st.builds(Const, st.sampled_from(_SPECIAL)))
+
+    def extend(kids):
+        return st.one_of(
+            *(st.builds(t, kids, kids) for t in (Add, Sub, Mul, Div)),
+            *(st.builds(t, kids) for t in (Exp, Log, Sqrt, Abs)),
+            st.builds(Pow, kids, st.sampled_from([0.0, -1.0, -2.0, 1.0, 2.0, 3.0,
+                                                  0.5, -0.5, 1.5])),
+            st.builds(AffineArg, kids, st.sampled_from([1e308, -1.0, 0.5, 2.0, 1e-300]),
+                      st.sampled_from([0.0, 1.0, -3.0, 1e308])))
+
+    return st.recursive(leaf, extend, max_leaves=10)
+
+
+@pytest.mark.parametrize("f, x", [
+    (AffineArg(Const(2.0), 1e308, 0.0), 10.0),      # inner ignores its argument
+    (Div(X, Const(math.inf)), 1.0),                 # x/inf = 0
+    (Div(X, Mul(X, Const(1e-308))), 1e-20),         # division by an underflow
+    (Exp(Mul(Const(-1.0), Exp(X))), 800.0),         # exp(-inf) = 0
+    (Pow(Exp(X), 0.0), 800.0),                      # inf^0 = 1
+    (Pow(Exp(X), -1.0), 800.0),                     # inf^-1 = 0
+    (Add(X, Mul(Const(1e300), Const(1e300))), np.array([])),   # no point to carry inf
+    (Abs(X), math.inf),                             # Var and Abs go unchecked
+])
+def test_fast_pass_keeps_strict_errors(f, x):
+    assert _outcome(evaluate, f, x) == _outcome(_walk, f, x) == _outcome(_strict, f, x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_any_tree(), st.sampled_from(_SPECIAL + [-0.75, 3.0, 1e-310, 700.0]))
+def test_fast_pass_matches_strict_run(f, x):
+    expected = _outcome(_walk, f, x)
+    assert _outcome(_strict, f, x) == expected
+    assert _outcome(evaluate, f, x) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_any_tree())
+def test_array_evaluation_matches_pointwise(f):
+    """A panel, a grid cube and a cube evaluated into reused registers give,
+    at each point, the scalar evaluation's bits, or fail as that point does."""
+    panel = np.linspace(-1.5, 2.0, 15)
+    ts = np.linspace(0.0, 1.0, 3)[None, None, :]
+    xs = np.linspace(0.0, 2.0, 4)
+    cube = ts * xs[:, None, None] + (0.5 * (1.0 - ts)) * xs[None, :, None]
+    regs: dict[int, np.ndarray] = {}
+
+    def reg(i):     # registers start out holding unrelated values
+        if i not in regs:
+            regs[i] = np.full(cube.shape, 7.0)
+        return regs[i]
+
+    runs = [(panel, evaluate), (cube, evaluate), (cube, lambda f, x: expr._evaluate(f, x, reg))]
+    for points, run in runs:
+        got = _outcome(run, f, points)
+        assert got == _outcome(_walk, f, points)
+        if got[0] == "error":
+            assert _outcome(evaluate, f, float(np.frombuffer(got[3])[0]))[:3] == got[:3]
+        else:
+            pointwise = [evaluate(f, float(p)) for p in points.ravel()]
+            assert np.asarray(pointwise).tobytes() == np.frombuffer(got[1]).tobytes()
