@@ -207,8 +207,13 @@ def _stress_config_from(raw) -> StressConfig:
     grid: dict = {}
     try:
         for key, value in raw.items():
+            default = 0 if key in _GRID_KEYS else _STRESS.get(key)
+            kind = list if isinstance(default, tuple) else type(default)
+            if kind in (int, list) and type(value) is not kind:     # a bool is no int
+                raise ValueError(f"{key} must be a JSON {'array' if kind is list else 'integer'}"
+                                 f", got {json.dumps(value)}")
             if key in _GRID_KEYS:
-                grid[_GRID_KEYS[key]] = int(value)
+                grid[_GRID_KEYS[key]] = value
             elif key == "intervals":
                 kw[key] = tuple(Interval(float(lo), float(hi)) for lo, hi in value)
             elif isinstance(_STRESS.get(key), tuple):

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import DomainError, Expr, Interval, _require_tol, lin_comb
-from .expr import _evaluate as evaluate  # bench/spans.py traces this name
+from .expr import DomainError, Expr, Interval, _require_tol, evaluate, lin_comb
 from .means import _power_mean_raw
 
 __all__ = [
@@ -129,16 +127,7 @@ class NonPositiveFunction(ValueError):
 
 # ------------------------- grid plumbing -------------------------
 
-_WORK = threading.local()   # each thread's work cubes, of one shape at a time
-
-
-def _cube(i: int, shape: tuple) -> np.ndarray:
-    """Work cube i; nothing a check returns lives in one."""
-    cubes = _WORK.__dict__.setdefault("cubes", [])
-    if cubes and cubes[0].shape != shape:
-        cubes.clear()
-    cubes.extend(np.empty(shape) for _ in range(i + 1 - len(cubes)))
-    return cubes[i]
+_BLOCK = 16384  # entries per block of x rows in a scan; a block has at least one row
 
 
 @functools.lru_cache(maxsize=2)
@@ -153,22 +142,29 @@ def _grids(lo: str, hi: str, m: float, n_xy: int, n_lambda: int):
     return xs, ts, comb
 
 
-def _witness_at(flat: int, shape, lhs, rhs, xs, ts) -> Witness:
-    i, j, k = np.unravel_index(flat, shape)
-    return Witness(float(xs[i]), float(xs[j]), float(ts[k]),
-                   float(lhs[i, j, k]), float(rhs[i, j, k]))
+def _witness_at(i: int, flat: int, shape, lhs: float, rhs: float, xs, ts) -> Witness:
+    a, j, k = np.unravel_index(flat, shape)     # in a block of x rows from row i
+    return Witness(float(xs[i + a]), float(xs[j]), float(ts[k]), float(lhs), float(rhs))
 
 
-def _scan(lhs, rhs, xs, ts, tol: float,
-          f0_nonpositive: bool | None = None) -> CheckResult:
-    gaps = np.subtract(lhs, rhs, out=_cube(0, lhs.shape))
-    mask = gaps > tol
-    points = int(gaps.size)
-    if not mask.any():
-        return CheckResult(None, None, points, f0_nonpositive)
-    worst = _witness_at(int(np.argmax(gaps)), gaps.shape, lhs, rhs, xs, ts)
-    first = _witness_at(int(np.argmax(mask)), gaps.shape, lhs, rhs, xs, ts)
-    return CheckResult(worst, first, points, f0_nonpositive)
+def _scan(rows, xs, ts, tol: float, step: int) -> tuple:
+    """np.argmax's worst and first witnesses on lhs - rhs over the whole grid
+    (None on a pass), from (lhs, rhs) = rows(slice) on blocks of step x rows."""
+    tops, first = [], None      # each block's argmax gap and its witness's arguments
+    for i in range(0, len(xs), step):
+        lhs, rhs = rows(slice(i, i + step))
+        gaps = lhs - rhs
+        if (gaps <= tol).all():     # no violation, and no NaN, which np.argmax ranks first
+            continue
+        top = int(np.argmax(gaps))
+        tops.append((gaps.flat[top], i, top, gaps.shape, lhs.flat[top], rhs.flat[top]))
+        if first is None and (gaps > tol).any():
+            at = int(np.argmax(gaps > tol))
+            first = _witness_at(i, at, gaps.shape, lhs.flat[at], rhs.flat[at], xs, ts)
+    if first is None:
+        return None, None
+    worst = tops[int(np.argmax([top[0] for top in tops]))]
+    return _witness_at(*worst[1:], xs, ts), first
 
 
 def _require_positive(values, points, name: str) -> None:
@@ -192,62 +188,59 @@ def _f0_flag(f: Expr, iv: Interval) -> bool | None:
 # ------------------------- one check for every class -------------------------
 
 def _sides(f: Expr, iv: Interval, params: ClassParams, grid: GridSpec,
-           name: str, need_positive: bool, slot: int = 1):
+           name: str, need_positive: bool):
     """Both sides of params' defining inequality for f on the grid, as
-    (lhs, rhs, xs, ts), with rhs in work cube ``slot`` and lhs in the cubes
-    after it.  For r-convexity, need_positive demands that f (called
+    (rows, xs, ts): rows(slice) gives lhs and rhs on those x rows, rhs in an
+    array of its own.  For r-convexity, need_positive demands that f (called
     ``name`` in errors) be strictly positive at every sample."""
     m = params.m if isinstance(params, AlphaM) else 1.0
     xs, ts, comb = _grids(float(iv.lo).hex(), float(iv.hi).hex(), m, grid.n_xy, grid.n_lambda)
-
-    def reg(i: int) -> np.ndarray:      # f's tape registers follow rhs
-        return _cube(slot + 1 + i, comb.shape)
-
+    fvals = functools.cache(lambda: evaluate(f, xs))    # once per check
     if isinstance(params, AlphaM):
         if iv.lo < 0.0:
             raise ValueError(f"(alpha, m) classes live on [0, b]; interval starts at {iv.lo}")
-        lhs = evaluate(f, comb, reg)
-        fvals = evaluate(f, xs)
         ta = np.power(ts, params.alpha)
-        rhs = np.add(ta[None, None, :] * fvals[:, None, None],
-                     (m * (1.0 - ta))[None, None, :] * fvals[None, :, None],
-                     out=_cube(slot, comb.shape))
-        return lhs, rhs, xs, ts
-    fvals = evaluate(f, xs)
-    fcomb = evaluate(f, comb, reg)
-    if need_positive:
-        _require_positive(fvals, xs, name)
-        _require_positive(fcomb, comb, name)
-    # in blocks of rows of at most 16384 entries (128 KB), whose temporaries
-    # the allocator reuses instead of returning them to the system
-    mr = _cube(slot, comb.shape)
-    step = max(1, 16384 // mr[0].size)
-    for i in range(0, len(xs), step):
-        mr[i:i + step] = _power_mean_raw(fvals[i:i + step, None, None],
-                                         fvals[None, :, None], ts, params.r)
-    if not np.all(np.isfinite(mr)):
-        idx = int(np.argmax(~np.isfinite(mr).ravel()))
-        raise DomainError("power mean undefined for sampled values", None,
-                          float(comb.ravel()[idx]))
-    return fcomb, mr, xs, ts
+
+        def rows(sl: slice):
+            lhs, fx = evaluate(f, comb[sl]), fvals()
+            return lhs, (ta[None, None, :] * fx[sl, None, None]
+                         + (m * (1.0 - ta))[None, None, :] * fx[None, :, None])
+        return rows, xs, ts
+
+    def rows(sl: slice):
+        fx, fcomb = fvals(), evaluate(f, comb[sl])
+        if need_positive:
+            _require_positive(fx, xs, name)
+            _require_positive(fcomb, comb[sl], name)
+        mr = _power_mean_raw(fx[sl, None, None], fx[None, :, None], ts, params.r)
+        if not np.all(np.isfinite(mr)):
+            idx = int(np.argmax(~np.isfinite(mr).ravel()))
+            raise DomainError("power mean undefined for sampled values", None,
+                              float(comb[sl].ravel()[idx]))
+        return fcomb, mr
+    return rows, xs, ts
 
 
 def _dominance(f: Expr, g: Expr, iv: Interval, params: ClassParams, grid: GridSpec):
-    """|combination(f) - f(point)| and combination(g) - g(point) on the grid.
+    """|combination(f) - f(point)| and combination(g) - g(point) on the grid,
+    as :func:`_sides` gives them.
 
     r-dominance needs g strictly positive, so g is validated before f; f
     must be positive too when r <= 0 (the power mean of order r <= 0 needs
     positive entries).  (alpha, m) dominance evaluates f before g.
     """
-    # the second side's work cubes start after the first side's rhs and lhs
-    if isinstance(params, RConvex):
-        lhs_g, rhs_g, xs, ts = _sides(g, iv, params, grid, "g", True)
-        lhs_f, rhs_f, _, _ = _sides(f, iv, params, grid, "f", params.r <= 0.0, 3)
-    else:
-        lhs_f, rhs_f, xs, ts = _sides(f, iv, params, grid, "f", False)
-        lhs_g, rhs_g, _, _ = _sides(g, iv, params, grid, "g", False, 3)
-    np.abs(np.subtract(rhs_f, lhs_f, out=rhs_f), out=rhs_f)
-    return rhs_f, np.subtract(rhs_g, lhs_g, out=rhs_g), xs, ts
+    r_class = isinstance(params, RConvex)
+    f_rows, xs, ts = _sides(f, iv, params, grid, "f", r_class and params.r <= 0.0)
+    g_rows, _, _ = _sides(g, iv, params, grid, "g", r_class)
+
+    def rows(sl: slice):
+        if r_class:
+            (lhs_g, rhs_g), (lhs_f, rhs_f) = g_rows(sl), f_rows(sl)
+        else:
+            (lhs_f, rhs_f), (lhs_g, rhs_g) = f_rows(sl), g_rows(sl)
+        np.abs(np.subtract(rhs_f, lhs_f, out=rhs_f), out=rhs_f)
+        return rhs_f, np.subtract(rhs_g, lhs_g, out=rhs_g)
+    return rows, xs, ts
 
 
 def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
@@ -256,11 +249,17 @@ def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
     f is g-dominated over it.  r-convexity needs f strictly positive at
     every sampled point; the (alpha, m) membership check also reports the
     f(0) <= 0 side condition."""
-    if g is not None:
-        return _scan(*_dominance(f, g, iv, params, grid), grid.tol)
-    lhs, rhs, xs, ts = _sides(f, iv, params, grid, "f", True)
-    f0 = _f0_flag(f, iv) if isinstance(params, AlphaM) else None
-    return _scan(lhs, rhs, xs, ts, grid.tol, f0)
+    rows, xs, ts = (_sides(f, iv, params, grid, "f", True) if g is None
+                    else _dominance(f, g, iv, params, grid))
+    try:
+        found = _scan(rows, xs, ts, grid.tol, max(1, _BLOCK // (len(xs) * len(ts))))
+    except (DomainError, NonPositiveFunction):
+        found = None
+    # every check is elementwise, so on an error the whole grid fails too, but
+    # maybe first at another node or point: one block of all rows raises that
+    worst, first = found or _scan(rows, xs, ts, grid.tol, len(xs))
+    f0 = _f0_flag(f, iv) if g is None and isinstance(params, AlphaM) else None
+    return CheckResult(worst, first, len(xs) ** 2 * len(ts), f0)
 
 
 def alpha_m_gap_grid(f: Expr, iv: Interval, alpha: float, m: float,
@@ -268,13 +267,13 @@ def alpha_m_gap_grid(f: Expr, iv: Interval, alpha: float, m: float,
     """Pointwise violation gap lhs - rhs of the (alpha, m) inequality,
     shaped (n_xy, n_xy, n_lambda); a positive entry beyond tol is a
     violation at that triple."""
-    lhs, rhs, _, _ = _sides(f, iv, AlphaM(alpha, m), grid, "f", False)
+    lhs, rhs = _sides(f, iv, AlphaM(alpha, m), grid, "f", False)[0](slice(None))
     return lhs - rhs
 
 
 def dominated_alpha_m_gap_grid(f: Expr, g: Expr, iv: Interval, alpha: float,
                                m: float, grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
-    dom_lhs, dom_rhs, _, _ = _dominance(f, g, iv, AlphaM(alpha, m), grid)
+    dom_lhs, dom_rhs = _dominance(f, g, iv, AlphaM(alpha, m), grid)[0](slice(None))
     return dom_lhs - dom_rhs
 
 

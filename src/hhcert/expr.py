@@ -160,14 +160,14 @@ class DomainError(ArithmeticError):
 # inf^-1, and an AffineArg argument that its inner tree ignores.
 _CONST, _VAR, _OP, _DOMAIN, _DROP = range(5)
 _STRICT, _FAST = 1, 2
-_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Exp: np.exp,
+_UFUNCS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Exp: np.exp,
            Log: np.log, Sqrt: np.sqrt, Abs: np.abs}
 _DOMAINS = {Log: (operator.le, "log of non-positive value"),
             Sqrt: (operator.lt, "sqrt of negative value")}
 
 
-def _divide(den, num, out=None):
-    return np.divide(num, den, out=out)
+def _divide(den, num):
+    return num / den
 
 
 def _compile(f: Expr) -> tuple:
@@ -209,8 +209,8 @@ def _compile(f: Expr) -> tuple:
                 def arg(check: int) -> None:    # p*(the outer argument) + q
                     put((_CONST, node, p, 0))
                     var(0)
-                    tape.extend([(_OP, node, (np.multiply, 2), 0), (_CONST, node, q, 0),
-                                 (_OP, node, (np.add, 2), check)])
+                    tape.extend([(_OP, node, (operator.mul, 2), 0), (_CONST, node, q, 0),
+                                 (_OP, node, (operator.add, 2), check)])
                 arg(_STRICT | _FAST)    # checked up front, then recomputed at each x
                 put((_DROP, node, None, 0))
                 return emit(inner, check, arg)
@@ -222,9 +222,8 @@ def _compile(f: Expr) -> tuple:
     return tuple(tape)
 
 
-def _run(tape: tuple, xv: np.ndarray, mode: int, reg):
-    """Run a tape at the points xv with the finiteness checks of ``mode``;
-    given ``reg``, an array value at stack depth i goes to reg(i)."""
+def _run(tape: tuple, xv: np.ndarray, mode: int):
+    """Run a tape at the points xv with the finiteness checks of ``mode``."""
     scalar = xv.ndim == 0
     x = xv[()] if scalar else xv
     isfinite = math.isfinite if scalar else (lambda v: np.isfinite(v).all())
@@ -237,11 +236,8 @@ def _run(tape: tuple, xv: np.ndarray, mode: int, reg):
     for code, node, k, check in tape:
         if code == _OP:
             fn, n = k
-            ops = vals[-n:]
+            v = fn(*vals[-n:])     # a value that does not depend on x stays a scalar
             del vals[-n:]
-            # a value that does not depend on x stays a scalar
-            arr = reg is not None and any(isinstance(o, np.ndarray) for o in ops)
-            v = fn(*ops, out=reg(len(vals)) if arr else None)
         elif code == _CONST:
             v = k
         elif code == _VAR:
@@ -267,12 +263,6 @@ def evaluate(f: Expr, x: float | np.ndarray) -> float | np.ndarray:
     turn: a value outside a node's domain or a non-finite intermediate, with
     the node and a witness point of the first check that fails.
     """
-    return _evaluate(f, x)
-
-
-def _evaluate(f: Expr, x, reg=None):
-    """:func:`evaluate`, holding an array value at stack depth i of f's tape
-    in reg(i), an array shaped like x, instead of a new array."""
     xv = np.asarray(x, dtype=float)
     if "_tape" not in getattr(f, "__dict__", ()):
         object.__setattr__(f, "_tape", _compile(f))
@@ -280,11 +270,11 @@ def _evaluate(f: Expr, x, reg=None):
     fast = xv.size > 0
     with np.errstate(all="ignore"):
         try:
-            out = _run(f._tape, xv, _FAST if fast else _STRICT, reg)
+            out = _run(f._tape, xv, _FAST if fast else _STRICT)
         except DomainError:
             if not fast:
                 raise
-            out = _run(f._tape, xv, _STRICT, reg)
+            out = _run(f._tape, xv, _STRICT)
     if xv.ndim == 0:
         return float(out)
     return np.broadcast_to(np.asarray(out, dtype=float), xv.shape)

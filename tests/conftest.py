@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from hhcert.expr import Abs, Add, AffineArg, Const, Div, Exp, Log, Mul, Pow, Sqrt, Sub, X
 from hhcert.search import ATOM_KINDS, _draw_candidate
+
+SPECIAL = [0.0, -0.0, 1.0, -2.5, 0.5, 710.0, -746.0, 1e308, -1e308, 1e-308,
+           5e-324, math.inf, -math.inf, math.nan]
 
 
 def atom_combination(rng: np.random.Generator, budget: int = 3):
@@ -14,6 +21,23 @@ def atom_combination(rng: np.random.Generator, budget: int = 3):
     checkers.
     """
     return _draw_candidate(rng, ATOM_KINDS, budget, False)
+
+
+def any_tree():
+    """Trees over every node type, with constants and parameters that
+    overflow, underflow, or are not finite."""
+    leaf = st.one_of(st.just(X), st.builds(Const, st.sampled_from(SPECIAL)))
+
+    def extend(kids):
+        return st.one_of(
+            *(st.builds(t, kids, kids) for t in (Add, Sub, Mul, Div)),
+            *(st.builds(t, kids) for t in (Exp, Log, Sqrt, Abs)),
+            st.builds(Pow, kids, st.sampled_from([0.0, -1.0, -2.0, 1.0, 2.0, 3.0,
+                                                  0.5, -0.5, 1.5])),
+            st.builds(AffineArg, kids, st.sampled_from([1e308, -1.0, 0.5, 2.0, 1e-300]),
+                      st.sampled_from([0.0, 1.0, -3.0, 1e308])))
+
+    return st.recursive(leaf, extend, max_leaves=10)
 
 
 @pytest.fixture

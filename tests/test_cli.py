@@ -493,7 +493,11 @@ def test_stress_config_file_matches_api(tmp_path, raw, config):
 
 
 @pytest.mark.parametrize("raw", [{"trials": 2, "trails": 3}, {"grid": 9},
-                                 {"trials": None}, [1, 2], {"max_attempts": 0}])
+                                 {"trials": None}, [1, 2], {"max_attempts": 0},
+                                 {"trials": 2.7}, {"seed": 1.9}, {"trials": True},
+                                 {"grid_xy": 9.9, "grid_lambda": 5},
+                                 {"alpha_pool": "1", "m_pool": [1]},
+                                 {"intervals": {"0": 1}}])
 def test_stress_config_file_bad_content_exit_two(tmp_path, raw):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hhcert import convexity
 from hhcert.convexity import (DEFAULT_GRID, AlphaM, CheckResult, GridSpec,
                               NonPositiveFunction, RConvex, Witness,
                               alpha_m_gap_grid, check, check_alpha_m_convex,
@@ -14,7 +19,7 @@ from hhcert.convexity import (DEFAULT_GRID, AlphaM, CheckResult, GridSpec,
 from hhcert.expr import Const, DomainError, Interval, evaluate, lin_comb, parse
 from hhcert.means import power_mean
 
-from conftest import atom_combination
+from conftest import any_tree, atom_combination
 
 UNIT = Interval(0.0, 1.0)
 COARSE = GridSpec(2, 5)
@@ -333,8 +338,8 @@ def test_dominance_evaluation_order():
 
 
 def test_results_survive_later_checks():
-    """Grid checks reuse their work cubes; nothing they or evaluate return
-    may change when later checks run, on the same grid or another."""
+    """Nothing that grid checks or evaluate return may change when later
+    checks run, on the same grid or another."""
     f, g = parse("exp(x) + x^2"), parse("3*exp(x) + 2*x^2")
     planted = parse("x^3 - 1.5*x^2 + 0.6*x")
     ts = np.linspace(0.0, 1.0, 65)[None, None, :]
@@ -360,3 +365,79 @@ def test_results_survive_later_checks():
             assert np.array_equal(value, copies[name]), name
         else:
             assert value == copies[name], name
+
+
+# ------------------------- scanning in blocks of x rows -------------------------
+
+
+def _outcome(*args):
+    """A check's result, or its error's type, message and node identity."""
+    try:
+        return check(*args)
+    except (DomainError, ValueError) as exc:
+        return type(exc), str(exc), id(getattr(exc, "node", None))
+
+
+def _outcomes(block, f, g, alpha_m, r):
+    with mock.patch.object(convexity, "_BLOCK", block):
+        return [_outcome(f, UNIT, params, h, grid)
+                for grid in (GridSpec(33, 65), GridSpec(9, 5))
+                for params in (alpha_m, r) for h in (None, g)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_tree(), any_tree(),
+       st.sampled_from([AlphaM(1.0, 1.0), AlphaM(0.5, 0.75)]),
+       st.sampled_from([RConvex(-1.0), RConvex(0.0), RConvex(2.0)]))
+def test_blocks_match_one_block_of_all_rows(f, g, alpha_m, r):
+    """One x row per block and the default blocks give the result, or the
+    error, of a single block holding the whole grid."""
+    whole = _outcomes(10**9, f, g, alpha_m, r)
+    assert _outcomes(1, f, g, alpha_m, r) == whole
+    assert _outcomes(convexity._BLOCK, f, g, alpha_m, r) == whole
+
+
+@pytest.mark.parametrize("block", [1, convexity._BLOCK])
+def test_error_is_the_whole_grid_error(block):
+    # log fails in the first block, but a whole-grid pass meets sqrt first
+    f = parse("sqrt(0.9 - x) + log(x - 0.05)")
+    with mock.patch.object(convexity, "_BLOCK", block):
+        with pytest.raises(DomainError, match=r"^sqrt of negative value at x=0\.90625$"):
+            check(f, UNIT, AlphaM(0.5, 0.75))
+
+
+@pytest.mark.parametrize("block", [1, convexity._BLOCK])
+@pytest.mark.parametrize("text, infs, nans", [
+    # gaps overflow to +inf in blocks 0, 1, 3 and 4 of the default scan
+    ("-1.7e308*(2*x-1)^2 + 1.53e308", 2606, 0),
+    # inf - inf: NaN gaps, all in block 0, whose other gaps pass, while the
+    # first violation lies in block 1; np.argmax ranks the first NaN worst
+    ("1.7e308*(2*x-1)^2 - 1.7e308*(1-(2*x-1)^2)", 0, 2606),
+])
+def test_overflowing_gaps_keep_argmax_witnesses(block, text, infs, nans):
+    f = parse(text)
+    gaps = dominated_alpha_m_gap_grid(f, f, UNIT, 1.0, 1.0)
+    assert (np.isposinf(gaps).sum(), np.isnan(gaps).sum()) == (infs, nans)
+    xs, ts = np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 65)
+    with mock.patch.object(convexity, "_BLOCK", block):
+        res = check(f, UNIT, AlphaM(1.0, 1.0), f)
+    for w, flat in ((res.witness, np.argmax(gaps)), (res.first_witness, np.argmax(gaps > 1e-9))):
+        i, j, k = np.unravel_index(flat, gaps.shape)
+        assert (w.x, w.y, w.lam) == (xs[i], xs[j], ts[k])
+        assert np.array_equal(w.gap, gaps[i, j, k], equal_nan=True)
+
+
+@pytest.mark.parametrize("params", [AlphaM(0.5, 0.75), RConvex(-1.0)])
+def test_fine_grid_check_memory_is_bounded(params):
+    """A dominance check at 257 x 257 x 65 (34 MB per cube) allocates only
+    blocks of rows besides its cached grid constants."""
+    f, g, grid = parse("x^2 + 1"), parse("3*x^2 + 2"), GridSpec(257, 65)
+    check(f, UNIT, params, g, grid)     # caches xs, ts and the comb cube
+    tracemalloc.start()
+    try:
+        res = check(f, UNIT, params, g, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.points_checked == 257 * 257 * 65
+    assert peak < 2 * 2**20

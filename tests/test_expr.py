@@ -15,6 +15,8 @@ from hhcert.expr import (Abs, Add, AffineArg, Const, Div, DomainError, Exp,
                          X, compose_affine, evaluate, lin_comb, parse,
                          to_string)
 
+from conftest import SPECIAL, any_tree
+
 # ------------------------- parsing -------------------------
 
 
@@ -269,10 +271,6 @@ def test_affine_arg_evaluates_nested():
 
 # ------------------------- fast pass against strict checking -------------------------
 
-_SPECIAL = [0.0, -0.0, 1.0, -2.5, 0.5, 710.0, -746.0, 1e308, -1e308, 1e-308,
-            5e-324, math.inf, -math.inf, math.nan]
-
-
 def _walk(f, x):
     """Reference: a recursive walk that checks every intermediate result, in
     the order evaluate documents (a Div's denominator first, an AffineArg's
@@ -339,7 +337,7 @@ def _strict(f, x):
     """The tape run in strict mode alone, with no fast pass."""
     xv = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
-        out = expr._run(expr._compile(f), xv, expr._STRICT, None)
+        out = expr._run(expr._compile(f), xv, expr._STRICT)
     return float(out) if xv.ndim == 0 else np.broadcast_to(np.asarray(out, dtype=float), xv.shape)
 
 
@@ -352,23 +350,6 @@ def _outcome(fn, *args):
         return ("error", exc.reason, id(exc.node), np.float64(exc.x).tobytes())
     except ValueError as exc:   # a failing check with no point to report
         return ("no witness", str(exc))
-
-
-def _any_tree():
-    """Trees over every node type, with constants and parameters that
-    overflow, underflow, or are not finite."""
-    leaf = st.one_of(st.just(X), st.builds(Const, st.sampled_from(_SPECIAL)))
-
-    def extend(kids):
-        return st.one_of(
-            *(st.builds(t, kids, kids) for t in (Add, Sub, Mul, Div)),
-            *(st.builds(t, kids) for t in (Exp, Log, Sqrt, Abs)),
-            st.builds(Pow, kids, st.sampled_from([0.0, -1.0, -2.0, 1.0, 2.0, 3.0,
-                                                  0.5, -0.5, 1.5])),
-            st.builds(AffineArg, kids, st.sampled_from([1e308, -1.0, 0.5, 2.0, 1e-300]),
-                      st.sampled_from([0.0, 1.0, -3.0, 1e308])))
-
-    return st.recursive(leaf, extend, max_leaves=10)
 
 
 @pytest.mark.parametrize("f, x", [
@@ -386,7 +367,7 @@ def test_fast_pass_keeps_strict_errors(f, x):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_any_tree(), st.sampled_from(_SPECIAL + [-0.75, 3.0, 1e-310, 700.0]))
+@given(any_tree(), st.sampled_from(SPECIAL + [-0.75, 3.0, 1e-310, 700.0]))
 def test_fast_pass_matches_strict_run(f, x):
     expected = _outcome(_walk, f, x)
     assert _outcome(_strict, f, x) == expected
@@ -394,24 +375,16 @@ def test_fast_pass_matches_strict_run(f, x):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_any_tree())
+@given(any_tree())
 def test_array_evaluation_matches_pointwise(f):
-    """A panel, a grid cube and a cube evaluated into reused registers give,
-    at each point, the scalar evaluation's bits, or fail as that point does."""
+    """A panel and a grid cube give, at each point, the scalar evaluation's
+    bits, or fail as that point does."""
     panel = np.linspace(-1.5, 2.0, 15)
     ts = np.linspace(0.0, 1.0, 3)[None, None, :]
     xs = np.linspace(0.0, 2.0, 4)
     cube = ts * xs[:, None, None] + (0.5 * (1.0 - ts)) * xs[None, :, None]
-    regs: dict[int, np.ndarray] = {}
-
-    def reg(i):     # registers start out holding unrelated values
-        if i not in regs:
-            regs[i] = np.full(cube.shape, 7.0)
-        return regs[i]
-
-    runs = [(panel, evaluate), (cube, evaluate), (cube, lambda f, x: expr._evaluate(f, x, reg))]
-    for points, run in runs:
-        got = _outcome(run, f, points)
+    for points in (panel, cube):
+        got = _outcome(evaluate, f, points)
         assert got == _outcome(_walk, f, points)
         if got[0] == "error":
             assert _outcome(evaluate, f, float(np.frombuffer(got[3])[0]))[:3] == got[:3]
