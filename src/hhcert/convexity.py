@@ -147,6 +147,7 @@ def _witness_at(i: int, flat: int, shape, lhs: float, rhs: float, xs, ts) -> Wit
     return Witness(float(xs[i + a]), float(xs[j]), float(ts[k]), float(lhs), float(rhs))
 
 
+@np.errstate(all="ignore")     # overflow to inf or NaN is part of the result
 def _scan(rows, xs, ts, tol: float, step: int) -> tuple:
     """np.argmax's worst and first witnesses on lhs - rhs over the whole grid
     (None on a pass), from (lhs, rhs) = rows(slice) on blocks of step x rows."""
@@ -187,37 +188,33 @@ def _f0_flag(f: Expr, iv: Interval) -> bool | None:
 
 # ------------------------- one check for every class -------------------------
 
-def _sides(f: Expr, iv: Interval, params: ClassParams, grid: GridSpec,
-           name: str, need_positive: bool):
+def _sides(f: Expr, iv: Interval, params: ClassParams, grid: GridSpec, name: str):
     """Both sides of params' defining inequality for f on the grid, as
     (rows, xs, ts): rows(slice) gives lhs and rhs on those x rows, rhs in an
-    array of its own.  For r-convexity, need_positive demands that f (called
-    ``name`` in errors) be strictly positive at every sample."""
-    m = params.m if isinstance(params, AlphaM) else 1.0
+    array of its own.  r-classes need f (called ``name`` in errors) strictly
+    positive at every sample, as the power mean does."""
+    r_class = isinstance(params, RConvex)
+    m = 1.0 if r_class else params.m
     xs, ts, comb = _grids(float(iv.lo).hex(), float(iv.hi).hex(), m, grid.n_xy, grid.n_lambda)
-    fvals = functools.cache(lambda: evaluate(f, xs))    # once per check
-    if isinstance(params, AlphaM):
-        if iv.lo < 0.0:
-            raise ValueError(f"(alpha, m) classes live on [0, b]; interval starts at {iv.lo}")
-        ta = np.power(ts, params.alpha)
+    if m < 1.0 and iv.lo < 0.0:     # t*x + m*(1-t)*y may leave [a, b] unless a >= 0
+        raise ValueError(f"(alpha, m) classes with m < 1 live on [0, b]; "
+                         f"interval starts at {iv.lo}")
+    ta = None if r_class else np.power(ts, params.alpha)
 
-        def rows(sl: slice):
-            lhs, fx = evaluate(f, comb[sl]), fvals()
-            return lhs, (ta[None, None, :] * fx[sl, None, None]
-                         + (m * (1.0 - ta))[None, None, :] * fx[None, :, None])
-        return rows, xs, ts
+    @functools.cache
+    def fvals():    # once per check
+        fx = evaluate(f, xs)
+        if r_class:
+            _require_positive(fx, xs, name)
+        return fx
 
     def rows(sl: slice):
-        fx, fcomb = fvals(), evaluate(f, comb[sl])
-        if need_positive:
-            _require_positive(fx, xs, name)
-            _require_positive(fcomb, comb[sl], name)
-        mr = _power_mean_raw(fx[sl, None, None], fx[None, :, None], ts, params.r)
-        if not np.all(np.isfinite(mr)):
-            idx = int(np.argmax(~np.isfinite(mr).ravel()))
-            raise DomainError("power mean undefined for sampled values", None,
-                              float(comb[sl].ravel()[idx]))
-        return fcomb, mr
+        lhs, fx = evaluate(f, comb[sl]), fvals()
+        if r_class:
+            _require_positive(lhs, comb[sl], name)
+            return lhs, _power_mean_raw(fx[sl, None, None], fx[None, :, None], ts, params.r)
+        return lhs, (ta[None, None, :] * fx[sl, None, None]
+                     + (m * (1.0 - ta))[None, None, :] * fx[None, :, None])
     return rows, xs, ts
 
 
@@ -225,13 +222,12 @@ def _dominance(f: Expr, g: Expr, iv: Interval, params: ClassParams, grid: GridSp
     """|combination(f) - f(point)| and combination(g) - g(point) on the grid,
     as :func:`_sides` gives them.
 
-    r-dominance needs g strictly positive, so g is validated before f; f
-    must be positive too when r <= 0 (the power mean of order r <= 0 needs
-    positive entries).  (alpha, m) dominance evaluates f before g.
+    r-dominance needs f and g strictly positive and validates g before f;
+    (alpha, m) dominance evaluates f before g.
     """
     r_class = isinstance(params, RConvex)
-    f_rows, xs, ts = _sides(f, iv, params, grid, "f", r_class and params.r <= 0.0)
-    g_rows, _, _ = _sides(g, iv, params, grid, "g", r_class)
+    f_rows, xs, ts = _sides(f, iv, params, grid, "f")
+    g_rows, _, _ = _sides(g, iv, params, grid, "g")
 
     def rows(sl: slice):
         if r_class:
@@ -246,10 +242,10 @@ def _dominance(f: Expr, g: Expr, iv: Interval, params: ClassParams, grid: GridSp
 def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
           grid: GridSpec = DEFAULT_GRID) -> CheckResult:
     """Grid-check that f belongs to the class ``params`` or, given g, that
-    f is g-dominated over it.  r-convexity needs f strictly positive at
-    every sampled point; the (alpha, m) membership check also reports the
-    f(0) <= 0 side condition."""
-    rows, xs, ts = (_sides(f, iv, params, grid, "f", True) if g is None
+    f is g-dominated over it.  r-classes need f, and g if given, strictly
+    positive at every sampled point; the (alpha, m) membership check also
+    reports the f(0) <= 0 side condition."""
+    rows, xs, ts = (_sides(f, iv, params, grid, "f") if g is None
                     else _dominance(f, g, iv, params, grid))
     try:
         found = _scan(rows, xs, ts, grid.tol, max(1, _BLOCK // (len(xs) * len(ts))))
@@ -262,15 +258,17 @@ def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
     return CheckResult(worst, first, len(xs) ** 2 * len(ts), f0)
 
 
+@np.errstate(all="ignore")
 def alpha_m_gap_grid(f: Expr, iv: Interval, alpha: float, m: float,
                      grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
     """Pointwise violation gap lhs - rhs of the (alpha, m) inequality,
     shaped (n_xy, n_xy, n_lambda); a positive entry beyond tol is a
     violation at that triple."""
-    lhs, rhs = _sides(f, iv, AlphaM(alpha, m), grid, "f", False)[0](slice(None))
+    lhs, rhs = _sides(f, iv, AlphaM(alpha, m), grid, "f")[0](slice(None))
     return lhs - rhs
 
 
+@np.errstate(all="ignore")
 def dominated_alpha_m_gap_grid(f: Expr, g: Expr, iv: Interval, alpha: float,
                                m: float, grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
     dom_lhs, dom_rhs = _dominance(f, g, iv, AlphaM(alpha, m), grid)[0](slice(None))
@@ -299,7 +297,7 @@ def check_dominated_r(f: Expr, g: Expr, iv: Interval, r: float,
                       grid: GridSpec = DEFAULT_GRID) -> CheckResult:
     """Check |M_r(f(x), f(y); t) - f(point)| <= M_r(g(x), g(y); t) - g(point).
 
-    g must be strictly positive everywhere; f must be when r <= 0.
+    f and g must be strictly positive at every sampled point.
     """
     return check(f, iv, RConvex(r), g, grid)
 

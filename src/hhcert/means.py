@@ -44,13 +44,11 @@ class MeanBranch:
 
 
 def _power_mean_raw(x, y, lam, r: float):
-    """Branch-selected power mean without argument validation.
+    """Branch-selected power mean of positive inputs, without validation.
 
     Accepts floats or broadcastable numpy arrays for x, y and lam.  The
-    endpoints lam = 0 and lam = 1 return y and x exactly.  For positive
-    x, y the result is clamped into [min, max] so internality holds to
-    the last bit.  Non-positive inputs are the caller's concern: where
-    the defining powers are undefined the result is NaN.
+    endpoints lam = 0 and lam = 1 return y and x exactly.  The result is
+    clamped into [min, max] so internality holds to the last bit.
     """
     with np.errstate(all="ignore"):
         if abs(r) < EPS_R:
@@ -64,10 +62,7 @@ def _power_mean_raw(x, y, lam, r: float):
             s = lam * np.power(x, r) + (1.0 - lam) * np.power(y, r)
             res = np.power(s, 1.0 / r)
         res = np.where(lam == 1.0, x, np.where(lam == 0.0, y, res))
-        lo = np.minimum(x, y)
-        hi = np.maximum(x, y)
-        res = np.where((lo > 0.0), np.clip(res, lo, hi), res)
-    return res
+        return np.clip(res, np.minimum(x, y), np.maximum(x, y))
 
 
 def power_mean(x: float, y: float, lam: float, r: float) -> float:

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -313,6 +314,27 @@ def test_domain_error_exit_two():
                          "--b", "1", "--r", "1"])
     assert code == 2
     assert "positive" in err
+
+
+def test_r_dominance_of_nonpositive_f_exit_two():
+    # f(0) = -0.5: r-dominance needs f > 0 whatever r is
+    code, out, err = _run(["check-dominance", "--f", "x - 0.5", "--g", "x + 1",
+                           "--a", "0", "--b", "1", "--r", "2",
+                           "--grid-xy", "9", "--grid-lambda", "9"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: f must be strictly positive")
+
+
+def test_overflowing_dominance_leaves_one_error_line():
+    # both deviations overflow to inf: numpy stays silent and the one line
+    # on stderr is the refusal to serialize the infinite gap
+    f = "1.7e308*(2*x-1)^2 - 1.7e308*(1-(2*x-1)^2)"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(["check-dominance", "--f", f, "--g", f, "--a", "0",
+                               "--b", "1", "--alpha", "1", "--m", "1"])
+    assert (code, out, caught) == (2, "", [])
+    assert len(err.splitlines()) == 1
 
 
 def test_conflicting_class_flags_exit_two():

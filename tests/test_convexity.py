@@ -108,7 +108,14 @@ def test_affine_passes_ordinary_convexity():
 
 def test_negative_lo_rejected_for_alpha_m():
     with pytest.raises(ValueError):
-        check_alpha_m_convex(parse("x^2"), Interval(-1.0, 1.0), 1.0, 1.0)
+        check_alpha_m_convex(parse("x^2"), Interval(-1.0, 1.0), 1.0, 0.5)
+
+
+def test_negative_lo_allowed_at_m_one():
+    # at m = 1, t*x + (1-t)*y is a convex combination and stays in [a, b]
+    iv = Interval(-1.0, 1.0)
+    assert check_alpha_m_convex(parse("x^2"), iv, 1.0, 1.0).passed
+    assert not check_alpha_m_convex(parse("0 - x^2"), iv, 1.0, 1.0).passed
 
 
 def test_f0_flag():
@@ -188,6 +195,9 @@ def test_r_convexity_requires_positive_values():
     assert exc.value.value <= 0.0
     with pytest.raises(NonPositiveFunction):
         check_r_convex(parse("x"), UNIT, 0.5)    # f(0) = 0 is not positive
+    with pytest.raises(NonPositiveFunction, match=r"x=0\.015625$"):
+        # zero at a combination point only: xs are the multiples of 1/32
+        check_r_convex(parse("abs(x - 0.015625)"), UNIT, 1.0)
 
 
 def test_r_grid_monotone_in_r():
@@ -229,6 +239,13 @@ def test_dominated_r_linear_order():
     # r = 1 dominance over ordinary convex pair
     res = check_dominated_r(parse("x^2 + 1"), parse("2*x^2 + 2"), UNIT, 1.0)
     assert res.passed
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0])
+def test_dominated_r_requires_positive_f(r):
+    # f(0) = -0.5: r-classes need f > 0 at every order r, not only r <= 0
+    with pytest.raises(NonPositiveFunction, match="^f must"):
+        check_dominated_r(parse("x - 0.5"), parse("x + 1"), UNIT, r, GridSpec(9, 9))
 
 
 def test_dominated_r_requires_positive_g():
@@ -388,7 +405,7 @@ def _outcomes(block, f, g, alpha_m, r):
 @settings(max_examples=40, deadline=None)
 @given(any_tree(), any_tree(),
        st.sampled_from([AlphaM(1.0, 1.0), AlphaM(0.5, 0.75)]),
-       st.sampled_from([RConvex(-1.0), RConvex(0.0), RConvex(2.0)]))
+       st.sampled_from([RConvex(-1.0), RConvex(0.0), RConvex(0.5), RConvex(2.0)]))
 def test_blocks_match_one_block_of_all_rows(f, g, alpha_m, r):
     """One x row per block and the default blocks give the result, or the
     error, of a single block holding the whole grid."""
@@ -406,6 +423,7 @@ def test_error_is_the_whole_grid_error(block):
             check(f, UNIT, AlphaM(0.5, 0.75))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("block", [1, convexity._BLOCK])
 @pytest.mark.parametrize("text, infs, nans", [
     # gaps overflow to +inf in blocks 0, 1, 3 and 4 of the default scan

@@ -40,6 +40,12 @@ def test_classic_concave_violates_left():
     assert left.hypothesis["f_convex"].witness is not None
 
 
+def test_classic_on_interval_left_of_zero():
+    left, _ = classic_hh(X2, -1.0, 1.0)
+    assert left.holds
+    assert left.hypothesis["f_convex"].status == "pass"
+
+
 def test_classic_equality_for_affine():
     left, right = classic_hh(parse("3*x - 1"), 0.0, 2.0)
     assert left.slack == pytest.approx(0.0, abs=1e-12)

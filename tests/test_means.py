@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -9,7 +10,8 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhcert.means import (EPS_R, MeanBranchTag, gen_log_mean, power_mean)
+from hhcert.means import (EPS_R, MeanBranchTag, _power_mean_raw, gen_log_mean,
+                          power_mean)
 
 positive = st.floats(min_value=0.05, max_value=50.0,
                      allow_nan=False, allow_infinity=False)
@@ -52,6 +54,27 @@ def test_power_mean_diagonal_exact():
 def test_power_mean_internal(x, y, lam, r):
     v = power_mean(x, y, lam, r)
     assert min(x, y) <= v <= max(x, y)
+
+
+# every positive finite double, its ends and the top of the range drawn often
+any_positive = (st.floats(min_value=5e-324, max_value=sys.float_info.max)
+                | st.sampled_from([5e-324, 1e-310, sys.float_info.min, 1.0,
+                                   1e308, 1.7e308, sys.float_info.max]))
+# both sides of the branch cuts at EPS_R and 0.25
+_CUTS = [c for v in (EPS_R, 0.25) for c in (math.nextafter(v, 0.0), v, math.nextafter(v, 1.0))]
+any_order = (st.floats(min_value=-1e300, max_value=1e300)
+             | st.sampled_from([0.0] + _CUTS + [-c for c in _CUTS]))
+
+
+@given(st.lists(st.tuples(any_positive, any_positive, weights), min_size=1, max_size=8),
+       any_order)
+@settings(max_examples=200, deadline=None)
+def test_power_mean_raw_is_finite_and_internal(xyl, r):
+    """A power mean of positive finite values never needs a NaN path."""
+    x, y, lam = np.array(xyl).T
+    res = _power_mean_raw(x, y, lam, r)
+    assert np.isfinite(res).all()
+    assert (np.minimum(x, y) <= res).all() and (res <= np.maximum(x, y)).all()
 
 
 @given(positive, positive, weights, orders)
