@@ -21,7 +21,7 @@ from .convexity import (AlphaM, CheckResult, GridSpec, NonPositiveFunction,
                         check_alpha_m_convex, check_dominated_alpha_m,
                         check_dominated_r, check_r_convex,
                         construct_dominated_pair, dominated_alpha_m_gap_grid,
-                        split_pair)
+                        passes, split_pair)
 from .expr import (AffineArg, Const, DomainError, Expr, Interval, ParseError,
                    Var, X, compose_affine, evaluate, lin_comb, parse,
                    to_string)
@@ -48,7 +48,7 @@ __all__ = [
     "check_dominated_r", "check_r_convex", "classic_hh", "compose_affine",
     "construct_dominated_pair", "dominated_alpha_m_gap_grid", "dragomir_m",
     "evaluate", "gen_log_mean", "gill_r", "gr_dominated", "integrate",
-    "lin_comb", "parse", "power_mean", "random_convex_expr", "report_json",
+    "lin_comb", "parse", "passes", "power_mean", "random_convex_expr", "report_json",
     "report_to_dict", "run_verifier", "run_verifiers", "scan_csv", "set_midpoint",
     "set_trapezoid", "split_pair", "stress", "summary_json",
     "summary_to_dict", "t1_first", "t1_second", "t2", "theorem_a",

@@ -10,7 +10,10 @@ class at every triple (x, y, t) of a finite grid:
 A check passes when no grid triple violates its inequality by more than
 ``grid.tol``.  Violations report two witnesses: the largest violation on
 the grid and the first one in row-major scan order (x outer, y middle,
-t inner).  Both are deterministic.
+t inner).  Both are deterministic.  :func:`passes` gives the verdict alone: it
+scans the subgrid of every 4th x, y and t first (if 4 divides n_xy - 1 and
+n_lambda - 1), whose entries are the full grid's to the same bits, so a
+violation or error there rejects at once; then the full grid until a violation.
 
 These are finite certificates, not proofs: a Pass says the inequality
 held at every sampled triple.
@@ -29,7 +32,7 @@ from .means import _power_mean_raw
 
 __all__ = [
     "AlphaM", "RConvex", "ClassParams", "GridSpec", "DEFAULT_GRID",
-    "Witness", "CheckResult", "NonPositiveFunction", "check",
+    "Witness", "CheckResult", "NonPositiveFunction", "check", "passes",
     "check_alpha_m_convex", "check_r_convex",
     "check_dominated_alpha_m", "check_dominated_r",
     "alpha_m_gap_grid", "dominated_alpha_m_gap_grid",
@@ -132,14 +135,16 @@ _BLOCK = 16384  # entries per block of x rows in a scan; a block has at least on
 
 @functools.lru_cache(maxsize=2)
 def _grids(lo: str, hi: str, m: float, n_xy: int, n_lambda: int):
-    """xs, ts and the cube t*x + m*(1-t)*y on [lo, hi], read-only; the ends
-    come as float.hex, which tells -0.0 from 0.0.  r-convexity uses m = 1."""
+    """Read-only (xs, ts, comb = t*x + m*(1-t)*y) on [lo, hi], after its subgrid if any;
+    the ends come as float.hex, which tells -0.0 from 0.0.  r-convexity uses m = 1."""
     xs = np.linspace(float.fromhex(lo), float.fromhex(hi), n_xy)
     ts = np.linspace(0.0, 1.0, n_lambda)
     comb = (ts * xs[:, None, None]) + (m * (1.0 - ts)) * xs[None, :, None]
-    for a in (xs, ts, comb):
+    grids = (((xs[::4].copy(), ts[::4].copy(), comb[::4, ::4, ::4].copy()), (xs, ts, comb))
+             if (n_xy - 1) % 4 == 0 and (n_lambda - 1) % 4 == 0 else ((xs, ts, comb),))
+    for a in sum(grids, ()):
         a.flags.writeable = False
-    return xs, ts, comb
+    return grids
 
 
 def _witness_at(i: int, flat: int, shape, lhs: float, rhs: float, xs, ts) -> Witness:
@@ -188,17 +193,12 @@ def _f0_flag(f: Expr, iv: Interval) -> bool | None:
 
 # ------------------------- one check for every class -------------------------
 
-def _sides(f: Expr, iv: Interval, params: ClassParams, grid: GridSpec, name: str):
-    """Both sides of params' defining inequality for f on the grid, as
-    (rows, xs, ts): rows(slice) gives lhs and rhs on those x rows, rhs in an
+def _sides(f: Expr, params: ClassParams, xs, ts, comb, name: str):
+    """Both sides of params' defining inequality for f on a grid of
+    :func:`_grids`: rows(slice) gives lhs and rhs on those x rows, rhs in an
     array of its own.  r-classes need f (called ``name`` in errors) strictly
     positive at every sample, as the power mean does."""
     r_class = isinstance(params, RConvex)
-    m = 1.0 if r_class else params.m
-    xs, ts, comb = _grids(float(iv.lo).hex(), float(iv.hi).hex(), m, grid.n_xy, grid.n_lambda)
-    if m < 1.0 and iv.lo < 0.0:     # t*x + m*(1-t)*y may leave [a, b] unless a >= 0
-        raise ValueError(f"(alpha, m) classes with m < 1 live on [0, b]; "
-                         f"interval starts at {iv.lo}")
     ta = None if r_class else np.power(ts, params.alpha)
 
     @functools.cache
@@ -212,22 +212,24 @@ def _sides(f: Expr, iv: Interval, params: ClassParams, grid: GridSpec, name: str
         lhs, fx = evaluate(f, comb[sl]), fvals()
         if r_class:
             _require_positive(lhs, comb[sl], name)
-            return lhs, _power_mean_raw(fx[sl, None, None], fx[None, :, None], ts, params.r)
+            return lhs, _power_mean_raw(fx[sl, None, None], fx[None, :, None], ts, params.r,
+                                        out=np.empty_like(lhs))
         return lhs, (ta[None, None, :] * fx[sl, None, None]
-                     + (m * (1.0 - ta))[None, None, :] * fx[None, :, None])
-    return rows, xs, ts
+                     + (params.m * (1.0 - ta))[None, None, :] * fx[None, :, None])
+    return rows
 
 
-def _dominance(f: Expr, g: Expr, iv: Interval, params: ClassParams, grid: GridSpec):
-    """|combination(f) - f(point)| and combination(g) - g(point) on the grid,
-    as :func:`_sides` gives them.
+def _rows(f: Expr, g: Expr | None, params: ClassParams, xs, ts, comb):
+    """The rows of :func:`_sides` for f or, given g, |combination(f) -
+    f(point)| and combination(g) - g(point) as :func:`_sides` gives them.
 
     r-dominance needs f and g strictly positive and validates g before f;
     (alpha, m) dominance evaluates f before g.
     """
     r_class = isinstance(params, RConvex)
-    f_rows, xs, ts = _sides(f, iv, params, grid, "f")
-    g_rows, _, _ = _sides(g, iv, params, grid, "g")
+    if g is None:
+        return _sides(f, params, xs, ts, comb, "f")
+    f_rows, g_rows = _sides(f, params, xs, ts, comb, "f"), _sides(g, params, xs, ts, comb, "g")
 
     def rows(sl: slice):
         if r_class:
@@ -236,7 +238,18 @@ def _dominance(f: Expr, g: Expr, iv: Interval, params: ClassParams, grid: GridSp
             (lhs_f, rhs_f), (lhs_g, rhs_g) = f_rows(sl), g_rows(sl)
         np.abs(np.subtract(rhs_f, lhs_f, out=rhs_f), out=rhs_f)
         return rhs_f, np.subtract(rhs_g, lhs_g, out=rhs_g)
-    return rows, xs, ts
+    return rows
+
+
+def _grid_rows(f: Expr, g: Expr | None, iv: Interval, params: ClassParams, grid: GridSpec):
+    """(rows, xs, ts, x rows per block) of :func:`_rows` on each grid of :func:`_grids`."""
+    m = 1.0 if isinstance(params, RConvex) else params.m
+    if m < 1.0 and iv.lo < 0.0:     # t*x + m*(1-t)*y may leave [a, b] unless a >= 0
+        raise ValueError(f"(alpha, m) classes with m < 1 live on [0, b]; "
+                         f"interval starts at {iv.lo}")
+    grids = _grids(float(iv.lo).hex(), float(iv.hi).hex(), m, grid.n_xy, grid.n_lambda)
+    return [(_rows(f, g, params, xs, ts, comb), xs, ts, max(1, _BLOCK // comb[0].size))
+            for xs, ts, comb in grids]
 
 
 def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
@@ -245,10 +258,9 @@ def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
     f is g-dominated over it.  r-classes need f, and g if given, strictly
     positive at every sampled point; the (alpha, m) membership check also
     reports the f(0) <= 0 side condition."""
-    rows, xs, ts = (_sides(f, iv, params, grid, "f") if g is None
-                    else _dominance(f, g, iv, params, grid))
+    rows, xs, ts, step = _grid_rows(f, g, iv, params, grid)[-1]
     try:
-        found = _scan(rows, xs, ts, grid.tol, max(1, _BLOCK // (len(xs) * len(ts))))
+        found = _scan(rows, xs, ts, grid.tol, step)
     except (DomainError, NonPositiveFunction):
         found = None
     # every check is elementwise, so on an error the whole grid fails too, but
@@ -259,19 +271,32 @@ def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
 
 
 @np.errstate(all="ignore")
+def passes(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
+           grid: GridSpec = DEFAULT_GRID) -> bool:
+    """``check(...).passed`` by the module docstring's scan.  Only where check raises does
+    it raise DomainError or NonPositiveFunction, or return False at a violation met first."""
+    for rows, xs, ts, step in _grid_rows(f, g, iv, params, grid):
+        for i in range(0, len(xs), step):
+            lhs, rhs = rows(slice(i, i + step))
+            if (lhs - rhs > grid.tol).any():
+                return False
+    return True
+
+
+@np.errstate(all="ignore")
 def alpha_m_gap_grid(f: Expr, iv: Interval, alpha: float, m: float,
                      grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
     """Pointwise violation gap lhs - rhs of the (alpha, m) inequality,
     shaped (n_xy, n_xy, n_lambda); a positive entry beyond tol is a
     violation at that triple."""
-    lhs, rhs = _sides(f, iv, AlphaM(alpha, m), grid, "f")[0](slice(None))
+    lhs, rhs = _grid_rows(f, None, iv, AlphaM(alpha, m), grid)[-1][0](slice(None))
     return lhs - rhs
 
 
 @np.errstate(all="ignore")
 def dominated_alpha_m_gap_grid(f: Expr, g: Expr, iv: Interval, alpha: float,
                                m: float, grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
-    dom_lhs, dom_rhs = _dominance(f, g, iv, AlphaM(alpha, m), grid)[0](slice(None))
+    dom_lhs, dom_rhs = _grid_rows(f, g, iv, AlphaM(alpha, m), grid)[-1][0](slice(None))
     return dom_lhs - dom_rhs
 
 

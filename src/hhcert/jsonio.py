@@ -15,8 +15,8 @@ __all__ = ["dumps", "fmt_float"]
 
 
 def fmt_float(v: float) -> str:
-    if not math.isfinite(v):
-        raise ValueError(f"refusing to serialize non-finite float {v!r}")
+    if not math.isfinite(v):    # inputs are finite: a float64 result overflowed
+        raise ValueError(f"float64 overflow: cannot print non-finite float {v!r}")
     return f"{v:.17g}"
 
 

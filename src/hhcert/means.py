@@ -43,26 +43,31 @@ class MeanBranch:
     value: float
 
 
-def _power_mean_raw(x, y, lam, r: float):
+def _power_mean_raw(x, y, lam, r: float, out=None):
     """Branch-selected power mean of positive inputs, without validation.
 
     Accepts floats or broadcastable numpy arrays for x, y and lam.  The
     endpoints lam = 0 and lam = 1 return y and x exactly.  The result is
-    clamped into [min, max] so internality holds to the last bit.
+    clamped into [min, max] so internality holds to the last bit.  A grid
+    gives ``out`` of the broadcast shape, with lam on its last axis from 0 to 1.
     """
     with np.errstate(all="ignore"):
         if abs(r) < EPS_R:
-            res = np.power(x, lam) * np.power(y, 1.0 - lam)
+            res = np.multiply(np.power(x, lam), np.power(y, 1.0 - lam), out=out)
         elif abs(r) < 0.25:
             # s = lam*x^r + (1-lam)*y^r lies near 1 and s^(1/r) multiplies
             # its rounding error by 1/r; carry s - 1 through expm1/log1p
-            s1 = lam * np.expm1(r * np.log(x)) + (1.0 - lam) * np.expm1(r * np.log(y))
-            res = np.exp(np.log1p(s1) / r)
+            s1 = np.add(lam * np.expm1(r * np.log(x)), (1.0 - lam) * np.expm1(r * np.log(y)),
+                        out=out)
+            res = np.exp(np.divide(np.log1p(s1, out=out), r, out=out), out=out)
         else:
-            s = lam * np.power(x, r) + (1.0 - lam) * np.power(y, r)
-            res = np.power(s, 1.0 / r)
-        res = np.where(lam == 1.0, x, np.where(lam == 0.0, y, res))
-        return np.clip(res, np.minimum(x, y), np.maximum(x, y))
+            s = np.add(lam * np.power(x, r), (1.0 - lam) * np.power(y, r), out=out)
+            res = np.power(s, 1.0 / r, out=out)
+        if out is None:
+            res = np.where(lam == 1.0, x, np.where(lam == 0.0, y, res))
+        else:
+            res[..., 0], res[..., -1] = y[..., 0], x[..., 0]
+        return np.clip(res, np.minimum(x, y), np.maximum(x, y), out=out)
 
 
 def power_mean(x: float, y: float, lam: float, r: float) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec,
-                        NonPositiveFunction, RConvex, check, construct_dominated_pair)
+                        NonPositiveFunction, RConvex, construct_dominated_pair, passes)
 from .expr import (Add, Const, DomainError, Expr, Interval, Mul, Pow, Sub, Exp, X,
                    _require_tol)
 from .hh import TOL_DEFAULT, IneqReport, run_verifier, run_verifiers
@@ -160,7 +160,7 @@ _NO_VALUE = (DomainError, NonPositiveFunction, NonConvergence)
 
 def _certifies(e: Expr, params: ClassParams, iv: Interval, grid: GridSpec) -> bool:
     try:
-        return check(e, iv, params, grid=grid).passed
+        return passes(e, iv, params, grid=grid)
     except _NO_VALUE:
         return False
 
@@ -229,7 +229,7 @@ def _verify_pair(f: Expr, g: Expr, params: ClassParams, iv: Interval,
             ids = ("theorem_a_first", "theorem_a_second") + ids
         return run_verifiers(ids, f, g, alpha=params.alpha, m=params.m, **kw)
     reports = ()
-    if check(f, iv, params, g, config.grid).passed:
+    if passes(f, iv, params, g, config.grid):
         reports += (run_verifier("gr_dominated", f, g, r=params.r, **kw),)
     if _certifies(g, params, iv, config.grid):
         reports += (run_verifier("gill_r", g, r=params.r, **kw),)
@@ -261,8 +261,8 @@ def stress(config: StressConfig) -> StressSummary:
     verifiers = {}
     for tid in STRESS_THEOREMS:
         reps = [rep for _, rep in runs if rep.theorem_id == tid]
-        passes = sum(rep.holds for rep in reps)
-        verifiers[tid] = TheoremStats(passes, len(reps) - passes, config.trials - len(reps),
+        passed = sum(rep.holds for rep in reps)
+        verifiers[tid] = TheoremStats(passed, len(reps) - passed, config.trials - len(reps),
                                       min((rep.slack for rep in reps), default=None))
     failed = [(index, rep) for index, rep in runs if not rep.holds]
     worst = None

@@ -326,15 +326,25 @@ def test_r_dominance_of_nonpositive_f_exit_two():
 
 
 def test_overflowing_dominance_leaves_one_error_line():
-    # both deviations overflow to inf: numpy stays silent and the one line
-    # on stderr is the refusal to serialize the infinite gap
+    # both deviations overflow to inf: numpy stays silent, and the one line
+    # on stderr names the overflow that leaves no finite witness to print
     f = "1.7e308*(2*x-1)^2 - 1.7e308*(1-(2*x-1)^2)"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = _run(["check-dominance", "--f", f, "--g", f, "--a", "0",
-                               "--b", "1", "--alpha", "1", "--m", "1"])
-    assert (code, out, caught) == (2, "", [])
-    assert len(err.splitlines()) == 1
+    for fmt in ([], ["--json"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(["check-dominance", "--f", f, "--g", f, "--a", "0",
+                                   "--b", "1", "--alpha", "1", "--m", "1", *fmt])
+        assert (code, out, caught) == (2, "", [])
+        assert err == "error: float64 overflow: cannot print non-finite float inf\n"
+
+
+def test_overflowing_gap_of_finite_sides_exit_two():
+    # the worst witness has finite lhs and rhs, but lhs - rhs overflows
+    f = "1.5e308 - 1.5e308*(2*x-1)^2 - 1.5e308*(2*x-1)^2"
+    code, out, err = _run(["check-convexity", "--f", f, "--a", "0", "--b", "1",
+                           "--alpha", "1", "--m", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: float64 overflow: cannot print non-finite float inf\n"
 
 
 def test_conflicting_class_flags_exit_two():

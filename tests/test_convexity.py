@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hhcert import convexity
@@ -15,8 +15,8 @@ from hhcert.convexity import (DEFAULT_GRID, AlphaM, CheckResult, GridSpec,
                               alpha_m_gap_grid, check, check_alpha_m_convex,
                               check_dominated_alpha_m, check_dominated_r,
                               check_r_convex, construct_dominated_pair,
-                              dominated_alpha_m_gap_grid, split_pair)
-from hhcert.expr import Const, DomainError, Interval, evaluate, lin_comb, parse
+                              dominated_alpha_m_gap_grid, passes, split_pair)
+from hhcert.expr import Const, DomainError, Interval, evaluate, lin_comb, parse, to_string
 from hhcert.means import power_mean
 
 from conftest import any_tree, atom_combination
@@ -459,3 +459,72 @@ def test_fine_grid_check_memory_is_bounded(params):
         tracemalloc.stop()
     assert res.points_checked == 257 * 257 * 65
     assert peak < 2 * 2**20
+
+
+# ------------------------- the verdict alone -------------------------
+
+
+def _verdict(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, NonPositiveFunction) as exc:
+        return type(exc)
+
+
+@st.composite
+def candidates(draw):
+    """A stress candidate, maybe with a log term that leaves the domain
+    (c0 >= 0) or dips below zero, maybe shifted so that r-classes meet
+    non-positive values, maybe scaled by 1e300, and maybe plus s*(2u - 1)
+    with u in [0, 1], whose gaps overflow to inf at s = 1.7e308 (and to NaN,
+    as inf - inf, in dominance)."""
+    text = to_string(atom_combination(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))))
+    if draw(st.booleans()):
+        text += f" + {draw(st.floats(0.25, 2.0))!r}*log(x - {draw(st.floats(-1.0, 0.5))!r})"
+    shift = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    text = f"{draw(st.sampled_from([1.0, 1e300]))!r}*({text} - {shift!r})"
+    s = draw(st.sampled_from([None, 1e300, 1.7e308]))
+    return text if s is None else f"{text} + {s!r}*(2*x/3 - 1)^2 - {s!r}*(1 - (2*x/3 - 1)^2)"
+
+
+@settings(max_examples=150, deadline=None)
+@given(candidates(), candidates(),
+       st.sampled_from([AlphaM(1.0, 1.0), AlphaM(0.5, 0.75), AlphaM(0.5, 1.0), RConvex(-1.0),
+                        RConvex(0.0), RConvex(0.5), RConvex(2.0)]),
+       st.sampled_from([UNIT, Interval(0.0, 3.0)]),
+       st.sampled_from([DEFAULT_GRID, GridSpec(9, 17), GridSpec(5, 5), GridSpec(10, 7),
+                        GridSpec(33, 66), GridSpec(17, 9, tol=1e-300)]))
+# inf gaps, and NaN gaps next to a violation in another block
+@example("-1.7e308*(2*x-1)^2 + 1.53e308", "x^2", AlphaM(1.0, 1.0), UNIT, DEFAULT_GRID)
+@example("1.7e308*(2*x-1)^2 - 1.7e308*(1-(2*x-1)^2)", "x^2", AlphaM(1.0, 1.0), UNIT,
+         DEFAULT_GRID)
+def test_passes_is_the_verdict_of_check(f, g, params, iv, grid):
+    """passes returns check's verdict, and raises only where check raises.
+    There it may raise the other error, as it meets the grid in another
+    order, or return False at a violation met first."""
+    errors = (DomainError, NonPositiveFunction)
+    f, g = parse(f), parse(g)
+    for h in (None, g, f):
+        want = _verdict(lambda: check(f, iv, params, h, grid).passed)
+        got = _verdict(passes, f, iv, params, h, grid)
+        assert got == want or (want in errors and (got is False or got in errors))
+
+
+def test_passes_may_meet_another_error_first():
+    # g dips below 0 only between the subgrid's points 0 and 3, where f
+    # already leaves its domain; check validates g on the whole grid first
+    f, g = parse("x + log(x)"), parse("(2*x/3 - 1)^2 - 0.5")
+    args = (f, Interval(0.0, 3.0), RConvex(-1.0), g, GridSpec(5, 5))
+    with pytest.raises(NonPositiveFunction, match="^g must .* at x=0.75$"):
+        check(*args)
+    with pytest.raises(DomainError, match="^log of non-positive value at x=0.0$"):
+        passes(*args)
+
+
+def test_subgrid_takes_full_grid_entries():
+    sub, full = convexity._grids(0.0.hex(), 3.0.hex(), 0.5, 33, 65)
+    for a, b in zip(sub, full):
+        assert a.flags.c_contiguous and not a.flags.writeable
+        assert np.array_equal(a, b[(slice(None, None, 4),) * b.ndim])
+    for n_xy, n_lambda in ((10, 7), (33, 66), (34, 65)):
+        assert len(convexity._grids(0.0.hex(), 1.0.hex(), 1.0, n_xy, n_lambda)) == 1

@@ -77,6 +77,18 @@ def test_power_mean_raw_is_finite_and_internal(xyl, r):
     assert (np.minimum(x, y) <= res).all() and (res <= np.maximum(x, y)).all()
 
 
+@given(st.lists(any_positive, min_size=1, max_size=6), any_order, st.sampled_from([3, 5, 17]))
+@settings(max_examples=200, deadline=None)
+def test_power_mean_raw_grid_out_has_the_same_bits(fx, r, n_lambda):
+    """The grid form, built in out with its endpoints taken by slicing, is
+    bit for bit the broadcasting form."""
+    x, y = np.array(fx)[:, None, None], np.array(fx)[None, :, None]
+    ts = np.linspace(0.0, 1.0, n_lambda)
+    want = _power_mean_raw(x, y, ts, r)
+    got = _power_mean_raw(x, y, ts, r, out=np.empty(want.shape))
+    assert got.tobytes() == want.tobytes()
+
+
 @given(positive, positive, weights, orders)
 @settings(max_examples=200, deadline=None)
 def test_power_mean_symmetry(x, y, lam, r):

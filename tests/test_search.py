@@ -137,9 +137,23 @@ def test_stress_small_alpha_rejects_candidates():
     (StressConfig(seed=2, trials=10, alpha_pool=(), m_pool=(),
                   r_pool=(-1.0, 0.0, 1.0, 2.0)),
      "7271379689801d36052673b17e2f495044f2cc80bf97ab8be0197d43eb044e97"),
-], ids=["alpha_m_one", "alpha_m_pools", "r_pool"])
+    *((StressConfig(seed=seed, trials=40, intervals=(UNIT, Interval(0.0, 3.0)),
+                    alpha_pool=(0.5, 1.0), m_pool=(0.5, 1.0),
+                    r_pool=(-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)), digest)
+      for seed, digest in enumerate((
+          "705f9b05bed19140f12a05b21f52fd7d24f74c369cf69437bef6d37abe30e5ac",
+          "1aaec0f46445a70d7794ebc4203e8c2d33aafdb3a7a08187dbad2c34722e0746",
+          "1ad2256def993d44ece37833992f64da06990d0820c73ac503776f317c2bb21e"))),
+    (StressConfig(seed=0, trials=20, intervals=(UNIT, Interval(0.0, 3.0)),
+                  alpha_pool=(), m_pool=(), r_pool=(-1.0, 0.0, 0.5, 1.0, 2.0, 3.0),
+                  tol=1e-300),
+     "6a3102da7e76454715999e350bb79f595b47cd4529851873a8a5df212c5af290"),
+], ids=["alpha_m_one", "alpha_m_pools", "r_pool",
+        "mixed_seed0", "mixed_seed1", "mixed_seed2", "r_pool_worst_failure"])
 def test_stress_summary_golden(config, digest):
-    # the README campaigns at 10 trials: a seeded summary is byte-identical
+    # the README campaigns at 10 trials, three mixed (alpha, m) and r
+    # campaigns over two intervals, and an r campaign whose tolerance is so
+    # tight that worst_failure is set: a seeded summary is byte-identical
     # across versions, not only between two runs of one version
     text = summary_json(stress(config))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
