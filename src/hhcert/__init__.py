@@ -7,8 +7,8 @@ The package has three layers:
   functions under test;
 - grid certifiers (`check`, for a class `AlphaM` or `RConvex` with an
   optional dominating g) that either pass or return a concrete witness;
-- inequality verifiers (`run_verifiers`, `run_verifier` and friends)
-  that integrate with an adaptive Gauss-Kronrod rule and report left
+- inequality verifiers (`run_verifiers`, or `run_verifier` for one report
+  id) that integrate with an adaptive Gauss-Kronrod rule and report left
   side, right side and slack for each bound.
 
 `stress` drives randomized soundness campaigns over generated instances.
@@ -26,10 +26,7 @@ from .expr import (AffineArg, Const, DomainError, Expr, Interval, ParseError,
                    Var, X, compose_affine, evaluate, lin_comb, parse,
                    to_string)
 from .hh import (NEEDS_G, THEOREM_IDS, HypothesisStatus, IneqReport,
-                 classic_hh, dragomir_m, gill_r, gr_dominated, report_json,
-                 report_to_dict, run_verifier, run_verifiers, set_midpoint,
-                 set_trapezoid, t1_first, t1_second, t2, theorem_a,
-                 trapezoid_residual)
+                 report_json, report_to_dict, run_verifier, run_verifiers)
 from .means import MeanBranch, MeanBranchTag, gen_log_mean, power_mean
 from .quadrature import IntegralResult, NonConvergence, integrate
 from .search import (ScanRow, StressConfig, StressSummary, TheoremStats,
@@ -45,12 +42,10 @@ __all__ = [
     "NonPositiveFunction", "ParseError", "RConvex", "ScanRow", "StressConfig",
     "StressSummary", "THEOREM_IDS", "TheoremStats", "Var", "Witness", "X",
     "alpha_m_gap_grid", "check", "check_alpha_m_convex", "check_dominated_alpha_m",
-    "check_dominated_r", "check_r_convex", "classic_hh", "compose_affine",
-    "construct_dominated_pair", "dominated_alpha_m_gap_grid", "dragomir_m",
-    "evaluate", "gen_log_mean", "gill_r", "gr_dominated", "integrate",
-    "lin_comb", "parse", "passes", "power_mean", "random_convex_expr", "report_json",
-    "report_to_dict", "run_verifier", "run_verifiers", "scan_csv", "set_midpoint",
-    "set_trapezoid", "split_pair", "stress", "summary_json",
-    "summary_to_dict", "t1_first", "t1_second", "t2", "theorem_a",
-    "tightness_scan", "to_string", "trapezoid_residual",
+    "check_dominated_r", "check_r_convex", "compose_affine",
+    "construct_dominated_pair", "dominated_alpha_m_gap_grid", "evaluate",
+    "gen_log_mean", "integrate", "lin_comb", "parse", "passes", "power_mean",
+    "random_convex_expr", "report_json", "report_to_dict", "run_verifier",
+    "run_verifiers", "scan_csv", "split_pair", "stress", "summary_json",
+    "summary_to_dict", "tightness_scan", "to_string",
 ]

@@ -112,6 +112,8 @@ class Interval:
             raise ValueError(f"interval needs finite ends, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"interval width hi - lo overflows on [{self.lo}, {self.hi}]")
 
     @property
     def width(self) -> float:

@@ -6,11 +6,14 @@ with the accumulated quadrature error and the status of the inequality's
 hypotheses as certified on a finite grid.  Sides are always computed,
 even when a hypothesis fails, so near-misses can be inspected.
 
-The catalogue (names refer to the shape of the inequality):
+The catalogue, by report id (a two-sided bound is split into its halves):
 
-* classic_hh          f((a+b)/2) <= avg integral of f <= (f(a)+f(b))/2
-* dragomir_m          the m-convex refinement of both halves
-* theorem_a           dominance bounds for both halves at alpha = 1
+* classic_hh_left, classic_hh_right
+                      f((a+b)/2) <= avg integral of f <= (f(a)+f(b))/2
+* dragomir_left, dragomir_right
+                      the m-convex refinement of both halves
+* theorem_a_first, theorem_a_second
+                      dominance bounds for both halves at alpha = 1
 * set_midpoint        (alpha, m) lower half with the 2^alpha weighting
 * set_trapezoid       (alpha, m) upper half with the (alpha+1) weighting
 * gill_r              avg integral of f <= generalized log mean of f(a), f(b)
@@ -43,9 +46,7 @@ from .quadrature import QUAD_TOL_DEFAULT, integrate
 __all__ = [
     "TOL_DEFAULT", "QUAD_TOL_DEFAULT", "THEOREM_IDS",
     "HypothesisStatus", "IneqReport", "report_json", "report_to_dict",
-    "classic_hh", "dragomir_m", "theorem_a", "set_midpoint", "set_trapezoid",
-    "gill_r", "t1_first", "t1_second", "t2", "gr_dominated",
-    "trapezoid_residual", "run_verifier", "run_verifiers", "NEEDS_G",
+    "run_verifier", "run_verifiers", "NEEDS_G",
 ]
 
 TOL_DEFAULT = 1e-8
@@ -296,113 +297,8 @@ def run_verifiers(ids: tuple[str, ...], f: Expr, g: Expr | None = None, *,
     return tuple(reports)
 
 
-# ------------------------- verifiers -------------------------
+# ------------------------- one report id -------------------------
 
-def classic_hh(f: Expr, a: float, b: float, *, tol: float = TOL_DEFAULT,
-               quad_tol: float = QUAD_TOL_DEFAULT, hypotheses: bool = True,
-               grid: GridSpec = DEFAULT_GRID) -> tuple[IneqReport, IneqReport]:
-    """Both halves of the classical midpoint/trapezoid sandwich for convex f."""
-    return run_verifiers(("classic_hh_left", "classic_hh_right"), f, a=a, b=b,
-                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)
-
-
-def dragomir_m(f: Expr, a: float, b: float, m: float, *, tol: float = TOL_DEFAULT,
-               quad_tol: float = QUAD_TOL_DEFAULT, hypotheses: bool = True,
-               grid: GridSpec = DEFAULT_GRID) -> tuple[IneqReport, IneqReport]:
-    """The m-convex sandwich: midpoint value, averaged half-sum integral,
-    and the four-point endpoint form."""
-    return run_verifiers(("dragomir_left", "dragomir_right"), f, a=a, b=b, m=m,
-                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)
-
-
-def theorem_a(f: Expr, g: Expr, a: float, b: float, m: float, *,
-              tol: float = TOL_DEFAULT, quad_tol: float = QUAD_TOL_DEFAULT,
-              hypotheses: bool = True,
-              grid: GridSpec = DEFAULT_GRID) -> tuple[IneqReport, IneqReport]:
-    """Dominance refinement of both halves of the m-convex sandwich: the
-    deviation of f's forms is bounded by the matching deviation of g's."""
-    return run_verifiers(("theorem_a_first", "theorem_a_second"), f, g, a=a, b=b, m=m,
-                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)
-
-
-def set_midpoint(f: Expr, a: float, b: float, alpha: float, m: float, *,
-                 tol: float = TOL_DEFAULT, quad_tol: float = QUAD_TOL_DEFAULT,
-                 hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
-    """Midpoint half for (alpha, m)-convex f with the 2^alpha weighting."""
-    return run_verifiers(("set_midpoint",), f, a=a, b=b, alpha=alpha, m=m,
-                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
-
-
-def set_trapezoid(f: Expr, a: float, b: float, alpha: float, m: float, *,
-                  tol: float = TOL_DEFAULT, quad_tol: float = QUAD_TOL_DEFAULT,
-                  hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
-    """Trapezoid half for (alpha, m)-convex f with the (alpha+1) weighting."""
-    return run_verifiers(("set_trapezoid",), f, a=a, b=b, alpha=alpha, m=m,
-                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
-
-
-def gill_r(f: Expr, a: float, b: float, r: float, *, tol: float = TOL_DEFAULT,
-           quad_tol: float = QUAD_TOL_DEFAULT, hypotheses: bool = True,
-           grid: GridSpec = DEFAULT_GRID) -> IneqReport:
-    """Averaged integral of a positive r-convex f against the generalized
-    log mean of its endpoint values."""
-    return run_verifiers(("gill_r",), f, a=a, b=b, r=r,
-                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
-
-
-def t1_first(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
-             tol: float = TOL_DEFAULT, quad_tol: float = QUAD_TOL_DEFAULT,
-             hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
-    """Dominance bound on the deviation of the weighted integral average
-    from the midpoint value."""
-    return run_verifiers(("t1_first",), f, g, a=a, b=b, alpha=alpha, m=m,
-                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
-
-
-def t1_second(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
-              tol: float = TOL_DEFAULT, quad_tol: float = QUAD_TOL_DEFAULT,
-              hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
-    """Dominance bound on the deviation of the endpoint form from the
-    averaged half-sum integral."""
-    return run_verifiers(("t1_second",), f, g, a=a, b=b, alpha=alpha, m=m,
-                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
-
-
-def t2(f: Expr, g: Expr, a: float, b: float, alpha: float, m: float, *,
-       tol: float = TOL_DEFAULT, quad_tol: float = QUAD_TOL_DEFAULT,
-       hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
-    """Dominance bound on the deviation of the trapezoid form from the
-    averaged integral."""
-    return run_verifiers(("t2",), f, g, a=a, b=b, alpha=alpha, m=m,
-                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
-
-
-def trapezoid_residual(f: Expr, a: float, b: float, alpha: float, m: float,
-                       quad_tol: float = QUAD_TOL_DEFAULT) -> float:
-    """Trapezoid form minus averaged integral; nonnegative for (alpha, m)-
-    convex f.  The bound of :func:`t2` holds exactly when this residual is
-    nonnegative for both g + f and g - f."""
-    avg, _ = _mean_integral(f, Interval(a, b), quad_tol)
-    return _trapezoid(f, a, b, AlphaM(alpha, m)) - avg
-
-
-def gr_dominated(f: Expr, g: Expr, a: float, b: float, r: float, *,
-                 tol: float = TOL_DEFAULT, quad_tol: float = QUAD_TOL_DEFAULT,
-                 hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
-    """Dominance bound on the deviation of the endpoint log mean from the
-    averaged integral."""
-    return run_verifiers(("gr_dominated",), f, g, a=a, b=b, r=r,
-                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
-
-
-# ------------------------- dispatch by theorem id -------------------------
-
-def run_verifier(theorem_id: str, f: Expr, g: Expr | None = None, *,
-                 a: float, b: float, alpha: float | None = None,
-                 m: float | None = None, r: float | None = None,
-                 tol: float = TOL_DEFAULT, quad_tol: float = QUAD_TOL_DEFAULT,
-                 hypotheses: bool = True, grid: GridSpec = DEFAULT_GRID) -> IneqReport:
-    """Run a single verifier by report id (pairs split into left/right or
-    first/second) and return its report."""
-    return run_verifiers((theorem_id,), f, g, a=a, b=b, alpha=alpha, m=m, r=r,
-                         tol=tol, quad_tol=quad_tol, hypotheses=hypotheses, grid=grid)[0]
+def run_verifier(theorem_id: str, *args, **kwargs) -> IneqReport:
+    """Run one report id; arguments and defaults are those of :func:`run_verifiers`."""
+    return run_verifiers((theorem_id,), *args, **kwargs)[0]

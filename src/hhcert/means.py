@@ -71,7 +71,10 @@ def _power_mean_raw(x, y, lam, r: float, out=None):
 
 
 def power_mean(x: float, y: float, lam: float, r: float) -> float:
-    """Weighted power mean of order r of two positive reals."""
+    """Weighted power mean of order r of two positive finite reals."""
+    for name, v in (("x", x), ("y", y), ("order r", r)):
+        if not math.isfinite(v):
+            raise ValueError(f"power_mean needs a finite {name}, got {v}")
     if not (x > 0.0 and y > 0.0):
         raise ValueError(f"power_mean needs positive x and y, got {x}, {y}")
     if not 0.0 <= lam <= 1.0:
@@ -85,7 +88,11 @@ def gen_log_mean(x: float, y: float, r: float) -> MeanBranch:
     Returns the value together with the branch that produced it.  The
     formulas are evaluated through expm1/log1p of u = log(x/y), which
     avoids cancellation when x and y or the powers x^r and y^r are close.
+    x, y and r must be finite, on the diagonal x = y too.
     """
+    for name, v in (("x", x), ("y", y), ("order r", r)):
+        if not math.isfinite(v):
+            raise ValueError(f"gen_log_mean needs a finite {name}, got {v}")
     if not (x > 0.0 and y > 0.0):
         raise ValueError(f"gen_log_mean needs positive x and y, got {x}, {y}")
     x = float(x)
@@ -93,8 +100,6 @@ def gen_log_mean(x: float, y: float, r: float) -> MeanBranch:
     r = float(r)
     if abs(x - y) <= EPS_XY * max(x, y):
         return MeanBranch(MeanBranchTag.DIAGONAL, x)
-    if not math.isfinite(r):
-        raise ValueError(f"gen_log_mean needs a finite order r, got {r}")
     d = x - y
     ratio = d / y
     # u = log(x) - log(y) via log1p, accurate near the diagonal.  Once

@@ -76,8 +76,9 @@ def _panel(f: Expr, a: float, b: float) -> tuple[float, float]:
     half = 0.5 * (b - a)
     pts = mid + half * _NODES
     fv = evaluate(f, pts)
-    k15 = float(np.dot(_W15, fv))
-    g7 = float(np.dot(_W7, fv))
+    with np.errstate(all="ignore"):
+        k15 = float(np.dot(_W15, fv))
+        g7 = float(np.dot(_W7, fv))
     return half * k15, half * abs(k15 - g7)
 
 

@@ -21,8 +21,7 @@ from hhcert.convexity import (GridSpec, check_alpha_m_convex,
                               dominated_alpha_m_gap_grid, alpha_m_gap_grid,
                               split_pair)
 from hhcert.expr import Add, Const, Interval, Mul, Pow, X, parse
-from hhcert.hh import (gill_r, gr_dominated, t1_first, t1_second, t2,
-                       theorem_a, trapezoid_residual)
+from hhcert.hh import run_verifier, run_verifiers
 from hhcert.means import gen_log_mean, power_mean
 from hhcert.quadrature import integrate
 from hhcert.search import StressConfig, stress
@@ -138,9 +137,10 @@ def test_criterion_5_alpha_one_reduction():
         f = atom_combination(rng)
         g = atom_combination(rng)
         m = float(rng.uniform(0.25, 1.0))
-        a1, a2 = theorem_a(f, g, 0.0, 1.0, m, hypotheses=False)
-        b1 = t1_first(f, g, 0.0, 1.0, 1.0, m, hypotheses=False)
-        b2 = t1_second(f, g, 0.0, 1.0, 1.0, m, hypotheses=False)
+        kw = dict(a=0.0, b=1.0, alpha=1.0, m=m, hypotheses=False)
+        a1, a2 = run_verifiers(("theorem_a_first", "theorem_a_second"), f, g, **kw)
+        b1 = run_verifier("t1_first", f, g, **kw)
+        b2 = run_verifier("t1_second", f, g, **kw)
         assert abs(b1.lhs - a1.lhs) <= 1e-12
         assert abs(b1.rhs - a1.rhs) <= 1e-12
         assert abs(b2.lhs - a2.lhs) <= 1e-12
@@ -150,14 +150,14 @@ def test_criterion_5_alpha_one_reduction():
 @criterion("criterion 6 (forced equality cases)")
 def test_criterion_6_equality_regressions():
     x2 = parse("x^2")
-    assert abs(t1_first(x2, x2, 0.0, 1.0, 1.0, 1.0).slack) <= 1e-10
-    assert abs(t1_second(x2, x2, 0.0, 1.0, 1.0, 1.0).slack) <= 1e-10
-    assert abs(t2(x2, x2, 0.0, 1.0, 1.0, 1.0).slack) <= 1e-10
+    for tid in ("t1_first", "t1_second", "t2"):
+        rep = run_verifier(tid, x2, x2, a=0.0, b=1.0, alpha=1.0, m=1.0)
+        assert abs(rep.slack) <= 1e-10
     ex = parse("exp(x)")
-    rep = gr_dominated(ex, ex, 0.0, 1.0, 0.0)
+    rep = run_verifier("gr_dominated", ex, ex, a=0.0, b=1.0, r=0.0)
     assert abs(rep.lhs) <= 1e-9
     assert abs(rep.rhs) <= 1e-9
-    assert abs(gill_r(ex, 0.0, 1.0, 0.0).slack) <= 1e-9
+    assert abs(run_verifier("gill_r", ex, a=0.0, b=1.0, r=0.0).slack) <= 1e-9
 
 
 @criterion("criterion 7 (violation witnesses)")
@@ -182,9 +182,11 @@ def test_criterion_8_t2_biconditional():
         g = atom_combination(rng)
         alpha = pool[int(rng.integers(0, 4))]
         m = pool[int(rng.integers(0, 4))]
-        rep = t2(f, g, 0.0, 1.0, alpha, m, hypotheses=False)
-        rp = trapezoid_residual(lin_comb(1.0, g, 1.0, f), 0.0, 1.0, alpha, m)
-        rm = trapezoid_residual(lin_comb(1.0, g, -1.0, f), 0.0, 1.0, alpha, m)
+        kw = dict(a=0.0, b=1.0, alpha=alpha, m=m, hypotheses=False)
+        rep = run_verifier("t2", f, g, **kw)
+        # the trapezoid residual of g + f and of g - f
+        rp = run_verifier("set_trapezoid", lin_comb(1.0, g, 1.0, f), **kw).slack
+        rm = run_verifier("set_trapezoid", lin_comb(1.0, g, -1.0, f), **kw).slack
         assert rep.holds == (rp >= -rep.tol and rm >= -rep.tol)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import io
 import json
@@ -384,16 +385,30 @@ def test_bad_interval_exit_two():
      "--m", "1", "--grid-xy", "100000"],
     ["integrate", "--f", "(" * 300 + "x" + ")" * 300, "--a", "0", "--b", "1"],
     ["integrate", "--f", "+".join(["x"] * 1500), "--a", "0", "--b", "1"],
+    # finite ends whose width b - a overflows
+    ["check-convexity", "--f", "x^2", "--a=-1e308", "--b", "1e308", "--alpha", "1",
+     "--m", "1"],
+    ["integrate", "--f", "x", "--a=-1e308", "--b", "1e308"],
+    ["verify", "classic_hh_left", "--f", "x", "--a=-1e308", "--b", "1e308",
+     "--skip-hypotheses"],
+    # means of a non-finite argument; the diagonal x = y does not skip the check
+    ["means", "--kind", "power", "--x", "1", "--y", "2", "--r", "inf"],
+    ["means", "--kind", "power", "--x", "1", "--y", "2", "--r", "nan"],
+    ["means", "--kind", "logmean", "--x", "1", "--y", "1", "--r", "nan"],
+    ["means", "--kind", "power", "--x", "inf", "--y", "2", "--r", "1"],
 ], ids=["nan_r", "negative_tol", "infinite_interval", "check_nan_r",
         "scan_negative_tol", "scan_zero_alpha", "check_inf_tol",
-        "integrate_inf_tol", "huge_grid", "deep_nesting", "long_sum"])
+        "integrate_inf_tol", "huge_grid", "deep_nesting", "long_sum",
+        "check_wide", "integrate_wide", "verify_wide", "power_inf_r",
+        "power_nan_r", "logmean_diagonal_nan_r", "power_inf_x"])
 def test_bad_numeric_input_exit_two_promptly(argv):
     start = time.perf_counter()
-    code, out, err = _run(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(argv)
     assert time.perf_counter() - start < 1.0
-    assert code == 2
-    assert out == ""
-    assert "error" in err
+    assert (code, out, caught) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_error_after_output_leaves_stdout_empty(monkeypatch):
@@ -560,3 +575,26 @@ def test_readme_commands_run(argv):
     code, out, err = _run(argv)
     assert code in (0, 1), err
     assert out
+
+
+def test_readme_quick_start_values():
+    # runs the Quick start block and checks each value its comments state:
+    # "# v" means repr(value) == v, and "# ~v" means |value| < 10 * v
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S)[1]
+    lines = block.splitlines()
+    ns: dict = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), ns)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), ns)
+        stated = lines[stmt.end_lineno - 1].partition("#")[2].strip().split(" (")[0]
+        if stated.startswith("~"):
+            assert abs(value) < 10.0 * float(stated[1:]), (stated, value)
+        else:
+            assert repr(value) == stated
+        checked += 1
+    assert checked == 9
+

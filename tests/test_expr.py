@@ -259,6 +259,8 @@ def test_interval_validation():
     for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
         with pytest.raises(ValueError):
             Interval(lo, hi)
+    with pytest.raises(ValueError, match="width"):
+        Interval(-1e308, 1e308)      # finite ends, but hi - lo overflows
     with pytest.raises(dataclasses.FrozenInstanceError):
         iv.lo = 0.0
 

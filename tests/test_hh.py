@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import inspect
 import json
 import math
 
@@ -10,19 +9,25 @@ import pytest
 from hhcert import hh
 from hhcert.convexity import GridSpec, NonPositiveFunction
 from hhcert.expr import Const, Interval, compose_affine, lin_comb, parse
-from hhcert.hh import (NEEDS_G, THEOREM_IDS, classic_hh, dragomir_m, gill_r,
-                       gr_dominated, report_json, run_verifier, run_verifiers,
-                       set_midpoint, set_trapezoid, t1_first, t1_second, t2,
-                       theorem_a, trapezoid_residual)
+from hhcert.hh import NEEDS_G, THEOREM_IDS, report_json, run_verifier, run_verifiers
 
 X2 = parse("x^2")
 EX = parse("exp(x)")
+CLASSIC = ("classic_hh_left", "classic_hh_right")
+DRAGOMIR = ("dragomir_left", "dragomir_right")
+THEOREM_A = ("theorem_a_first", "theorem_a_second")
+
+
+def _residual(f, alpha, m):
+    """Trapezoid form minus the averaged integral of f over [0, 1]."""
+    return run_verifier("set_trapezoid", f, a=0.0, b=1.0, alpha=alpha, m=m,
+                        hypotheses=False).slack
 
 # ------------------------- classic two-sided bound -------------------------
 
 
 def test_classic_worked_values():
-    left, right = classic_hh(X2, 0.0, 1.0)
+    left, right = run_verifiers(CLASSIC, X2, a=0.0, b=1.0)
     assert left.lhs == pytest.approx(0.25, abs=1e-15)
     assert left.rhs == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert right.lhs == left.rhs
@@ -32,7 +37,7 @@ def test_classic_worked_values():
 
 
 def test_classic_concave_violates_left():
-    left, right = classic_hh(parse("-x^2"), 0.0, 1.0)
+    left, right = run_verifiers(CLASSIC, parse("-x^2"), a=0.0, b=1.0)
     assert not left.holds
     assert left.slack == pytest.approx(-1.0 / 12.0, abs=1e-12)
     assert not right.holds
@@ -41,13 +46,13 @@ def test_classic_concave_violates_left():
 
 
 def test_classic_on_interval_left_of_zero():
-    left, _ = classic_hh(X2, -1.0, 1.0)
+    left, _ = run_verifiers(CLASSIC, X2, a=-1.0, b=1.0)
     assert left.holds
     assert left.hypothesis["f_convex"].status == "pass"
 
 
 def test_classic_equality_for_affine():
-    left, right = classic_hh(parse("3*x - 1"), 0.0, 2.0)
+    left, right = run_verifiers(CLASSIC, parse("3*x - 1"), a=0.0, b=2.0)
     assert left.slack == pytest.approx(0.0, abs=1e-12)
     assert right.slack == pytest.approx(0.0, abs=1e-12)
 
@@ -56,7 +61,7 @@ def test_classic_equality_for_affine():
 
 
 def test_dragomir_worked_values():
-    left, right = dragomir_m(X2, 0.0, 1.0, 0.5)
+    left, right = run_verifiers(DRAGOMIR, X2, a=0.0, b=1.0, m=0.5)
     # (1/2)[f(x) + m f(x/m)] for f = x^2, m = 1/2 equals (3/2) x^2
     assert left.lhs == pytest.approx(0.25, abs=1e-15)
     assert left.rhs == pytest.approx(0.5, abs=1e-12)
@@ -67,34 +72,34 @@ def test_dragomir_worked_values():
 
 def test_dragomir_reduces_to_classic_at_m_one():
     for f in (X2, EX, parse("x^4 + x")):
-        cl, cr = classic_hh(f, 0.0, 1.0, hypotheses=False)
-        dl, dr = dragomir_m(f, 0.0, 1.0, 1.0, hypotheses=False)
+        cl, cr = run_verifiers(CLASSIC, f, a=0.0, b=1.0, hypotheses=False)
+        dl, dr = run_verifiers(DRAGOMIR, f, a=0.0, b=1.0, m=1.0, hypotheses=False)
         assert dl.lhs == cl.lhs and dl.rhs == cl.rhs
         assert dr.lhs == cr.lhs and dr.rhs == cr.rhs
 
 
 def test_dragomir_rejects_bad_m():
     with pytest.raises(ValueError):
-        dragomir_m(X2, 0.0, 1.0, 0.0)
+        run_verifiers(DRAGOMIR, X2, a=0.0, b=1.0, m=0.0)
     with pytest.raises(ValueError):
-        dragomir_m(X2, 0.0, 1.0, 1.5)
+        run_verifiers(DRAGOMIR, X2, a=0.0, b=1.0, m=1.5)
     with pytest.raises(ValueError):
-        dragomir_m(X2, -1.0, 1.0, 0.5)     # negative left endpoint
+        run_verifiers(DRAGOMIR, X2, a=-1.0, b=1.0, m=0.5)     # negative left endpoint
 
 
 def test_set_midpoint_weighted_forms():
     # alpha = m = 1 reduces to the classic left bound
-    rep = set_midpoint(X2, 0.0, 1.0, 1.0, 1.0)
+    rep = run_verifier("set_midpoint", X2, a=0.0, b=1.0, alpha=1.0, m=1.0)
     assert rep.lhs == pytest.approx(0.25, abs=1e-15)
     assert rep.rhs == pytest.approx(1.0 / 3.0, abs=1e-12)
     # constant function with alpha = 1/2, m = 1: both sides collapse
-    rep = set_midpoint(Const(1.0), 0.0, 1.0, 0.5, 1.0)
+    rep = run_verifier("set_midpoint", Const(1.0), a=0.0, b=1.0, alpha=0.5, m=1.0)
     assert rep.slack == pytest.approx(0.0, abs=1e-12)
     assert rep.holds
 
 
 def test_set_trapezoid_worked_values():
-    rep = set_trapezoid(X2, 0.0, 1.0, 1.0, 1.0)
+    rep = run_verifier("set_trapezoid", X2, a=0.0, b=1.0, alpha=1.0, m=1.0)
     assert rep.lhs == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert rep.rhs == pytest.approx(0.5, abs=1e-15)
     assert rep.holds
@@ -102,7 +107,7 @@ def test_set_trapezoid_worked_values():
 
 def test_midpoint_inequality_holds_despite_failed_hypothesis():
     # the report separates conclusion from hypothesis certification
-    rep = set_midpoint(parse("x"), 0.0, 1.0, 0.5, 1.0)
+    rep = run_verifier("set_midpoint", parse("x"), a=0.0, b=1.0, alpha=0.5, m=1.0)
     assert rep.holds
     assert rep.slack == pytest.approx(0.0, abs=1e-12)
     assert rep.hypothesis["f_alpha_m_convex"].status == "violation"
@@ -112,7 +117,7 @@ def test_midpoint_inequality_holds_despite_failed_hypothesis():
 
 
 def test_gill_log_convex_equality():
-    rep = gill_r(EX, 0.0, 1.0, 0.0)
+    rep = run_verifier("gill_r", EX, a=0.0, b=1.0, r=0.0)
     assert rep.lhs == pytest.approx(math.e - 1.0, abs=1e-12)
     assert rep.rhs == pytest.approx(math.e - 1.0, abs=1e-12)
     assert abs(rep.slack) <= 1e-9
@@ -121,7 +126,7 @@ def test_gill_log_convex_equality():
 
 def test_gill_order_one_is_trapezoid_bound():
     f = parse("x^2 + 1")
-    rep = gill_r(f, 0.0, 1.0, 1.0)
+    rep = run_verifier("gill_r", f, a=0.0, b=1.0, r=1.0)
     assert rep.lhs == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert rep.rhs == pytest.approx(1.5, abs=1e-12)      # arithmetic mean of 1, 2
     assert rep.slack == pytest.approx(1.0 / 6.0, abs=1e-12)
@@ -129,7 +134,7 @@ def test_gill_order_one_is_trapezoid_bound():
 
 def test_gill_requires_positive_f():
     with pytest.raises(NonPositiveFunction):
-        gill_r(parse("x - 3"), 0.0, 1.0, 1.0)
+        run_verifier("gill_r", parse("x - 3"), a=0.0, b=1.0, r=1.0)
 
 
 def test_gill_reflection_symmetry():
@@ -138,8 +143,8 @@ def test_gill_reflection_symmetry():
     f = parse("exp(x) + x^2")
     a, b = 0.25, 1.75
     g = compose_affine(f, -1.0, a + b)
-    r1 = gill_r(f, a, b, 0.7, hypotheses=False)
-    r2 = gill_r(g, a, b, 0.7, hypotheses=False)
+    r1 = run_verifier("gill_r", f, a=a, b=b, r=0.7, hypotheses=False)
+    r2 = run_verifier("gill_r", g, a=a, b=b, r=0.7, hypotheses=False)
     assert r1.lhs == pytest.approx(r2.lhs, rel=1e-10)
     assert r1.rhs == pytest.approx(r2.rhs, rel=1e-12)
 
@@ -148,7 +153,7 @@ def test_gill_reflection_symmetry():
 
 
 def test_theorem_a_equal_pair_slack_zero():
-    first, second = theorem_a(X2, X2, 0.0, 1.0, 0.5)
+    first, second = run_verifiers(THEOREM_A, X2, X2, a=0.0, b=1.0, m=0.5)
     assert first.lhs == pytest.approx(0.25, abs=1e-12)
     assert first.slack == pytest.approx(0.0, abs=1e-12)
     assert second.slack == pytest.approx(0.0, abs=1e-12)
@@ -157,8 +162,8 @@ def test_theorem_a_equal_pair_slack_zero():
 
 def test_t1_worked_values():
     f, g = parse("0.5*x^2"), parse("1.5*x^2")
-    first = t1_first(f, g, 0.0, 1.0, 1.0, 1.0)
-    second = t1_second(f, g, 0.0, 1.0, 1.0, 1.0)
+    first = run_verifier("t1_first", f, g, a=0.0, b=1.0, alpha=1.0, m=1.0)
+    second = run_verifier("t1_second", f, g, a=0.0, b=1.0, alpha=1.0, m=1.0)
     assert first.lhs == pytest.approx(1.0 / 24.0, abs=1e-12)
     assert first.rhs == pytest.approx(1.0 / 8.0, abs=1e-12)
     assert second.lhs == pytest.approx(1.0 / 12.0, abs=1e-12)
@@ -169,19 +174,19 @@ def test_t1_worked_values():
 def test_t1_reduces_to_theorem_a_at_alpha_one():
     f, g = parse("0.5*x^2 + x"), parse("1.5*x^2 + 2*x")
     for m in (1.0, 0.75, 0.5):
-        a1, a2 = theorem_a(f, g, 0.0, 1.0, m, hypotheses=False)
-        b1 = t1_first(f, g, 0.0, 1.0, 1.0, m, hypotheses=False)
-        b2 = t1_second(f, g, 0.0, 1.0, 1.0, m, hypotheses=False)
+        a1, a2 = run_verifiers(THEOREM_A, f, g, a=0.0, b=1.0, m=m, hypotheses=False)
+        b1 = run_verifier("t1_first", f, g, a=0.0, b=1.0, alpha=1.0, m=m, hypotheses=False)
+        b2 = run_verifier("t1_second", f, g, a=0.0, b=1.0, alpha=1.0, m=m, hypotheses=False)
         # bitwise: the alpha = 1 weighted forms are the same expressions
         assert (b1.lhs, b1.rhs) == (a1.lhs, a1.rhs)
         assert (b2.lhs, b2.rhs) == (a2.lhs, a2.rhs)
 
 
 def test_t2_equal_pair_and_zero_function():
-    rep = t2(X2, X2, 0.0, 1.0, 1.0, 1.0)
+    rep = run_verifier("t2", X2, X2, a=0.0, b=1.0, alpha=1.0, m=1.0)
     assert rep.lhs == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert rep.slack == pytest.approx(0.0, abs=1e-12)
-    rep = t2(Const(0.0), X2, 0.0, 1.0, 1.0, 1.0)
+    rep = run_verifier("t2", Const(0.0), X2, a=0.0, b=1.0, alpha=1.0, m=1.0)
     assert rep.lhs == 0.0
     assert rep.rhs == pytest.approx(1.0 / 6.0, abs=1e-12)
 
@@ -194,21 +199,21 @@ def test_t2_verdict_matches_residual_route():
         (parse("exp(x) - 1"), parse("2*exp(x)"), 0.75, 1.0),
     ]
     for f, g, alpha, m in cases:
-        rep = t2(f, g, 0.0, 1.0, alpha, m, hypotheses=False)
-        rp = trapezoid_residual(lin_comb(1.0, g, 1.0, f), 0.0, 1.0, alpha, m)
-        rm = trapezoid_residual(lin_comb(1.0, g, -1.0, f), 0.0, 1.0, alpha, m)
+        rep = run_verifier("t2", f, g, a=0.0, b=1.0, alpha=alpha, m=m, hypotheses=False)
+        rp = _residual(lin_comb(1.0, g, 1.0, f), alpha, m)
+        rm = _residual(lin_comb(1.0, g, -1.0, f), alpha, m)
         assert rep.holds == (rp >= -rep.tol and rm >= -rep.tol)
         assert rep.slack == pytest.approx(min(rp, rm), abs=1e-10)
 
 
 def test_t2_violating_pair_reports_negative_slack():
-    rep = t2(X2, parse("0.1*x^2"), 0.0, 1.0, 1.0, 1.0)
+    rep = run_verifier("t2", X2, parse("0.1*x^2"), a=0.0, b=1.0, alpha=1.0, m=1.0)
     assert not rep.holds
     assert rep.slack == pytest.approx(0.1 / 6.0 - 1.0 / 6.0, abs=1e-10)
 
 
 def test_gr_dominated_worked_values():
-    rep = gr_dominated(X2, parse("2*x^2"), 1.0, 2.0, 1.0)
+    rep = run_verifier("gr_dominated", X2, parse("2*x^2"), a=1.0, b=2.0, r=1.0)
     assert rep.lhs == pytest.approx(1.0 / 6.0, abs=1e-9)
     assert rep.rhs == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert rep.holds
@@ -217,7 +222,7 @@ def test_gr_dominated_worked_values():
 
 
 def test_gr_dominated_equal_log_convex_pair():
-    rep = gr_dominated(EX, EX, 0.0, 1.0, 0.0)
+    rep = run_verifier("gr_dominated", EX, EX, a=0.0, b=1.0, r=0.0)
     assert rep.lhs == pytest.approx(0.0, abs=1e-9)
     assert rep.rhs == pytest.approx(0.0, abs=1e-9)
     assert rep.holds
@@ -225,23 +230,23 @@ def test_gr_dominated_equal_log_convex_pair():
 
 def test_gr_dominated_needs_positive_functions():
     with pytest.raises(NonPositiveFunction):
-        gr_dominated(parse("x - 2"), EX, 0.0, 1.0, 0.0)
+        run_verifier("gr_dominated", parse("x - 2"), EX, a=0.0, b=1.0, r=0.0)
     with pytest.raises(NonPositiveFunction):
-        gr_dominated(EX, parse("x - 2"), 0.0, 1.0, 0.0)
+        run_verifier("gr_dominated", EX, parse("x - 2"), a=0.0, b=1.0, r=0.0)
 
 
-# ------------------------- residual helper -------------------------
+# ------------------------- trapezoid residual -------------------------
 
 
 def test_trapezoid_residual_nonnegative_for_convex():
     # convex functions keep the trapezoid form above the averaged integral
     for f in (X2, EX, parse("x^4 + 2*x")):
-        assert trapezoid_residual(f, 0.0, 1.0, 1.0, 1.0) >= -1e-12
+        assert _residual(f, 1.0, 1.0) >= -1e-12
 
 
 def test_trapezoid_residual_worked_value():
     # f = x^2, alpha = m = 1: (f(0) + f(1))/2 - 1/3 = 1/6
-    res = trapezoid_residual(X2, 0.0, 1.0, 1.0, 1.0)
+    res = _residual(X2, 1.0, 1.0)
     assert res == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
@@ -269,30 +274,23 @@ def test_run_verifier_covers_every_theorem():
         assert math.isfinite(rep.slack)
 
 
-# the public function behind each report id, and which half of a pair it is
-_WRAPPERS = {
-    "classic_hh_left": (classic_hh, 0), "classic_hh_right": (classic_hh, 1),
-    "dragomir_left": (dragomir_m, 0), "dragomir_right": (dragomir_m, 1),
-    "theorem_a_first": (theorem_a, 0), "theorem_a_second": (theorem_a, 1),
-    "set_midpoint": (set_midpoint, None), "set_trapezoid": (set_trapezoid, None),
-    "gill_r": (gill_r, None), "t1_first": (t1_first, None),
-    "t1_second": (t1_second, None), "t2": (t2, None),
-    "gr_dominated": (gr_dominated, None),
-}
-
-
-def test_run_verifier_matches_direct_call():
+@pytest.mark.parametrize("ids, kw", [
+    (CLASSIC, {}),
+    (DRAGOMIR, dict(m=0.5)),
+    (THEOREM_A, dict(m=0.5)),
+    (("theorem_a_first", "theorem_a_second", "t1_first", "t1_second", "t2"),
+     dict(alpha=0.5, m=0.5)),
+])
+def test_run_verifiers_matches_each_id_alone(ids, kw):
+    # memo sharing inside one engine call changes no bit of any report
     f, g = parse("exp(x) + x^2"), parse("2*exp(x) + 3*x^2")
-    for tid in THEOREM_IDS:
-        for hypotheses in (False, True):
-            kw = dict(_dispatch_args(tid), hypotheses=hypotheses)
-            rep = run_verifier(tid, f, g if tid in NEEDS_G else None, **kw)
-            fn, half = _WRAPPERS[tid]
-            names = inspect.signature(fn).parameters
-            direct = fn(**{k: v for k, v in dict(kw, f=f, g=g).items() if k in names})
-            if half is not None:
-                direct = direct[half]
-            assert report_json(rep) == report_json(direct), (tid, hypotheses)
+    g = g if NEEDS_G.intersection(ids) else None
+    for hypotheses in (False, True):
+        args = dict(kw, a=0.0, b=1.0, hypotheses=hypotheses)
+        together = run_verifiers(ids, f, g, **args)
+        for tid, rep in zip(ids, together, strict=True):
+            alone = run_verifier(tid, f, g, **args)
+            assert report_json(rep) == report_json(alone), (tid, hypotheses)
 
 
 def test_pairs_integrate_each_function_once(monkeypatch):
@@ -304,10 +302,10 @@ def test_pairs_integrate_each_function_once(monkeypatch):
         return real(e, iv, tol)
 
     monkeypatch.setattr(hh, "integrate", counting)
-    classic_hh(X2, 0.0, 1.0, hypotheses=False)
+    run_verifiers(CLASSIC, X2, a=0.0, b=1.0, hypotheses=False)
     assert len(calls) == 1
     calls.clear()
-    theorem_a(X2, EX, 0.0, 1.0, 0.5, hypotheses=False)
+    run_verifiers(THEOREM_A, X2, EX, a=0.0, b=1.0, m=0.5, hypotheses=False)
     assert len(calls) == 2
 
 
@@ -360,7 +358,7 @@ def test_run_verifier_rejects_bad_input():
 
 
 def test_report_json_schema_and_key_order():
-    rep = t2(X2, X2, 0.0, 1.0, 1.0, 1.0)
+    rep = run_verifier("t2", X2, X2, a=0.0, b=1.0, alpha=1.0, m=1.0)
     payload = json.loads(report_json(rep))
     assert list(payload.keys()) == ["theorem_id", "params", "lhs", "rhs",
                                     "slack", "tol", "holds", "quad_error",
@@ -371,7 +369,7 @@ def test_report_json_schema_and_key_order():
 
 
 def test_report_json_17_digit_round_trip():
-    rep = gill_r(EX, 0.0, 1.0, 0.0)
+    rep = run_verifier("gill_r", EX, a=0.0, b=1.0, r=0.0)
     payload = json.loads(report_json(rep))
     # 17 significant digits reconstruct the double exactly
     assert payload["lhs"] == rep.lhs
@@ -380,7 +378,7 @@ def test_report_json_17_digit_round_trip():
 
 
 def test_hypothesis_witness_serialized():
-    rep = set_midpoint(parse("x"), 0.0, 1.0, 0.5, 1.0)
+    rep = run_verifier("set_midpoint", parse("x"), a=0.0, b=1.0, alpha=0.5, m=1.0)
     payload = json.loads(report_json(rep))
     wit = payload["hypothesis"]["f_alpha_m_convex"]["witness"]
     assert list(wit.keys()) == ["x", "y", "lambda", "lhs", "rhs", "gap"]
@@ -388,7 +386,7 @@ def test_hypothesis_witness_serialized():
 
 
 def test_skipped_hypothesis_status():
-    rep = t2(X2, X2, 0.0, 1.0, 1.0, 1.0, hypotheses=False)
+    rep = run_verifier("t2", X2, X2, a=0.0, b=1.0, alpha=1.0, m=1.0, hypotheses=False)
     assert all(s.status == "skipped" for s in rep.hypothesis.values())
 
 
@@ -396,6 +394,6 @@ def test_domain_error_hypothesis_status():
     # 1/x is integrable on [1/2, 1] but undefined at the origin, which the
     # certification grid for the scaled class always contains
     f = parse("1/x")
-    rep = set_midpoint(f, 0.5, 1.0, 1.0, 1.0)
+    rep = run_verifier("set_midpoint", f, a=0.5, b=1.0, alpha=1.0, m=1.0)
     assert rep.holds                            # the conclusion still computes
     assert rep.hypothesis["f_alpha_m_convex"].status == "domain_error"

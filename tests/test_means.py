@@ -139,6 +139,12 @@ def test_power_mean_rejects_bad_arguments():
         power_mean(1.0, 2.0, -0.1, 1.0)
     with pytest.raises(ValueError):
         power_mean(1.0, 2.0, 1.5, 1.0)
+    # M_r tends to max(x, y) as r -> inf; a non-finite argument is refused
+    for bad in (math.inf, -math.inf, math.nan):
+        for args, name in (((bad, 2.0, 1.0), "x"), ((1.0, bad, 1.0), "y"),
+                           ((1.0, 2.0, bad), "order r")):
+            with pytest.raises(ValueError, match=f"needs a finite {name}"):
+                power_mean(args[0], args[1], 0.5, args[2])
 
 
 # ------------------------- generalized log mean -------------------------
@@ -249,6 +255,12 @@ def test_gen_log_mean_raises_without_a_finite_form():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite order"):
             gen_log_mean(1.0, 2.0, bad)
+        with pytest.raises(ValueError, match="finite order"):
+            gen_log_mean(1.0, 1.0, bad)      # the diagonal branch comes later
+        with pytest.raises(ValueError, match="finite x"):
+            gen_log_mean(bad, 2.0, 1.0)
+        with pytest.raises(ValueError, match="finite y"):
+            gen_log_mean(1.0, bad, 1.0)
 
 
 def test_gen_log_mean_rejects_nonpositive():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,12 @@ def test_rejects_tolerance_not_positive_and_finite(tol):
 def test_non_convergence_raises():
     with pytest.raises(NonConvergence):
         integrate(parse("sqrt(x)"), UNIT, 1e-15, max_panels=4)
+    # the Kronrod sums of 1.7e308 overflow to inf, so no panel is accepted;
+    # numpy stays silent while the budget runs out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence):
+            integrate(parse("1.7e308"), UNIT, max_panels=64)
 
 
 def test_panel_budget_large_enough_for_rough_integrand():
