@@ -22,9 +22,8 @@ from .convexity import (AlphaM, CheckResult, GridSpec, NonPositiveFunction,
                         check_dominated_r, check_r_convex,
                         construct_dominated_pair, dominated_alpha_m_gap_grid,
                         passes, split_pair)
-from .expr import (AffineArg, Const, DomainError, Expr, Interval, ParseError,
-                   Var, X, compose_affine, evaluate, lin_comb, parse,
-                   to_string)
+from .expr import (Const, DomainError, Expr, Interval, ParseError, Var, X,
+                   compose_affine, evaluate, lin_comb, parse, to_string)
 from .hh import (NEEDS_G, THEOREM_IDS, HypothesisStatus, IneqReport,
                  report_json, report_to_dict, run_verifier, run_verifiers)
 from .means import MeanBranch, MeanBranchTag, gen_log_mean, power_mean
@@ -36,7 +35,7 @@ from .search import (ScanRow, StressConfig, StressSummary, TheoremStats,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineArg", "AlphaM", "CheckResult", "Const", "DomainError", "Expr",
+    "AlphaM", "CheckResult", "Const", "DomainError", "Expr",
     "GridSpec", "HypothesisStatus", "IneqReport", "IntegralResult",
     "Interval", "MeanBranch", "MeanBranchTag", "NEEDS_G", "NonConvergence",
     "NonPositiveFunction", "ParseError", "RConvex", "ScanRow", "StressConfig",

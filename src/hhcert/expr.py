@@ -3,7 +3,8 @@
 A function of one variable is represented as an immutable tree of
 dataclass nodes.  Trees can be parsed from a plain infix syntax,
 pretty-printed back, evaluated on floats or numpy arrays, and composed
-with affine argument changes (needed to form terms like f(x/m)).
+with affine argument changes (needed to form terms like f(x/m)), which
+substitute p*x + q for the variable.
 
 Evaluation never returns NaN or infinity: any point outside the real
 domain of the expression raises :class:`DomainError` instead.
@@ -14,13 +15,13 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
     "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Exp", "Log",
-    "Sqrt", "Abs", "AffineArg", "Expr", "X", "Interval",
+    "Sqrt", "Abs", "Expr", "X", "Interval",
     "ParseError", "DomainError",
     "parse", "to_string", "evaluate", "compose_affine", "lin_comb",
 ]
@@ -89,15 +90,7 @@ class Abs:
     arg: Expr
 
 
-@dataclass(frozen=True)
-class AffineArg:
-    """x |-> inner(p*x + q).  Composition with an affine argument change."""
-    inner: Expr
-    p: float
-    q: float
-
-
-Expr = Const | Var | Add | Sub | Mul | Div | Pow | Exp | Log | Sqrt | Abs | AffineArg
+Expr = Const | Var | Add | Sub | Mul | Div | Pow | Exp | Log | Sqrt | Abs
 
 X = Var()
 
@@ -158,9 +151,9 @@ class DomainError(ArithmeticError):
 # runs it in a fast pass and, if that fails, again in a strict pass, which
 # checks finiteness at every node but Var and Abs and so raises the error of
 # the first failing check.  The fast pass checks finiteness only at the
-# output and where a non-finite value can vanish: x/inf, exp(-inf), inf^0,
-# inf^-1, and an AffineArg argument that its inner tree ignores.
-_CONST, _VAR, _OP, _DOMAIN, _DROP = range(5)
+# output and where a non-finite value can vanish: x/inf, exp(-inf), inf^0
+# and inf^-1.
+_CONST, _VAR, _OP, _DOMAIN = range(4)
 _STRICT, _FAST = 1, 2
 _UFUNCS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Exp: np.exp,
            Log: np.log, Sqrt: np.sqrt, Abs: np.abs}
@@ -176,25 +169,25 @@ def _compile(f: Expr) -> tuple:
     tape: list[tuple] = []
     put = tape.append
 
-    def emit(node: Expr, check: int, var) -> None:
+    def emit(node: Expr, check: int) -> None:
         """Append node's instructions; ``check`` holds the passes that check
-        its value, and ``var`` appends those of its argument x."""
+        its value."""
         match node:
             case Const(v):
                 return put((_CONST, node, np.float64(v), check | _STRICT))
             case Var():
-                return var(check)
+                return put((_VAR, node, None, check))
             case Add(l, r) | Sub(l, r) | Mul(l, r):
-                emit(l, 0, var)
-                emit(r, 0, var)
+                emit(l, 0)
+                emit(r, 0)
                 op = (_UFUNCS[type(node)], 2)
             case Div(l, r):
-                emit(r, _FAST, var)
+                emit(r, _FAST)
                 put((_DOMAIN, node, (operator.eq, "division by zero"), 0))
-                emit(l, 0, var)
+                emit(l, 0)
                 op = (_divide, 2)
             case Pow(b, e):
-                emit(b, _FAST if e <= 0 else 0, var)
+                emit(b, _FAST if e <= 0 else 0)
                 if not float(e).is_integer():
                     put((_DOMAIN, node,
                          (operator.le, "non-positive base with fractional exponent"), 0))
@@ -203,24 +196,15 @@ def _compile(f: Expr) -> tuple:
                 put((_CONST, node, e, 0))
                 op = (np.power, 2)
             case Exp(a) | Log(a) | Sqrt(a) | Abs(a):
-                emit(a, _FAST if isinstance(node, Exp) else 0, var)
+                emit(a, _FAST if isinstance(node, Exp) else 0)
                 if type(node) in _DOMAINS:
                     put((_DOMAIN, node, _DOMAINS[type(node)], 0))
                 op = (_UFUNCS[type(node)], 1)
-            case AffineArg(inner, p, q):
-                def arg(check: int) -> None:    # p*(the outer argument) + q
-                    put((_CONST, node, p, 0))
-                    var(0)
-                    tape.extend([(_OP, node, (operator.mul, 2), 0), (_CONST, node, q, 0),
-                                 (_OP, node, (operator.add, 2), check)])
-                arg(_STRICT | _FAST)    # checked up front, then recomputed at each x
-                put((_DROP, node, None, 0))
-                return emit(inner, check, arg)
             case _:
                 raise TypeError(f"not an Expr node: {node!r}")
         put((_OP, node, op, check if isinstance(node, Abs) else check | _STRICT))
 
-    emit(f, _FAST, lambda check: put((_VAR, X, None, check)))
+    emit(f, _FAST)
     return tuple(tape)
 
 
@@ -248,9 +232,6 @@ def _run(tape: tuple, xv: np.ndarray, mode: int):
             bad = k[0](vals[-1], 0.0)
             if bad if scalar else bad.any():
                 raise error(k[1], node, bad)
-            continue
-        else:   # _DROP
-            vals.pop()
             continue
         if check & mode and not isfinite(v):
             raise error("non-finite value", node, ~np.isfinite(v))
@@ -285,12 +266,21 @@ def evaluate(f: Expr, x: float | np.ndarray) -> float | np.ndarray:
 # ------------------------- composition -------------------------
 
 def compose_affine(f: Expr, p: float, q: float) -> Expr:
-    """Return the expression x |-> f(p*x + q); p must be nonzero."""
+    """Return the expression x |-> f(p*x + q), with p*x + q in place of
+    every x; p must be nonzero."""
     if p == 0.0:
         raise ValueError("compose_affine needs p != 0")
     if p == 1.0 and q == 0.0:
         return f
-    return AffineArg(f, p, q)
+    arg = Add(Mul(Const(p), X), Const(q))
+
+    def sub(e: Expr) -> Expr:
+        if isinstance(e, Var):
+            return arg
+        kids = (getattr(e, fd.name) for fd in fields(e))
+        return type(e)(*(sub(k) if isinstance(k, Expr) else k for k in kids))
+
+    return sub(f)
 
 
 def lin_comb(c1: float, f: Expr, c2: float, g: Expr) -> Expr:
@@ -311,35 +301,30 @@ def _fmt_number(v: float) -> str:
     return repr(float(v))
 
 
-def _fmt(e: Expr, min_level: int, arg: Expr = X) -> str:
-    """Render ``e`` with its variable standing for the expression ``arg``."""
+def _fmt(e: Expr, min_level: int) -> str:
     match e:
         case Const(v):
             text, level = _fmt_number(v), (_L_ATOM if v >= 0 else _L_FACTOR)
-        case Var() if arg != X:
-            return _fmt(arg, min_level)
         case Var():
             text, level = "x", _L_ATOM
         case Add(l, r):
-            text, level = f"{_fmt(l, _L_ADD, arg)} + {_fmt(r, _L_MUL, arg)}", _L_ADD
+            text, level = f"{_fmt(l, _L_ADD)} + {_fmt(r, _L_MUL)}", _L_ADD
         case Sub(l, r):
-            text, level = f"{_fmt(l, _L_ADD, arg)} - {_fmt(r, _L_MUL, arg)}", _L_ADD
+            text, level = f"{_fmt(l, _L_ADD)} - {_fmt(r, _L_MUL)}", _L_ADD
         case Mul(l, r):
-            text, level = f"{_fmt(l, _L_MUL, arg)}*{_fmt(r, _L_FACTOR, arg)}", _L_MUL
+            text, level = f"{_fmt(l, _L_MUL)}*{_fmt(r, _L_FACTOR)}", _L_MUL
         case Div(l, r):
-            text, level = f"{_fmt(l, _L_MUL, arg)}/{_fmt(r, _L_FACTOR, arg)}", _L_MUL
+            text, level = f"{_fmt(l, _L_MUL)}/{_fmt(r, _L_FACTOR)}", _L_MUL
         case Pow(b, ex):
-            text, level = f"{_fmt(b, _L_ATOM, arg)}^{_fmt_number(ex)}", _L_FACTOR
+            text, level = f"{_fmt(b, _L_ATOM)}^{_fmt_number(ex)}", _L_FACTOR
         case Exp(a):
-            text, level = f"exp({_fmt(a, _L_ADD, arg)})", _L_ATOM
+            text, level = f"exp({_fmt(a, _L_ADD)})", _L_ATOM
         case Log(a):
-            text, level = f"log({_fmt(a, _L_ADD, arg)})", _L_ATOM
+            text, level = f"log({_fmt(a, _L_ADD)})", _L_ATOM
         case Sqrt(a):
-            text, level = f"sqrt({_fmt(a, _L_ADD, arg)})", _L_ATOM
+            text, level = f"sqrt({_fmt(a, _L_ADD)})", _L_ATOM
         case Abs(a):
-            text, level = f"abs({_fmt(a, _L_ADD, arg)})", _L_ATOM
-        case AffineArg(inner, p, q):
-            return _fmt(inner, min_level, Add(Mul(Const(p), arg), Const(q)))
+            text, level = f"abs({_fmt(a, _L_ADD)})", _L_ATOM
         case _:
             raise TypeError(f"not an Expr node: {e!r}")
     if level < min_level:

@@ -29,6 +29,7 @@ catalogue is one table with a row per report id, run by one engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,6 +109,13 @@ def report_json(rep: IneqReport) -> str:
 
 # ------------------------- integrands and point forms -------------------------
 
+def _over_power(b: float, m: float, k: int) -> float:
+    """b / m^k for b > 0; inf, as for a quotient that overflows, when m^k
+    underflows to 0."""
+    d = m ** k
+    return b / d if d else math.inf
+
+
 def _mean_integral(e: Expr, iv: Interval, quad_tol: float) -> tuple[float, float]:
     res = integrate(e, iv, quad_tol)
     return res.value / iv.width, res.error_bound / iv.width
@@ -151,7 +159,7 @@ def _endpoint(f: Expr, a: float, b: float, c: ClassParams) -> float:
     fa = evaluate(f, a)
     fam = evaluate(f, a / m)
     fbm = evaluate(f, b / m)
-    fbm2 = evaluate(f, b / m ** 2)
+    fbm2 = evaluate(f, _over_power(b, m, 2))
     return 0.5 * ((fa + m * fam) / (alpha + 1.0)
                   + (m * alpha) * ((fbm + m * fbm2) / (alpha + 1.0)))
 
@@ -287,7 +295,7 @@ def run_verifiers(ids: tuple[str, ...], f: Expr, g: Expr | None = None, *,
             checks = {f"g_{row.hyp_class}": (g, None), "f_dominated": (f, g)}
         else:
             checks = {f"f_{row.hyp_class}": (f, None)}
-        bounds = (a, b) if row.cert is None else (0.0, b / c.m ** row.cert)
+        bounds = (a, b) if row.cert is None else (0.0, _over_power(b, c.m, row.cert))
         hyp = {key: once((row.cert, key, c), lambda: _status(c, bounds, e, dom, grid))
                if hypotheses else _SKIPPED for key, (e, dom) in checks.items()}
         params_out = {"a": a, "b": b, **{name: getattr(c, name) for name in row.params}}

@@ -70,13 +70,18 @@ def _power_mean_raw(x, y, lam, r: float, out=None):
         return np.clip(res, np.minimum(x, y), np.maximum(x, y), out=out)
 
 
-def power_mean(x: float, y: float, lam: float, r: float) -> float:
-    """Weighted power mean of order r of two positive finite reals."""
+def _require_args(fn: str, x: float, y: float, r: float) -> None:
+    """Reject a non-finite x, y or r and a non-positive x or y of mean ``fn``."""
     for name, v in (("x", x), ("y", y), ("order r", r)):
         if not math.isfinite(v):
-            raise ValueError(f"power_mean needs a finite {name}, got {v}")
+            raise ValueError(f"{fn} needs a finite {name}, got {v}")
     if not (x > 0.0 and y > 0.0):
-        raise ValueError(f"power_mean needs positive x and y, got {x}, {y}")
+        raise ValueError(f"{fn} needs positive x and y, got {x}, {y}")
+
+
+def power_mean(x: float, y: float, lam: float, r: float) -> float:
+    """Weighted power mean of order r of two positive finite reals."""
+    _require_args("power_mean", x, y, r)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"weight lam must lie in [0, 1], got {lam}")
     return float(_power_mean_raw(float(x), float(y), float(lam), float(r)))
@@ -90,11 +95,7 @@ def gen_log_mean(x: float, y: float, r: float) -> MeanBranch:
     avoids cancellation when x and y or the powers x^r and y^r are close.
     x, y and r must be finite, on the diagonal x = y too.
     """
-    for name, v in (("x", x), ("y", y), ("order r", r)):
-        if not math.isfinite(v):
-            raise ValueError(f"gen_log_mean needs a finite {name}, got {v}")
-    if not (x > 0.0 and y > 0.0):
-        raise ValueError(f"gen_log_mean needs positive x and y, got {x}, {y}")
+    _require_args("gen_log_mean", x, y, r)
     x = float(x)
     y = float(y)
     r = float(r)

@@ -25,7 +25,7 @@ from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec,
                         NonPositiveFunction, RConvex, construct_dominated_pair, passes)
 from .expr import (Add, Const, DomainError, Expr, Interval, Mul, Pow, Sub, Exp, X,
                    _require_tol)
-from .hh import TOL_DEFAULT, IneqReport, run_verifier, run_verifiers
+from .hh import TOL_DEFAULT, IneqReport, _over_power, run_verifier, run_verifiers
 from .jsonio import dumps
 from .quadrature import QUAD_TOL_DEFAULT, NonConvergence
 
@@ -203,7 +203,7 @@ def _draw_pair(rng: np.random.Generator, params: ClassParams, iv: Interval,
     on [0, b/m^2]; r draws k then delta and takes h = k + delta, so f =
     delta/2 > 0.  Both are drawn even when the first is rejected."""
     alpha_m = isinstance(params, AlphaM)
-    cert_iv = Interval(0.0, iv.hi / params.m ** 2) if alpha_m else iv
+    cert_iv = Interval(0.0, _over_power(iv.hi, params.m, 2)) if alpha_m else iv
     (first, n_first), (second, n_second) = (
         _draw_certified(rng, params, cert_iv, config.atom_budget, config.grid,
                         config.max_attempts, None, not alpha_m) for _ in range(2))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hhcert.expr import Abs, Add, AffineArg, Const, Div, Exp, Log, Mul, Pow, Sqrt, Sub, X
+from hhcert.expr import (Abs, Add, Const, Div, Exp, Log, Mul, Pow, Sqrt, Sub, X,
+                         compose_affine)
 from hhcert.search import ATOM_KINDS, _draw_candidate
 
 SPECIAL = [0.0, -0.0, 1.0, -2.5, 0.5, 710.0, -746.0, 1e308, -1e308, 1e-308,
@@ -34,7 +35,7 @@ def any_tree():
             *(st.builds(t, kids) for t in (Exp, Log, Sqrt, Abs)),
             st.builds(Pow, kids, st.sampled_from([0.0, -1.0, -2.0, 1.0, 2.0, 3.0,
                                                   0.5, -0.5, 1.5])),
-            st.builds(AffineArg, kids, st.sampled_from([1e308, -1.0, 0.5, 2.0, 1e-300]),
+            st.builds(compose_affine, kids, st.sampled_from([1e308, -1.0, 0.5, 2.0, 1e-300]),
                       st.sampled_from([0.0, 1.0, -3.0, 1e308])))
 
     return st.recursive(leaf, extend, max_leaves=10)

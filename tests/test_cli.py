@@ -396,11 +396,16 @@ def test_bad_interval_exit_two():
     ["means", "--kind", "power", "--x", "1", "--y", "2", "--r", "nan"],
     ["means", "--kind", "logmean", "--x", "1", "--y", "1", "--r", "nan"],
     ["means", "--kind", "power", "--x", "inf", "--y", "2", "--r", "1"],
+    # m^2 underflows to 0: the certification interval [0, b/m^2] and f(b/m^2)
+    # are infinite
+    ["stress", "--alpha", "1", "--m", "1e-200"],
+    ["verify", "dragomir_right", "--f", "x", "--a", "0", "--b", "1", "--m", "1e-200"],
 ], ids=["nan_r", "negative_tol", "infinite_interval", "check_nan_r",
         "scan_negative_tol", "scan_zero_alpha", "check_inf_tol",
         "integrate_inf_tol", "huge_grid", "deep_nesting", "long_sum",
         "check_wide", "integrate_wide", "verify_wide", "power_inf_r",
-        "power_nan_r", "logmean_diagonal_nan_r", "power_inf_x"])
+        "power_nan_r", "logmean_diagonal_nan_r", "power_inf_x", "stress_m_underflow",
+        "verify_m_underflow"])
 def test_bad_numeric_input_exit_two_promptly(argv):
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
@@ -437,6 +442,13 @@ def test_domain_error_names_the_subexpression():
     assert code == 2
     assert out == ""
     assert re.fullmatch(r"error: sqrt of negative value at x=\S+ in sqrt\(x - 0\.5\)\n",
+                        err)
+    # f(x/m) overflows inside x^2: the error names the substituted tree, as
+    # x^2 alone is finite at the reported x
+    code, out, err = _run(["verify", "dragomir_left", "--f", "x^2", "--a", "0",
+                           "--b", "1", "--m", "1e-160"])
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: non-finite value at x=\S+ in \(1e\+160\*x \+ 0\)\^2\n",
                         err)
 
 

@@ -397,3 +397,8 @@ def test_domain_error_hypothesis_status():
     rep = run_verifier("set_midpoint", f, a=0.5, b=1.0, alpha=1.0, m=1.0)
     assert rep.holds                            # the conclusion still computes
     assert rep.hypothesis["f_alpha_m_convex"].status == "domain_error"
+    # m^2 underflows to 0, so the interval [0, b/m^2] to certify on is infinite
+    rep = run_verifier("dragomir_left", parse("x"), a=0.0, b=1.0, m=1e-200)
+    assert rep.holds
+    assert rep.hypothesis["f_m_convex"].status == "domain_error"
+    assert "finite ends" in rep.hypothesis["f_m_convex"].detail
