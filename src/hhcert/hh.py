@@ -29,7 +29,6 @@ catalogue is one table with a row per report id, run by one engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -110,10 +109,13 @@ def report_json(rep: IneqReport) -> str:
 # ------------------------- integrands and point forms -------------------------
 
 def _over_power(b: float, m: float, k: int) -> float:
-    """b / m^k for b > 0; inf, as for a quotient that overflows, when m^k
-    underflows to 0."""
+    """b / m^k for b > 0; where m^k underflows to 0, b divided by m k times."""
     d = m ** k
-    return b / d if d else math.inf
+    if d:
+        return b / d
+    for _ in range(k):
+        b /= m
+    return b
 
 
 def _mean_integral(e: Expr, iv: Interval, quad_tol: float) -> tuple[float, float]:
@@ -121,20 +123,19 @@ def _mean_integral(e: Expr, iv: Interval, quad_tol: float) -> tuple[float, float
     return res.value / iv.width, res.error_bound / iv.width
 
 
-def _plain(f: Expr, c: ClassParams) -> Expr:
+def _plain(f: Expr, over_m: Callable[[], Expr], c: ClassParams) -> Expr:
     return f
 
 
-def _half_sum(f: Expr, c: ClassParams) -> Expr:
+def _half_sum(f: Expr, over_m: Callable[[], Expr], c: ClassParams) -> Expr:
     """(f(x) + m*f(x/m)) / 2 as an expression tree."""
-    return lin_comb(0.5, f, 0.5 * c.m, compose_affine(f, 1.0 / c.m, 0.0))
+    return lin_comb(0.5, f, 0.5 * c.m, over_m())
 
 
-def _weighted(f: Expr, c: ClassParams) -> Expr:
+def _weighted(f: Expr, over_m: Callable[[], Expr], c: ClassParams) -> Expr:
     """(f(x) + m*(2^alpha - 1)*f(x/m)) / 2^alpha as an expression tree."""
     two_a = 2.0 ** c.alpha
-    return lin_comb(1.0 / two_a, f, c.m * (two_a - 1.0) / two_a,
-                    compose_affine(f, 1.0 / c.m, 0.0))
+    return lin_comb(1.0 / two_a, f, c.m * (two_a - 1.0) / two_a, over_m())
 
 
 def _midpoint(f: Expr, a: float, b: float, c: ClassParams) -> float:
@@ -173,7 +174,7 @@ def _log_mean(f: Expr, a: float, b: float, c: ClassParams) -> float:
 @dataclass(frozen=True)
 class _Row:
     params: tuple[str, ...]      # class parameters in report order; alpha, m default to 1
-    integrand: Callable          # (f, class) -> expression averaged over [a, b]
+    integrand: Callable          # (f, f(x/m) thunk, class) -> expression averaged over [a, b]
     form: Callable               # (f, a, b, class) -> the point side
     avg_upper: bool              # the average is the larger side
     hyp_class: str               # names the hypothesis key f_<class> / g_<class>
@@ -273,12 +274,16 @@ def run_verifiers(ids: tuple[str, ...], f: Expr, g: Expr | None = None, *,
             memo[key] = compute()
         return memo[key]
 
+    def over_m(w: str, c: ClassParams) -> Expr:
+        """f(x/m) or g(x/m), built once per function and m."""
+        return once(("x/m", w, c.m), lambda: compose_affine(fg[w], 1.0 / c.m, 0.0))
+
     # every side before any hypothesis: a domain error costs no grid check
     sides = []
     for tid, row, c in todo:
         who = ("f", "g") if row.dominated else ("f",)
         avgs = [once((row.integrand, w, c), lambda: _mean_integral(
-            row.integrand(fg[w], c), iv, quad_tol)) for w in who]
+            row.integrand(fg[w], lambda: over_m(w, c), c), iv, quad_tol)) for w in who]
         points = [once((row.form, w, c), lambda: row.form(fg[w], a, b, c))
                   for w in who]
         lower_upper = [(pt, avg) if row.avg_upper else (avg, pt)

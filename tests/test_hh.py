@@ -309,6 +309,28 @@ def test_pairs_integrate_each_function_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_scaled_function_composed_once_per_call(monkeypatch):
+    # dragomir_left averages (f + m*f(x/m))/2 and set_midpoint the 2^alpha
+    # weighting; both read the one f(x/m)
+    calls = []
+    real = hh.compose_affine
+
+    def counting(e, p, q):
+        calls.append(e)
+        return real(e, p, q)
+
+    monkeypatch.setattr(hh, "compose_affine", counting)
+    args = dict(a=0.0, b=1.0, alpha=0.5, m=0.75, hypotheses=False)
+    ids = ("dragomir_left", "set_midpoint")
+    together = run_verifiers(ids, X2, **args)
+    assert calls == [X2]
+    calls.clear()
+    run_verifiers(("theorem_a_first", "t1_first"), X2, EX, **args)
+    assert calls == [X2, EX]
+    alone = [run_verifier(tid, X2, **args) for tid in ids]
+    assert [report_json(rep) for rep in together] == [report_json(rep) for rep in alone]
+
+
 @pytest.mark.parametrize("ids, kw", [
     (("theorem_a_first", "theorem_a_second", "t1_first", "t1_second", "t2"),
      dict(alpha=1.0, m=1.0)),
@@ -402,3 +424,12 @@ def test_domain_error_hypothesis_status():
     assert rep.holds
     assert rep.hypothesis["f_m_convex"].status == "domain_error"
     assert "finite ends" in rep.hypothesis["f_m_convex"].detail
+
+
+def test_certification_interval_survives_underflowing_m_power():
+    # m^2 = 1e-340 underflows to 0, but b / m / m = 1e40 is finite
+    assert hh._over_power(1e-300, 1e-170, 2) == 1e-300 / 1e-170 / 1e-170
+    rep = run_verifier("dragomir_left", parse("x"), a=0.0, b=1e-300, m=1e-170)
+    assert rep.hypothesis["f_m_convex"].status == "pass"
+    # where m^k is nonzero the quotient is b / m^k, as before
+    assert hh._over_power(3.0, 0.1, 2) == 3.0 / 0.1 ** 2 != 3.0 / 0.1 / 0.1

@@ -5,9 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hhcert.expr import Add, Const, Interval, Mul, Pow, X, parse
-from hhcert.quadrature import IntegralResult, NonConvergence, integrate
+from conftest import any_tree
+from hhcert import quadrature
+from hhcert.expr import (Abs, Add, Const, Div, DomainError, Exp, Interval, Log, Mul, Pow,
+                         Sqrt, Sub, X, evaluate, parse)
+from hhcert.quadrature import MAX_PANELS, IntegralResult, NonConvergence, integrate
 
 UNIT = Interval(0.0, 1.0)
 
@@ -132,3 +137,137 @@ def test_panel_budget_large_enough_for_rough_integrand():
     # same integrand converges once the budget is realistic
     r = integrate(parse("sqrt(x)"), UNIT, 1e-12)
     assert r.value == pytest.approx(2.0 / 3.0, abs=1e-10)
+
+
+# ------------------------- prefetch equivalence -------------------------
+
+def _reference_integrate(f, iv, tol=quadrature.QUAD_TOL_DEFAULT, max_panels=MAX_PANELS):
+    """The stack loop without prefetch: one 15-point evaluate call per panel."""
+    width = iv.width
+    stack = [(iv.lo, iv.hi)]
+    total = 0.0
+    err_total = 0.0
+    accepted = 0
+    examined = 0
+    while stack:
+        a, b = stack.pop()
+        examined += 1
+        if examined > max_panels:
+            raise NonConvergence(
+                f"integral did not converge within {max_panels} panels")
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        fv = evaluate(f, mid + half * quadrature._NODES)
+        with np.errstate(all="ignore"):
+            k15 = float(np.dot(quadrature._W15, fv))
+            g7 = float(np.dot(quadrature._W7, fv))
+        value, err = half * k15, half * abs(k15 - g7)
+        if err <= tol * (b - a) / width:
+            total += value
+            err_total += err
+            accepted += 1
+        else:
+            stack.append((mid, b))
+            stack.append((a, mid))
+    return IntegralResult(total, err_total, accepted)
+
+
+def _outcome(run, *args, **kwargs):
+    """The result, or everything an exception carries; floats compare by bits."""
+    try:
+        r = run(*args, **kwargs)
+    except (DomainError, NonConvergence) as exc:
+        return (type(exc), str(exc), getattr(exc, "node", None), repr(getattr(exc, "x", None)))
+    return (type(r), repr(r.value), repr(r.error_bound), r.subdivisions)
+
+
+def _same_as_reference(f, iv, max_panels=None):
+    budget = 4096 if max_panels is None else max_panels
+    want = _outcome(_reference_integrate, f, iv, max_panels=budget)
+    if max_panels is None and want[0] is not NonConvergence:
+        # an outcome reached within 4096 panels is the default budget's too
+        got = _outcome(integrate, f, iv)
+    else:
+        got = _outcome(integrate, f, iv, max_panels=budget)
+    assert got[0] is want[0] and got[1:] == want[1:]
+    if got[0] is DomainError:
+        assert got[2] is want[2]   # the very node of f, not an equal one
+
+
+_IVS = [UNIT, Interval(-1.0, 2.0), Interval(0.29, 0.31), Interval(-5.0, -1e-3),
+        Interval(0.0, 1e-300), Interval(-1e300, 1e300)]
+
+
+# any_tree's extreme constants end most integrals at the root; finite
+# constants and a rough or singular term make most of these bisect
+_ROUGH = [parse(t) for t in ("sqrt(x)", "log(x)", "1/(x - 0.25)", "x^-0.5", "abs(x - 0.3)",
+                             "sqrt(abs(x - 0.3))", "log(abs(x + 0.7))", "abs(x + 0.7)^1.5")]
+
+
+def _rough_tree():
+    leaf = st.one_of(st.just(X), st.builds(Const, st.sampled_from([0.3, 1.0, -1.5, 2.0])))
+    tame = st.recursive(leaf, lambda kids: st.one_of(
+        *(st.builds(t, kids, kids) for t in (Add, Sub, Mul, Div)),
+        *(st.builds(t, kids) for t in (Exp, Log, Sqrt, Abs))), max_leaves=6)
+    return st.builds(Add, tame, st.sampled_from(_ROUGH))
+
+
+_BUDGETS = st.sampled_from([1, 4, 64, None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_tree(), st.sampled_from(_IVS), _BUDGETS)
+def test_prefetch_matches_panel_by_panel_loop(f, iv, max_panels):
+    _same_as_reference(f, iv, max_panels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rough_tree(), st.sampled_from(_IVS[:3]), _BUDGETS)
+def test_prefetch_matches_on_rough_integrands(f, iv, max_panels):
+    _same_as_reference(f, iv, max_panels)
+
+
+@pytest.mark.parametrize("text, lo, hi", [
+    ("log(x - 0.3)", 0.0, 1.0), ("sqrt(x - 0.5)", 0.0, 1.0), ("1/(x - 0.25)", 0.0, 1.0),
+    ("x^-0.5", 0.0, 1.0), ("abs(x - 0.7508)", 0.0, 1.0), ("sqrt(x)", 0.0, 1.0),
+    ("exp(x)*x^2 + sqrt(x + 1)", 0.0, 3.0), ("log(x)", 1e-3, 2.0)])
+@pytest.mark.parametrize("max_panels", [1, 5, 1000, None])
+def test_prefetch_matches_on_domain_edges(text, lo, hi, max_panels):
+    _same_as_reference(parse(text), Interval(lo, hi), max_panels)
+
+
+def _counting_evaluate(monkeypatch):
+    """Count quadrature's evaluate calls, and the ones that raise."""
+    counts = {"calls": 0, "raised": 0}
+
+    def counted(f, x):
+        counts["calls"] += 1
+        try:
+            return evaluate(f, x)
+        except DomainError:
+            counts["raised"] += 1
+            raise
+
+    monkeypatch.setattr(quadrature, "evaluate", counted)
+    return counts
+
+
+def test_log_chain_prefetch_drops_domain_errors(monkeypatch):
+    # the panels at 0 bisect to subnormal widths, 1068 levels deep; the last
+    # prefetches reach x = 0 below the examined panels, and the integral
+    # still succeeds, twice to the same bits
+    f = parse("-1.2345*log(x)")
+    want = _outcome(_reference_integrate, f, UNIT)
+    assert want[0] is IntegralResult and want[3] == 1068
+    counts = _counting_evaluate(monkeypatch)
+    assert _outcome(integrate, f, UNIT) == want == _outcome(integrate, f, UNIT)
+    assert counts["raised"] > 0
+
+
+def test_prefetch_cuts_evaluate_calls(monkeypatch):
+    counts = _counting_evaluate(monkeypatch)
+    integrate(parse("-1.2345*log(x)"), UNIT)
+    assert counts["calls"] <= 400   # one call per panel makes 2135
+    counts["calls"] = 0
+    assert integrate(parse("exp(x)+x^2"), UNIT).subdivisions == 1
+    assert counts["calls"] == 1     # the root is evaluated alone
