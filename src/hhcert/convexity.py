@@ -10,10 +10,13 @@ class at every triple (x, y, t) of a finite grid:
 A check passes when no grid triple violates its inequality by more than
 ``grid.tol``.  Violations report two witnesses: the largest violation on
 the grid and the first one in row-major scan order (x outer, y middle,
-t inner).  Both are deterministic.  :func:`passes` gives the verdict alone: it
-scans the subgrid of every 4th x, y and t first (if 4 divides n_xy - 1 and
-n_lambda - 1), whose entries are the full grid's to the same bits, so a
-violation or error there rejects at once; then the full grid until a violation.
+t inner).  Both are deterministic.  A check scans blocks of whole x rows.  It
+computes f on the x values once, and with it the y side of the right-hand side
+(m*(1-t^alpha)*f(y), or the power mean's y term), so that each block adds only
+its x side.  :func:`passes` gives the verdict alone: it scans the subgrid of
+every 4th x, y and t first (if 4 divides n_xy - 1 and n_lambda - 1), whose
+entries are the full grid's to the same bits, so a violation or error there
+rejects at once; then the full grid until a violation.
 
 These are finite certificates, not proofs: a Pass says the inequality
 held at every sampled triple.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import DomainError, Expr, Interval, _require_tol, evaluate, lin_comb
-from .means import _power_mean_raw
+from .means import _power_mean_raw, _y_side
 
 __all__ = [
     "AlphaM", "RConvex", "ClassParams", "GridSpec", "DEFAULT_GRID",
@@ -202,20 +205,20 @@ def _sides(f: Expr, params: ClassParams, xs, ts, comb, name: str):
     ta = None if r_class else np.power(ts, params.alpha)
 
     @functools.cache
-    def fvals():    # once per check
+    def fvals():    # once per check: f on xs and the y side of rhs, which no x row changes
         fx = evaluate(f, xs)
         if r_class:
             _require_positive(fx, xs, name)
-        return fx
+            return fx, _y_side(fx[None, :, None], ts, params.r)
+        return fx, (params.m * (1.0 - ta))[None, None, :] * fx[None, :, None]
 
     def rows(sl: slice):
-        lhs, fx = evaluate(f, comb[sl]), fvals()
+        lhs, (fx, y_side) = evaluate(f, comb[sl]), fvals()
         if r_class:
             _require_positive(lhs, comb[sl], name)
             return lhs, _power_mean_raw(fx[sl, None, None], fx[None, :, None], ts, params.r,
-                                        out=np.empty_like(lhs))
-        return lhs, (ta[None, None, :] * fx[sl, None, None]
-                     + (params.m * (1.0 - ta))[None, None, :] * fx[None, :, None])
+                                        out=np.empty_like(lhs), y_side=y_side)
+        return lhs, np.add(ta[None, None, :] * fx[sl, None, None], y_side, out=np.empty_like(lhs))
     return rows
 
 

@@ -260,7 +260,10 @@ def evaluate(f: Expr, x: float | np.ndarray) -> float | np.ndarray:
             out = _run(f._tape, xv, _STRICT)
     if xv.ndim == 0:
         return float(out)
-    return np.broadcast_to(np.asarray(out, dtype=float), xv.shape)
+    if isinstance(out, np.ndarray) and out is not xv and out.shape == xv.shape:
+        out.flags.writeable = False     # a new array of f's values, which no caller shares
+        return out
+    return np.broadcast_to(np.asarray(out, dtype=float), xv.shape)  # a constant or the caller's x
 
 
 # ------------------------- composition -------------------------

@@ -29,6 +29,7 @@ catalogue is one table with a row per report id, run by one engine.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,6 +121,9 @@ def _over_power(b: float, m: float, k: int) -> float:
 
 def _mean_integral(e: Expr, iv: Interval, quad_tol: float) -> tuple[float, float]:
     res = integrate(e, iv, quad_tol)
+    if abs(res.value) < sys.float_info.min and iv.width < 1.0:
+        # the integral may have underflowed: average e(lo + width*u) over u in [0, 1]
+        return _mean_integral(compose_affine(e, iv.width, iv.lo), Interval(0.0, 1.0), quad_tol)
     return res.value / iv.width, res.error_bound / iv.width
 
 

@@ -43,31 +43,41 @@ class MeanBranch:
     value: float
 
 
-def _power_mean_raw(x, y, lam, r: float, out=None):
+def _y_side(y, lam, r: float):
+    """The y term of the power mean's sum: y^(1-lam), (1-lam)*expm1(r*log y) or (1-lam)*y^r."""
+    if abs(r) < EPS_R:
+        return np.power(y, 1.0 - lam)
+    return (1.0 - lam) * (np.expm1(r * np.log(y)) if abs(r) < 0.25 else np.power(y, r))
+
+
+def _power_mean_raw(x, y, lam, r: float, out=None, y_side=None):
     """Branch-selected power mean of positive inputs, without validation.
 
     Accepts floats or broadcastable numpy arrays for x, y and lam.  The
     endpoints lam = 0 and lam = 1 return y and x exactly.  The result is
     clamped into [min, max] so internality holds to the last bit.  A grid
-    gives ``out`` of the broadcast shape, with lam on its last axis from 0 to 1.
+    gives ``out`` of the broadcast shape, with lam on its last axis from 0 to 1,
+    and may give ``y_side``, which is :func:`_y_side` of y and lam.
     """
     with np.errstate(all="ignore"):
+        if y_side is None:
+            y_side = _y_side(y, lam, r)
         if abs(r) < EPS_R:
-            res = np.multiply(np.power(x, lam), np.power(y, 1.0 - lam), out=out)
+            res = np.multiply(np.power(x, lam), y_side, out=out)
         elif abs(r) < 0.25:
             # s = lam*x^r + (1-lam)*y^r lies near 1 and s^(1/r) multiplies
             # its rounding error by 1/r; carry s - 1 through expm1/log1p
-            s1 = np.add(lam * np.expm1(r * np.log(x)), (1.0 - lam) * np.expm1(r * np.log(y)),
-                        out=out)
+            s1 = np.add(lam * np.expm1(r * np.log(x)), y_side, out=out)
             res = np.exp(np.divide(np.log1p(s1, out=out), r, out=out), out=out)
         else:
-            s = np.add(lam * np.power(x, r), (1.0 - lam) * np.power(y, r), out=out)
+            s = np.add(lam * np.power(x, r), y_side, out=out)
             res = np.power(s, 1.0 / r, out=out)
         if out is None:
             res = np.where(lam == 1.0, x, np.where(lam == 0.0, y, res))
-        else:
-            res[..., 0], res[..., -1] = y[..., 0], x[..., 0]
-        return np.clip(res, np.minimum(x, y), np.maximum(x, y), out=out)
+            return np.clip(res, np.minimum(x, y), np.maximum(x, y))
+        res[..., 0], res[..., -1] = y[..., 0], x[..., 0]
+        np.maximum(res, np.minimum(x, y), out=out)    # np.clip's bits, at half its cost
+        return np.minimum(out, np.maximum(x, y), out=out)
 
 
 def _require_args(fn: str, x: float, y: float, r: float) -> None:

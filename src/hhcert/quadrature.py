@@ -97,6 +97,7 @@ def _prefetch(f: Expr, a: float, b: float) -> np.ndarray | None:
         return None
 
 
+@np.errstate(all="ignore")    # entered once per call, not once per panel
 def integrate(f: Expr, iv: Interval, tol: float = QUAD_TOL_DEFAULT,
               max_panels: int = MAX_PANELS) -> IntegralResult:
     """Integrate ``f`` over ``iv`` to an absolute error bound of ``tol``,
@@ -122,9 +123,8 @@ def integrate(f: Expr, iv: Interval, tol: float = QUAD_TOL_DEFAULT,
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         fv = evaluate(f, mid + half * _NODES) if block is None else block[k - 2]
-        with np.errstate(all="ignore"):
-            k15 = float(np.dot(_W15, fv))
-            g7 = float(np.dot(_W7, fv))
+        k15 = float(np.dot(_W15, fv))
+        g7 = float(np.dot(_W7, fv))
         err = half * abs(k15 - g7)
         if err <= tol * (b - a) / width:
             total += half * k15

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -17,7 +18,7 @@ from hhcert.convexity import (DEFAULT_GRID, AlphaM, CheckResult, GridSpec,
                               check_r_convex, construct_dominated_pair,
                               dominated_alpha_m_gap_grid, passes, split_pair)
 from hhcert.expr import Const, DomainError, Interval, evaluate, lin_comb, parse, to_string
-from hhcert.means import power_mean
+from hhcert.means import _power_mean_raw, power_mean
 
 from conftest import any_tree, atom_combination
 
@@ -459,6 +460,33 @@ def test_fine_grid_check_memory_is_bounded(params):
         tracemalloc.stop()
     assert res.points_checked == 257 * 257 * 65
     assert peak < 2 * 2**20
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(min_value=5e-324, max_value=sys.float_info.max) | st.sampled_from(
+           [5e-324, sys.float_info.min, 1.0, 1.7e308]), min_size=2, max_size=9),
+       st.integers(3, 66),
+       st.sampled_from([RConvex(r) for r in (0.0, 1e-10, -1e-10, 0.1, -0.2, 1.0, -1.0, 2.0, 3.0)]
+                       + [AlphaM(1.0, 1.0), AlphaM(0.5, 1.0), AlphaM(1.0, 0.75),
+                          AlphaM(0.3, 0.5)]),
+       st.sampled_from([1, convexity._BLOCK]))
+def test_hoisted_y_side_gives_the_whole_cube_rhs(fx, n_lambda, params, block):
+    """Each block's rhs, built on the y side a check computes once, is bit
+    for bit the formula on the whole (x, y, t) cube for random f values."""
+    fx = np.array(fx)
+    fake = lambda f, pts: fx if pts.ndim == 1 else np.ones(pts.shape)   # f on xs, on comb
+    with mock.patch.object(convexity, "_BLOCK", block), \
+            mock.patch.object(convexity, "evaluate", fake), np.errstate(all="ignore"):
+        rows, xs, ts, step = convexity._grid_rows(
+            parse("x"), None, UNIT, params, GridSpec(len(fx), n_lambda))[-1]
+        got = np.concatenate([rows(slice(i, i + step))[1] for i in range(0, len(xs), step)])
+        x, y = fx[:, None, None], fx[None, :, None]
+        if isinstance(params, RConvex):
+            want = _power_mean_raw(x, y, ts, params.r)
+        else:
+            ta = ts ** params.alpha
+            want = ta * x + params.m * (1.0 - ta) * y
+    assert got.tobytes() == want.tobytes()
 
 
 # ------------------------- the verdict alone -------------------------

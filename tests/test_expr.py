@@ -100,6 +100,22 @@ def test_evaluate_constant_broadcasts():
     assert np.all(out == 3.0)
 
 
+@pytest.mark.parametrize("text", ["x", "3", "2*3 - exp(1)", "abs(x)", "x^2 + 1", "x + 0"])
+def test_evaluate_array_result_is_read_only(text):
+    """An array result has the points' shape and cannot be written; it aliases
+    the caller's points only for a bare x, as a read-only view, and a
+    constant is broadcast, not copied."""
+    pts = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    out = evaluate(parse(text), pts)
+    assert out.shape == pts.shape and out.dtype == np.float64
+    assert not out.flags.writeable
+    with pytest.raises(ValueError):
+        out[0, 0] = 7.0
+    assert pts.flags.writeable and pts[0, 0] == -1.0
+    assert np.shares_memory(out, pts) == (text == "x")
+    assert (out.strides == (0, 0)) == (text in ("3", "2*3 - exp(1)"))
+
+
 def test_integer_power_zero_and_negative_base():
     assert evaluate(Pow(X, 2.0), -3.0) == 9.0
     assert evaluate(Pow(X, 3.0), -2.0) == -8.0

@@ -433,3 +433,13 @@ def test_certification_interval_survives_underflowing_m_power():
     assert rep.hypothesis["f_m_convex"].status == "pass"
     # where m^k is nonzero the quotient is b / m^k, as before
     assert hh._over_power(3.0, 0.1, 2) == 3.0 / 0.1 ** 2 != 3.0 / 0.1 / 0.1
+
+
+def test_mean_of_an_underflowing_integral():
+    # the integral of x over [0, 1e-300] is 5e-601, which underflows to 0; its
+    # mean 5e-301 is the mean of 1e-300*u over [0, 1]
+    rep = run_verifier("classic_hh_left", parse("x"), a=0.0, b=1e-300, hypotheses=False)
+    assert rep.lhs == 5e-301
+    assert rep.rhs == pytest.approx(5e-301, rel=1e-15)
+    assert abs(rep.slack) <= 1e-15 * 5e-301
+    assert hh._mean_integral(Const(0.0), Interval(0.0, 1e-300), 1e-10) == (0.0, 0.0)
