@@ -30,12 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import DomainError, Expr, Interval, _require_tol, evaluate, lin_comb
+from .expr import (DomainError, Expr, Interval, _exact_at_zero, _require_tol, _shape, evaluate,
+                   lin_comb)
 from .means import _power_mean_raw, _y_side
 
 __all__ = [
     "AlphaM", "RConvex", "ClassParams", "GridSpec", "DEFAULT_GRID",
-    "Witness", "CheckResult", "NonPositiveFunction", "check", "passes",
+    "Witness", "CheckResult", "NonPositiveFunction", "check", "passes", "proved",
     "check_alpha_m_convex", "check_r_convex",
     "check_dominated_alpha_m", "check_dominated_r",
     "alpha_m_gap_grid", "dominated_alpha_m_gap_grid",
@@ -284,6 +285,19 @@ def passes(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
             if (lhs - rhs > grid.tol).any():
                 return False
     return True
+
+
+def proved(f: Expr, iv: Interval, params: ClassParams) -> bool:
+    """Whether f is in the class ``params`` on iv, being convex there by ``expr._shape``:
+    at alpha = m = 1; at alpha = 1 on [0, b] if f(0) <= 0 exactly, as f(tx + m(1-t)y) <=
+    t f(x) + (1-t) f(my) <= t f(x) + (1-t)(m f(y) + (1-m) f(0)) (Toader, 1984); at r >= 1
+    if f > 0, as M_r >= M_1.  Evaluate raises nowhere on a proved f; False proves nothing."""
+    if not (params.r >= 1.0 if isinstance(params, RConvex) else params.alpha == 1.0):
+        return False
+    shape = _shape(f, iv)
+    if shape is None or isinstance(params, RConvex):
+        return shape is not None and shape[1] > 0.0
+    return params.m == 1.0 or iv.lo == 0.0 and (f0 := _exact_at_zero(f)) is not None and f0 <= 0
 
 
 @np.errstate(all="ignore")

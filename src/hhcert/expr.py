@@ -16,6 +16,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, fields
+from fractions import Fraction
 
 import numpy as np
 
@@ -155,6 +156,7 @@ class DomainError(ArithmeticError):
 # and inf^-1.
 _CONST, _VAR, _OP, _DOMAIN = range(4)
 _STRICT, _FAST = 1, 2
+_CONSTANT, _AFFINE, _CONVEX = range(3)     # curvature ranks of the shape pass
 _UFUNCS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Exp: np.exp,
            Log: np.log, Sqrt: np.sqrt, Abs: np.abs}
 _DOMAINS = {Log: (operator.le, "log of non-positive value"),
@@ -166,6 +168,9 @@ def _divide(den, num):
 
 
 def _compile(f: Expr) -> tuple:
+    """f's tape, compiled on first use and kept on the node."""
+    if "_tape" in getattr(f, "__dict__", ()):
+        return f._tape
     tape: list[tuple] = []
     put = tape.append
 
@@ -205,7 +210,8 @@ def _compile(f: Expr) -> tuple:
         put((_OP, node, op, check if isinstance(node, Abs) else check | _STRICT))
 
     emit(f, _FAST)
-    return tuple(tape)
+    object.__setattr__(f, "_tape", tuple(tape))
+    return f._tape
 
 
 def _run(tape: tuple, xv: np.ndarray, mode: int):
@@ -239,6 +245,64 @@ def _run(tape: tuple, xv: np.ndarray, mode: int):
     return vals[0]
 
 
+def _out(lo: float, hi: float, ulps: int = 1) -> tuple[float, float]:
+    return lo - ulps * math.ulp(lo), hi + ulps * math.ulp(hi)
+
+
+@np.errstate(all="ignore")     # an overflowing power is inf, and refused
+def _shape(f: Expr, iv: Interval) -> tuple[int, float, float] | None:
+    """(curvature, low, high) of f on iv by the composition rules of disciplined convex
+    programming (Grant, Boyd & Ye, 2006), or None where none applies or evaluate could raise.
+    [low, high] holds f's exact and computed values on iv, widened at a nonzero end that
+    grid points may round past; every step rounds outward (by four ulps for exp and power)."""
+    lo, hi = _out(iv.lo, iv.hi)
+    x, vals = (_AFFINE, lo if iv.lo else 0.0, hi if iv.hi else 0.0), []
+    for code, node, k, _ in _compile(f):
+        if code == _DOMAIN:
+            continue
+        v = (_CONSTANT, float(k), float(k)) if code == _CONST else x
+        if code == _OP:
+            args = vals[-k[1]:]
+            del vals[-k[1]:]
+            match node, args:
+                case Add(), [(c, l1, h1), (d, l2, h2)]:
+                    v = max(c, d), *_out(l1 + l2, h1 + h2)
+                case Sub(), [(c, l1, h1), (d, l2, h2)] if d < _CONVEX:
+                    v = max(c, d), *_out(l1 - h2, h1 - l2)
+                case Mul(), _ if min(args)[0] == _CONSTANT:
+                    (_, cl, ch), (d, dl, dh) = sorted(args)
+                    ends = (cl * dl, cl * dh, ch * dl, ch * dh)
+                    v = None if d == _CONVEX and cl < 0 else d, *_out(min(ends), max(ends))
+                case Exp(), [(c, l, h)] if h < 709.0:
+                    v = c and _CONVEX, *_out(math.exp(l), math.exp(h), 4)
+                case Pow(_, e), [(c, l, h), _] if l > 0 or e >= 0 and e.is_integer():
+                    even = e % 2 == 0
+                    ends = sorted(np.power((l, h), e))
+                    convex = e > 1 and (l >= 0 or even and c == _AFFINE) or e < 0 and c == _AFFINE
+                    v = (c if c == _CONSTANT or e == 1 else _CONVEX if convex else None,
+                         *_out(0.0 if even and l < 0 < h else ends[0], ends[1], 4))
+                case _:
+                    return None
+        if v[0] is None or not (math.isfinite(v[1]) and math.isfinite(v[2])):
+            return None
+        vals.append(v)
+    return vals[0]
+
+
+def _exact_at_zero(e: Expr) -> Fraction | None:
+    """e(0) in rational arithmetic; None where no rule gives it, or for a power above 64."""
+    match e:
+        case Const() | Var():
+            return Fraction(getattr(e, "value", 0))
+        case Add() | Sub() | Mul() if None not in (a := [*map(_exact_at_zero, (e.left, e.right))]):
+            return _UFUNCS[type(e)](*a)
+        case Exp(a) if _exact_at_zero(a) == 0:
+            return Fraction(1)
+        case Pow(b, p) if 0 <= p <= 64 and p.is_integer() and (v := _exact_at_zero(b)) is not None:
+            return v ** int(p)
+    return None
+
+
 def evaluate(f: Expr, x: float | np.ndarray) -> float | np.ndarray:
     """Evaluate ``f`` at a float or elementwise over a numpy array.
 
@@ -247,13 +311,11 @@ def evaluate(f: Expr, x: float | np.ndarray) -> float | np.ndarray:
     the node and a witness point of the first check that fails.
     """
     xv = np.asarray(x, dtype=float)
-    if "_tape" not in getattr(f, "__dict__", ()):
-        object.__setattr__(f, "_tape", _compile(f))
     # with no points, a non-finite part that is constant in x never shows
     fast = xv.size > 0
     with np.errstate(all="ignore"):
         try:
-            out = _run(f._tape, xv, _FAST if fast else _STRICT)
+            out = _run(_compile(f), xv, _FAST if fast else _STRICT)
         except DomainError:
             if not fast:
                 raise

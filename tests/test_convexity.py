@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,8 +17,9 @@ from hhcert.convexity import (DEFAULT_GRID, AlphaM, CheckResult, GridSpec,
                               alpha_m_gap_grid, check, check_alpha_m_convex,
                               check_dominated_alpha_m, check_dominated_r,
                               check_r_convex, construct_dominated_pair,
-                              dominated_alpha_m_gap_grid, passes, split_pair)
-from hhcert.expr import Const, DomainError, Interval, evaluate, lin_comb, parse, to_string
+                              dominated_alpha_m_gap_grid, passes, proved, split_pair)
+from hhcert.expr import (Add, Const, DomainError, Exp, Interval, Mul, Pow, Sub, X, evaluate,
+                         lin_comb, parse, to_string)
 from hhcert.means import _power_mean_raw, power_mean
 
 from conftest import any_tree, atom_combination
@@ -556,3 +558,96 @@ def test_subgrid_takes_full_grid_entries():
         assert np.array_equal(a, b[(slice(None, None, 4),) * b.ndim])
     for n_xy, n_lambda in ((10, 7), (33, 66), (34, 65)):
         assert len(convexity._grids(0.0.hex(), 1.0.hex(), 1.0, n_xy, n_lambda)) == 1
+
+
+# ------------------------- membership by construction -------------------------
+
+def shape_trees():
+    """Trees over the nodes that proved has rules for, with moderate constants."""
+    leaf = st.one_of(st.just(X), st.builds(Const, st.sampled_from(
+        [0.0, 0.5, 1.0, 2.0, 3.0, -0.5, -1.0, -2.0, 0.1, 1.7])))
+
+    def extend(kids):
+        return st.one_of(
+            *(st.builds(t, kids, kids) for t in (Add, Sub)),
+            st.builds(Mul, leaf, kids), st.builds(Mul, kids, kids), st.builds(Exp, kids),
+            st.builds(Pow, kids, st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, -1.0, -2.0])))
+
+    return st.recursive(leaf, extend, max_leaves=6)
+
+
+def _mp(e, x):
+    """e at x in mpmath's working precision."""
+    match e:
+        case Const(v):
+            return mpmath.mpf(v)
+        case Add(l, r) | Sub(l, r) | Mul(l, r):
+            a, b = _mp(l, x), _mp(r, x)
+            return a + b if isinstance(e, Add) else a - b if isinstance(e, Sub) else a * b
+        case Pow(b, p):
+            return _mp(b, x) ** (int(p) if p.is_integer() else mpmath.mpf(p))
+        case Exp(a):
+            return mpmath.exp(_mp(a, x))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape_trees(),
+       st.sampled_from([UNIT, Interval(0.0, 3.0), Interval(0.5, 2.0), Interval(-1.0, 1.0)]),
+       st.sampled_from([AlphaM(1.0, 1.0), AlphaM(1.0, 0.5), AlphaM(0.5, 1.0), RConvex(1.0),
+                        RConvex(2.0), RConvex(0.0)]))
+@example(parse("(x - 0.5)^3 + 2"), UNIT, RConvex(1.0))
+@example(parse("(1 - x)^1.5 + (2 - x)^-2"), Interval(-1.0, 0.25), AlphaM(1.0, 1.0))
+def test_proved_members_are_in_their_class(f, iv, params):
+    """Where proved holds, f is convex to 50 digits on a fine grid, meets its
+    rule's side condition there, and passes the grid check."""
+    if not proved(f, iv, params):
+        return
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(iv.lo) + i * (mpmath.mpf(iv.hi) - iv.lo) / 256 for i in range(257)]
+        ys = [_mp(f, x) for x in xs]
+        scale = 1 + max(abs(y) for y in ys)
+        assert all(a - 2 * b + c >= -1e-40 * scale for a, b, c in zip(ys, ys[1:], ys[2:]))
+        if isinstance(params, RConvex):
+            assert min(ys) > 0
+        elif params.m < 1.0:
+            assert _mp(f, mpmath.mpf(0)) <= 0
+    # the grid's tolerance is absolute, so only moderate values leave rounding below it
+    if scale < 1e3:
+        assert check(f, iv, params, grid=GridSpec(17, 33)).passed
+
+
+@pytest.mark.parametrize("text, iv, params", [
+    ("x^1.5", UNIT, AlphaM(1.0, 1.0)),                          # evaluate raises at 0
+    ("1e200*x^4", Interval(0.0, 1e80), AlphaM(1.0, 1.0)),       # overflows
+    ("exp(800*x)", UNIT, AlphaM(1.0, 1.0)),
+    ("x + 1", UNIT, AlphaM(1.0, 0.5)),                          # f(0) > 0
+    ("x + 1e-300*1e-300", UNIT, AlphaM(1.0, 0.5)),              # f(0) > 0, rounded to 0
+    ("x^2 - 1", UNIT, RConvex(1.0)),                            # not positive
+    ("x^2", UNIT, RConvex(2.0)),                                # zero at 0
+    ("-x^2", UNIT, AlphaM(1.0, 1.0)),
+    ("sqrt(x)", UNIT, AlphaM(1.0, 1.0)),
+    ("abs(x - 0.5)", UNIT, AlphaM(1.0, 1.0)),
+    ("x^3", Interval(-1.0, 1.0), AlphaM(1.0, 1.0)),
+    ("(x - 0.5)^3 + 2", UNIT, RConvex(1.0)),
+    ("x^-1", Interval(-2.0, -1.0), AlphaM(1.0, 1.0)),
+    ("(x^2 - 1)^2", UNIT, AlphaM(1.0, 1.0)),
+    ("x*x", UNIT, AlphaM(1.0, 1.0)),                            # a product of two non-constants
+    ("x^2", UNIT, AlphaM(0.5, 1.0)),                            # no rule below alpha = 1
+    ("x^2 + 1", UNIT, RConvex(0.5)),                            # nor below r = 1
+])
+def test_proved_refuses(text, iv, params):
+    assert not proved(parse(text), iv, params)
+
+
+@pytest.mark.parametrize("text, iv, params", [
+    ("1.5*x^4 + 0.3*(exp(x) - 1) + 2*x", Interval(0.0, 12.0), AlphaM(1.0, 0.5)),
+    ("x^3", UNIT, AlphaM(1.0, 0.5)),
+    ("(x - 0.5)^2 + exp(-x) - 3", Interval(-1.0, 1.0), AlphaM(1.0, 1.0)),
+    ("x^-1 + (2*x + 1)^1.5 + (x^2 - 1)^1.5", Interval(1.5, 2.0), RConvex(3.0)),
+    ("0.5*(1.2*x^2 + 0.7) + 0.5*(1.2*x^2 + 0.7 + 0.3*(exp(x) - 1))", UNIT, RConvex(1.0)),
+])
+def test_proved_accepts(text, iv, params):
+    f = parse(text)
+    assert proved(f, iv, params)
+    assert check(f, iv, params).passed

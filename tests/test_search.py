@@ -2,19 +2,22 @@ from __future__ import annotations
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from hhcert.convexity import (AlphaM, GridSpec, RConvex, check_alpha_m_convex,
-                              check_r_convex)
-from hhcert.expr import Const, Interval, parse
+from hhcert import search
+from hhcert.convexity import (DEFAULT_GRID, AlphaM, GridSpec, RConvex, check_alpha_m_convex,
+                              check_r_convex, passes)
+from hhcert.expr import Const, Interval, parse, to_string
 from hhcert.hh import run_verifier
 from hhcert.search import (STRESS_THEOREMS, ScanRow, StressConfig,
                            random_convex_expr, scan_csv, stress, summary_json,
                            summary_to_dict, tightness_scan)
 
 UNIT = Interval(0.0, 1.0)
+THREE_INTERVALS = (UNIT, Interval(0.0, 3.0), Interval(0.5, 2.0))
 
 # ------------------------- config validation -------------------------
 
@@ -65,6 +68,46 @@ def test_generator_output_recertifies():
         e = random_convex_expr(rng, AlphaM(1.0, 1.0), UNIT, grid=grid)
         assert e is not None
         assert check_alpha_m_convex(e, UNIT, 1.0, 1.0, grid).passed
+
+
+# seeded draws at alpha = 1 and r >= 1, whose members are accepted by proof:
+# on [0, 1] the grid accepts every candidate a proof accepts, so each seed
+# draws the same member either way
+_ALPHA_ONE = [
+    "0.7221267490867731*x + 0.2789233621749259*(exp(x) - 1) + 1.6732229186004768*x^3",
+    "1.9133114685703867*x + 1.9101365324901767*x^2",
+    "0.7723595009747157*(exp(x) - 1) + 0.4108528987364196*(exp(x) - 1) + 1.3001759204398944",
+    "0.6644183865431745*x^2 + 1.2687835631126436 + 1.007972145413829*x^2",
+    "1.1448232174251327 + 0.39146304181730385 + 1.312872705991302",
+    "1.6638963820388641 + 0.7501524151542478*(exp(x) - 1) + 0.34437872916789875*x",
+    "0.8507240221733423*x + 0.9053693397787941",
+    "1.820124151696757*x + 0.6441125824835358*x + 0.7752909985946446",
+]
+_R_ONE = ["1.1975571354359105", "0.9660984886460322"] + _ALPHA_ONE[2:]
+GENERATOR_GOLDEN = {
+    AlphaM(1.0, 0.5): [
+        "0.7221267490867731*(exp(x) - 1) + 0.2789233621749259*x^2 + 1.847322260236013*x^4",
+        "1.9133114685703867*(exp(x) - 1) + 1.9101365324901767*x^2",
+        "0.7723595009747157*x^3 + 0.4108528987364196*x + 1.5249809219206405*(exp(x) - 1)",
+        "0.6644183865431745*x^2 + 1.2687835631126436*x + 1.007972145413829*x^2",
+        "1.1448232174251327*x + 0.39146304181730385*x + 1.312872705991302*x",
+        "1.6638963820388641*x + 0.7501524151542478*(exp(x) - 1)"
+        " + 0.34437872916789875*(exp(x) - 1)",
+        "0.8507240221733423*(exp(x) - 1) + 0.9053693397787941*x",
+        "1.820124151696757*(exp(x) - 1) + 0.6441125824835358*(exp(x) - 1)"
+        " + 0.7752909985946446*x",
+    ],
+    AlphaM(1.0, 1.0): _ALPHA_ONE,
+    RConvex(1.0): _R_ONE,
+    RConvex(2.0): _R_ONE,
+}
+
+
+@pytest.mark.parametrize("params", list(GENERATOR_GOLDEN), ids=str)
+def test_generator_golden(params):
+    drawn = [random_convex_expr(np.random.default_rng(seed), params, UNIT)
+             for seed in range(8)]
+    assert [to_string(e) for e in drawn] == GENERATOR_GOLDEN[params]
 
 
 def test_generator_rejects_out_of_class_atoms():
@@ -148,15 +191,40 @@ def test_stress_small_alpha_rejects_candidates():
                   alpha_pool=(), m_pool=(), r_pool=(-1.0, 0.0, 0.5, 1.0, 2.0, 3.0),
                   tol=1e-300),
      "6a3102da7e76454715999e350bb79f595b47cd4529851873a8a5df212c5af290"),
+    (StressConfig(seed=3, trials=40, intervals=THREE_INTERVALS, alpha_pool=(1.0,),
+                  m_pool=(0.5, 0.75, 1.0)),
+     "ce55dee6094fe52a06ea49a708153d2382b7f37650613bf9cb84c9d0dc1ace70"),
+    (StressConfig(seed=4, trials=40, intervals=THREE_INTERVALS, alpha_pool=(), m_pool=(),
+                  r_pool=(1.0, 2.0, 3.0)),
+     "a284ce5025576628be846268dea7c746e468dc5999e1aa964aceff82a0d844aa"),
 ], ids=["alpha_m_one", "alpha_m_pools", "r_pool",
-        "mixed_seed0", "mixed_seed1", "mixed_seed2", "r_pool_worst_failure"])
+        "mixed_seed0", "mixed_seed1", "mixed_seed2", "r_pool_worst_failure",
+        "alpha_one_proved", "r_ge_one_proved"])
 def test_stress_summary_golden(config, digest):
     # the README campaigns at 10 trials, three mixed (alpha, m) and r
-    # campaigns over two intervals, and an r campaign whose tolerance is so
-    # tight that worst_failure is set: a seeded summary is byte-identical
-    # across versions, not only between two runs of one version
+    # campaigns over two intervals, an r campaign whose tolerance is so
+    # tight that worst_failure is set, and alpha = 1 and r >= 1 campaigns,
+    # whose members are accepted by proof rather than by the grid: a seeded
+    # summary is byte-identical across versions, not only between two runs
+    # of one version
     text = summary_json(stress(config))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_alpha_one_and_r_ge_one_members_need_no_grid_scan():
+    # every candidate the construction draws at alpha = 1 or r >= 1 is proved,
+    # so only the r-dominance check of a pair still scans the grid
+    config = StressConfig(seed=6, trials=30, intervals=THREE_INTERVALS, alpha_pool=(1.0,),
+                          m_pool=(0.5, 1.0), r_pool=(1.0, 2.0))
+    scanned = []
+
+    def spy(f, iv, params, g=None, grid=DEFAULT_GRID):
+        scanned.append(g)
+        return passes(f, iv, params, g, grid)
+    with mock.patch.object(search, "passes", spy):
+        summary = summary_json(stress(config))
+    assert scanned and None not in scanned
+    assert summary == summary_json(stress(config))
 
 
 def test_summary_serialization_shape():
