@@ -17,10 +17,9 @@ The package has three layers:
 from __future__ import annotations
 
 from .convexity import (AlphaM, CheckResult, GridSpec, NonPositiveFunction,
-                        RConvex, Witness, alpha_m_gap_grid, check,
-                        check_alpha_m_convex, check_dominated_alpha_m,
-                        check_dominated_r, check_r_convex,
-                        construct_dominated_pair, dominated_alpha_m_gap_grid,
+                        RConvex, Witness, check, check_alpha_m_convex,
+                        check_dominated_alpha_m, check_dominated_r,
+                        check_r_convex, construct_dominated_pair, gap_grid,
                         passes, split_pair)
 from .expr import (Const, DomainError, Expr, Interval, ParseError, Var, X,
                    compose_affine, evaluate, lin_comb, parse, to_string)
@@ -40,9 +39,9 @@ __all__ = [
     "Interval", "MeanBranch", "MeanBranchTag", "NEEDS_G", "NonConvergence",
     "NonPositiveFunction", "ParseError", "RConvex", "ScanRow", "StressConfig",
     "StressSummary", "THEOREM_IDS", "TheoremStats", "Var", "Witness", "X",
-    "alpha_m_gap_grid", "check", "check_alpha_m_convex", "check_dominated_alpha_m",
+    "check", "check_alpha_m_convex", "check_dominated_alpha_m",
     "check_dominated_r", "check_r_convex", "compose_affine",
-    "construct_dominated_pair", "dominated_alpha_m_gap_grid", "evaluate",
+    "construct_dominated_pair", "evaluate", "gap_grid",
     "gen_log_mean", "integrate", "lin_comb", "parse", "passes", "power_mean",
     "random_convex_expr", "report_json", "report_to_dict", "run_verifier",
     "run_verifiers", "scan_csv", "split_pair", "stress", "summary_json",

@@ -37,9 +37,8 @@ from .means import _power_mean_raw, _y_side
 __all__ = [
     "AlphaM", "RConvex", "ClassParams", "GridSpec", "DEFAULT_GRID",
     "Witness", "CheckResult", "NonPositiveFunction", "check", "passes", "proved",
-    "check_alpha_m_convex", "check_r_convex",
+    "gap_grid", "check_alpha_m_convex", "check_r_convex",
     "check_dominated_alpha_m", "check_dominated_r",
-    "alpha_m_gap_grid", "dominated_alpha_m_gap_grid",
     "construct_dominated_pair", "split_pair",
 ]
 
@@ -301,20 +300,12 @@ def proved(f: Expr, iv: Interval, params: ClassParams) -> bool:
 
 
 @np.errstate(all="ignore")
-def alpha_m_gap_grid(f: Expr, iv: Interval, alpha: float, m: float,
-                     grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
-    """Pointwise violation gap lhs - rhs of the (alpha, m) inequality,
-    shaped (n_xy, n_xy, n_lambda); a positive entry beyond tol is a
-    violation at that triple."""
-    lhs, rhs = _grid_rows(f, None, iv, AlphaM(alpha, m), grid)[-1][0](slice(None))
+def gap_grid(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
+             grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
+    """lhs - rhs of the inequality :func:`check` checks, at every triple of its grid,
+    shaped (n_xy, n_xy, n_lambda); an entry above ``grid.tol`` is a violation there."""
+    lhs, rhs = _grid_rows(f, g, iv, params, grid)[-1][0](slice(None))
     return lhs - rhs
-
-
-@np.errstate(all="ignore")
-def dominated_alpha_m_gap_grid(f: Expr, g: Expr, iv: Interval, alpha: float,
-                               m: float, grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
-    dom_lhs, dom_rhs = _grid_rows(f, g, iv, AlphaM(alpha, m), grid)[-1][0](slice(None))
-    return dom_lhs - dom_rhs
 
 
 def check_alpha_m_convex(f: Expr, iv: Interval, alpha: float, m: float,

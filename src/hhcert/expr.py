@@ -353,11 +353,25 @@ def lin_comb(c1: float, f: Expr, c2: float, g: Expr) -> Expr:
     return Add(Mul(Const(c1), f), Mul(Const(c2), g))
 
 
-# ------------------------- printing -------------------------
+# ------------------------- grammar -------------------------
 
-# precedence levels used by the printer; a child is parenthesized when its
-# level is below the minimum its position requires
+# One table of the surface syntax, which the tokenizer, the parser and the
+# printer all read: each binary operator's node class and precedence level.
+# A printed child is parenthesized when its level is below the minimum its
+# position requires.
 _L_ADD, _L_MUL, _L_FACTOR, _L_ATOM = 1, 2, 3, 4
+_BINARY = {"+": (Add, _L_ADD), "-": (Sub, _L_ADD), "*": (Mul, _L_MUL), "/": (Div, _L_MUL)}
+_CONSTANTS = {"e": math.e, "pi": math.pi}
+_FUNCTIONS = {"exp": Exp, "log": Log, "sqrt": Sqrt, "abs": Abs}
+
+# derived once: each level's operators, and the printer's text for each node class
+_LEVEL_OPS = ["".join(s for s, (_, lv) in _BINARY.items() if lv == level)
+              for level in range(_L_FACTOR)]
+_SYMBOL_OF = {cls: (f" {s} " if lv == _L_ADD else s, lv) for s, (cls, lv) in _BINARY.items()}
+_NAME_OF = {cls: name for name, cls in _FUNCTIONS.items()}
+_TOKEN_RE = re.compile(r"(?P<space>\s+)|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                       r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+                       rf"|(?P<op>[{re.escape(''.join(_BINARY) + '^()')}])|(?P<bad>.)", re.S)
 
 
 def _fmt_number(v: float) -> str:
@@ -372,24 +386,13 @@ def _fmt(e: Expr, min_level: int) -> str:
             text, level = _fmt_number(v), (_L_ATOM if v >= 0 else _L_FACTOR)
         case Var():
             text, level = "x", _L_ATOM
-        case Add(l, r):
-            text, level = f"{_fmt(l, _L_ADD)} + {_fmt(r, _L_MUL)}", _L_ADD
-        case Sub(l, r):
-            text, level = f"{_fmt(l, _L_ADD)} - {_fmt(r, _L_MUL)}", _L_ADD
-        case Mul(l, r):
-            text, level = f"{_fmt(l, _L_MUL)}*{_fmt(r, _L_FACTOR)}", _L_MUL
-        case Div(l, r):
-            text, level = f"{_fmt(l, _L_MUL)}/{_fmt(r, _L_FACTOR)}", _L_MUL
         case Pow(b, ex):
             text, level = f"{_fmt(b, _L_ATOM)}^{_fmt_number(ex)}", _L_FACTOR
-        case Exp(a):
-            text, level = f"exp({_fmt(a, _L_ADD)})", _L_ATOM
-        case Log(a):
-            text, level = f"log({_fmt(a, _L_ADD)})", _L_ATOM
-        case Sqrt(a):
-            text, level = f"sqrt({_fmt(a, _L_ADD)})", _L_ATOM
-        case Abs(a):
-            text, level = f"abs({_fmt(a, _L_ADD)})", _L_ATOM
+        case _ if type(e) in _SYMBOL_OF:
+            symbol, level = _SYMBOL_OF[type(e)]
+            text = f"{_fmt(e.left, level)}{symbol}{_fmt(e.right, level + 1)}"
+        case _ if type(e) in _NAME_OF:
+            text, level = f"{_NAME_OF[type(e)]}({_fmt(e.arg, _L_ADD)})", _L_ATOM
         case _:
             raise TypeError(f"not an Expr node: {e!r}")
     if level < min_level:
@@ -402,132 +405,79 @@ def to_string(e: Expr) -> str:
     return _fmt(e, _L_ADD)
 
 
-# ------------------------- parsing -------------------------
-
-_NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-_CONSTANTS = {"e": math.e, "pi": math.pi}
-_FUNCTIONS = {"exp": Exp, "log": Log, "sqrt": Sqrt, "abs": Abs}
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _NUM_RE.match(text, pos)
-        if m:
-            tokens.append(("num", m.group(), pos))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            tokens.append(("ident", m.group(), pos))
-            pos = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append(("op", ch, pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", "", n))
+def _tokenize(text: str) -> list[tuple[str, str | float, int]]:
+    """(kind, text, offset) of each token but whitespace, a number's text read as
+    a float, then ("end", "", len(text))."""
+    tokens: list[tuple[str, str | float, int]] = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok, pos = m.lastgroup, m.group(), m.start()
+        if kind == "num" and math.isinf(tok := float(tok)):
+            raise ParseError("number out of range", pos)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", pos)
+        if kind != "space":
+            tokens.append((kind, tok, pos))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    # each method calls the next directly, so that a parenthesis nests four frames deep
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
+    def take(self, ops: str, required: bool = False) -> str | None:
+        """Consume the next token and return it if it is one of the operators
+        ``ops``; otherwise return None, or raise if it was required."""
+        kind, text, off = self.tokens[self.i]
+        if kind == "op" and text in ops:
+            self.i += 1
+            return text
+        if required:
+            raise ParseError(f"expected {ops!r}", off)
+        return None
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        kind, text, off = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", off)
-        self.take()
-
-    def at_op(self, ops: str) -> bool:
-        kind, text, _ = self.peek()
-        return kind == "op" and text in ops
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.at_op("+-"):
-            _, op, _ = self.take()
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.at_op("*/"):
-            _, op, _ = self.take()
-            rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+    def binary(self, level: int) -> Expr:
+        """A left-associative chain of the operators of ``level``; its operands
+        are chains of the next level, or factors past the last one."""
+        ops, tighter = _LEVEL_OPS[level], level + 1 < _L_FACTOR
+        node = self.binary(level + 1) if tighter else self.factor()
+        while op := self.take(ops):
+            node = _BINARY[op][0](node, self.binary(level + 1) if tighter else self.factor())
         return node
 
     def factor(self) -> Expr:
-        neg = False
-        if self.at_op("-"):
-            self.take()
-            neg = True
+        neg = self.take("-")
         node = self.base()
-        if self.at_op("^"):
-            self.take()
-            node = Pow(node, self.signed_number())
-        if neg:
-            # '^' binds tighter than the unary minus
-            node = Mul(Const(-1.0), node)
-        return node
+        if self.take("^"):
+            sign = -1.0 if self.take("+-") == "-" else 1.0
+            kind, value, off = self.tokens[self.i]
+            if kind != "num":
+                raise ParseError("expected a numeric exponent", off)
+            self.i += 1
+            node = Pow(node, sign * value)
+        # '^' binds tighter than the unary minus
+        return Mul(Const(-1.0), node) if neg else node
 
     def base(self) -> Expr:
-        kind, text, off = self.peek()
+        kind, text, off = self.tokens[self.i]
+        self.i += 1
         if kind == "num":
-            self.take()
-            return Const(float(text))
+            return Const(text)
         if kind == "ident":
-            self.take()
             if text == "x":
                 return X
             if text in _CONSTANTS:
                 return Const(_CONSTANTS[text])
-            if text in _FUNCTIONS:
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return _FUNCTIONS[text](inner)
-            raise ParseError(f"unknown identifier {text!r}", off)
-        if kind == "op" and text == "(":
-            self.take()
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError("expected a number, 'x', a constant, a function call, or '('", off)
-
-    def signed_number(self) -> float:
-        sign = 1.0
-        if self.at_op("+-"):
-            _, op, _ = self.take()
-            if op == "-":
-                sign = -1.0
-        kind, text, off = self.peek()
-        if kind != "num":
-            raise ParseError("expected a numeric exponent", off)
-        self.take()
-        return sign * float(text)
+            if text not in _FUNCTIONS:
+                raise ParseError(f"unknown identifier {text!r}", off)
+            self.take("(", required=True)
+        elif text != "(":
+            raise ParseError("expected a number, 'x', a constant, a function call, or '('", off)
+        inner = self.binary(_L_ADD)
+        self.take(")", required=True)
+        return _FUNCTIONS[text](inner) if kind == "ident" else inner
 
 
 def parse(text: str) -> Expr:
@@ -535,11 +485,12 @@ def parse(text: str) -> Expr:
 
     Grammar: ``+ - * /`` with usual precedence, ``^`` with a literal
     (possibly signed) numeric exponent, functions exp/log/sqrt/abs,
-    constants ``e`` and ``pi``, and the variable ``x``.
+    constants ``e`` and ``pi``, and the variable ``x``.  A literal too
+    large for a float is refused.
     """
     p = _Parser(text)
-    node = p.expr()
-    kind, _, off = p.peek()
+    node = p.binary(_L_ADD)
+    kind, _, off = p.tokens[p.i]
     if kind != "end":
         raise ParseError("unexpected trailing input", off)
     return node

@@ -16,10 +16,8 @@ import numpy as np
 import pytest
 
 from hhcert.cli import run as cli_run
-from hhcert.convexity import (GridSpec, check_alpha_m_convex,
-                              check_dominated_alpha_m,
-                              dominated_alpha_m_gap_grid, alpha_m_gap_grid,
-                              split_pair)
+from hhcert.convexity import (AlphaM, GridSpec, check_alpha_m_convex,
+                              check_dominated_alpha_m, gap_grid, split_pair)
 from hhcert.expr import Add, Const, Interval, Mul, Pow, X, parse
 from hhcert.hh import run_verifier, run_verifiers
 from hhcert.means import gen_log_mean, power_mean
@@ -95,9 +93,9 @@ def test_criterion_3_dominance_equivalence():
         g = atom_combination(rng)
         alpha, m = params[i % 4]
         plus, minus = split_pair(f, g)
-        dom = dominated_alpha_m_gap_grid(f, g, UNIT, alpha, m, grid)
-        gp = alpha_m_gap_grid(plus, UNIT, alpha, m, grid)
-        gm = alpha_m_gap_grid(minus, UNIT, alpha, m, grid)
+        dom = gap_grid(f, UNIT, AlphaM(alpha, m), g, grid)
+        gp = gap_grid(plus, UNIT, AlphaM(alpha, m), grid=grid)
+        gm = gap_grid(minus, UNIT, AlphaM(alpha, m), grid=grid)
         assert dom.shape == (33, 33, 65)
         # per-point verdict agreement between the two formulations
         assert np.array_equal(dom > grid.tol,

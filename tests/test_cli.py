@@ -400,12 +400,18 @@ def test_bad_interval_exit_two():
     # are infinite
     ["stress", "--alpha", "1", "--m", "1e-200"],
     ["verify", "dragomir_right", "--f", "x", "--a", "0", "--b", "1", "--m", "1e-200"],
+    # literals that overflow a float, as exponent and as constant
+    ["integrate", "--f", "x^1e999", "--a", "0.1", "--b", "0.5", "--json"],
+    ["check-convexity", "--f", "x^1e999", "--a", "0.1", "--b", "0.5", "--alpha", "1",
+     "--m", "1"],
+    ["integrate", "--f", "1e999", "--a", "0.1", "--b", "0.5"],
 ], ids=["nan_r", "negative_tol", "infinite_interval", "check_nan_r",
         "scan_negative_tol", "scan_zero_alpha", "check_inf_tol",
         "integrate_inf_tol", "huge_grid", "deep_nesting", "long_sum",
         "check_wide", "integrate_wide", "verify_wide", "power_inf_r",
         "power_nan_r", "logmean_diagonal_nan_r", "power_inf_x", "stress_m_underflow",
-        "verify_m_underflow"])
+        "verify_m_underflow", "overflowing_exponent", "check_overflowing_exponent",
+        "overflowing_constant"])
 def test_bad_numeric_input_exit_two_promptly(argv):
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:

@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 
 from hhcert import convexity
 from hhcert.convexity import (DEFAULT_GRID, AlphaM, CheckResult, GridSpec,
-                              NonPositiveFunction, RConvex, Witness,
-                              alpha_m_gap_grid, check, check_alpha_m_convex,
-                              check_dominated_alpha_m, check_dominated_r,
-                              check_r_convex, construct_dominated_pair,
-                              dominated_alpha_m_gap_grid, passes, proved, split_pair)
+                              NonPositiveFunction, RConvex, Witness, check,
+                              check_alpha_m_convex, check_dominated_alpha_m,
+                              check_dominated_r, check_r_convex, construct_dominated_pair,
+                              gap_grid, passes, proved, split_pair)
 from hhcert.expr import (Add, Const, DomainError, Exp, Interval, Mul, Pow, Sub, X, evaluate,
                          lin_comb, parse, to_string)
 from hhcert.means import _power_mean_raw, power_mean
@@ -142,7 +141,7 @@ def test_witness_values_recompute():
 
 def test_gap_grid_shape_and_scan_consistency():
     grid = GridSpec(5, 9)
-    gaps = alpha_m_gap_grid(parse("x"), UNIT, 0.5, 1.0, grid)
+    gaps = gap_grid(parse("x"), UNIT, AlphaM(0.5, 1.0), grid=grid)
     assert gaps.shape == (5, 5, 9)
     res = check_alpha_m_convex(parse("x"), UNIT, 0.5, 1.0, grid)
     assert res.witness.gap == gaps.max()
@@ -150,7 +149,7 @@ def test_gap_grid_shape_and_scan_consistency():
 
 
 def test_gap_grid_symmetry_alpha_one():
-    gaps = alpha_m_gap_grid(parse("exp(x)"), UNIT, 1.0, 1.0, GridSpec(9, 17))
+    gaps = gap_grid(parse("exp(x)"), UNIT, AlphaM(1.0, 1.0), grid=GridSpec(9, 17))
     # alpha = m = 1 makes the defining combination symmetric under
     # (x, y, t) -> (y, x, 1-t)
     assert np.allclose(gaps, gaps[::, ::, ::][..., ::-1].transpose(1, 0, 2),
@@ -158,6 +157,18 @@ def test_gap_grid_symmetry_alpha_one():
 
 
 # ------------------------- r-membership -------------------------
+
+
+@pytest.mark.parametrize("r", [-1.0, 0.0, 2.0])
+def test_gap_grid_r_classes_match_check(r):
+    # 2 - x^2 is concave, so it fails every r-class, and dominating itself fails too
+    grid, f = GridSpec(9, 17), parse("2 - x^2")
+    for g in (None, f):
+        gaps = gap_grid(f, UNIT, RConvex(r), g, grid)
+        res = check(f, UNIT, RConvex(r), g, grid)
+        assert gaps.shape == (9, 9, 17)
+        assert res.witness.gap == gaps.max()
+        assert res.points_checked == gaps.size
 
 
 def test_anti_log_convex_witness_coarse_grid():
@@ -259,7 +270,7 @@ def test_dominated_r_requires_positive_g():
 def test_dominance_gap_grid_matches_check():
     grid = GridSpec(7, 9)
     f, g = parse("x^2"), Const(0.0)
-    gaps = dominated_alpha_m_gap_grid(f, g, UNIT, 1.0, 1.0, grid)
+    gaps = gap_grid(f, UNIT, AlphaM(1.0, 1.0), g, grid)
     res = check_dominated_alpha_m(f, g, UNIT, 1.0, 1.0, grid)
     assert res.witness.gap == gaps.max()
 
@@ -304,9 +315,9 @@ def test_dominance_equals_conjunction_of_memberships(rng):
             f = atom_combination(rng)
             g = atom_combination(rng)
             plus, minus = split_pair(f, g)
-            dom = dominated_alpha_m_gap_grid(f, g, UNIT, alpha, m, grid)
-            gp = alpha_m_gap_grid(plus, UNIT, alpha, m, grid)
-            gm = alpha_m_gap_grid(minus, UNIT, alpha, m, grid)
+            dom = gap_grid(f, UNIT, AlphaM(alpha, m), g, grid)
+            gp = gap_grid(plus, UNIT, AlphaM(alpha, m), grid=grid)
+            gm = gap_grid(minus, UNIT, AlphaM(alpha, m), grid=grid)
             assert np.allclose(dom, np.maximum(gp, gm), atol=1e-10)
             assert np.array_equal(dom > tol, np.maximum(gp, gm) > tol)
 
@@ -366,8 +377,8 @@ def test_results_survive_later_checks():
     xs = np.linspace(0.0, 1.0, 33)
     kept = {
         "cube": evaluate(f, ts * xs[:, None, None] + (1.0 - ts) * xs[None, :, None]),
-        "gaps": alpha_m_gap_grid(f, UNIT, 0.5, 0.75),
-        "dominated gaps": dominated_alpha_m_gap_grid(f, g, UNIT, 0.5, 0.75),
+        "gaps": gap_grid(f, UNIT, AlphaM(0.5, 0.75)),
+        "dominated gaps": gap_grid(f, UNIT, AlphaM(0.5, 0.75), g),
         "violation": check(planted, UNIT, AlphaM(1.0, 1.0)),
     }
     assert not kept["violation"].passed
@@ -378,8 +389,8 @@ def test_results_survive_later_checks():
             check(g, UNIT, params, grid=grid)
             check(f, UNIT, params, g, grid)
         check(planted, UNIT, AlphaM(0.5, 1.0), g, grid)
-        alpha_m_gap_grid(g, UNIT, 1.0, 0.5, grid)
-        dominated_alpha_m_gap_grid(planted, g, UNIT, 1.0, 1.0, grid)
+        gap_grid(g, UNIT, AlphaM(1.0, 0.5), grid=grid)
+        gap_grid(planted, UNIT, AlphaM(1.0, 1.0), g, grid)
     for name, value in kept.items():
         if isinstance(value, np.ndarray):
             assert np.array_equal(value, copies[name]), name
@@ -437,7 +448,7 @@ def test_error_is_the_whole_grid_error(block):
 ])
 def test_overflowing_gaps_keep_argmax_witnesses(block, text, infs, nans):
     f = parse(text)
-    gaps = dominated_alpha_m_gap_grid(f, f, UNIT, 1.0, 1.0)
+    gaps = gap_grid(f, UNIT, AlphaM(1.0, 1.0), f)
     assert (np.isposinf(gaps).sum(), np.isnan(gaps).sum()) == (infs, nans)
     xs, ts = np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, 65)
     with mock.patch.object(convexity, "_BLOCK", block):

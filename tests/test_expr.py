@@ -3,6 +3,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import pickle
+import re
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ def test_parse_atoms():
     assert parse("3") == Const(3.0)
     assert parse("2.5e-1") == Const(0.25)
     assert parse(".5") == Const(0.5)
+    assert parse("1.7e308") == Const(1.7e308)
+    assert parse("1e-999") == Const(0.0)         # underflow reads as 0; overflow is refused
     assert parse("e") == Const(math.e)
     assert parse("pi") == Const(math.pi)
 
@@ -46,6 +51,7 @@ def test_parse_unary_minus_binds_below_pow():
 def test_parse_negative_exponent_literal():
     assert parse("x^-2") == Pow(X, -2.0)
     assert parse("x^2.5") == Pow(X, 2.5)
+    assert parse("x^-1e-999") == Pow(X, -0.0)
 
 
 def test_parse_functions():
@@ -56,20 +62,53 @@ def test_parse_functions():
     assert parse("exp(-x^2)") == Exp(Mul(Const(-1.0), Pow(X, 2.0)))
 
 
-@pytest.mark.parametrize("text, offset", [
-    ("x +", 3),
-    ("x^(", 2),      # exponent must be a numeric literal
-    ("(x + 1", 6),
-    ("x y", 2),
-    ("sin(x)", 0),
-    ("exp x", 4),
-    ("", 0),
-    ("x @ 2", 2),
-])
-def test_parse_errors_carry_offset(text, offset):
+EXPECTED_NUMBER = "expected a number, 'x', a constant, a function call, or '('"
+PARSE_ERRORS = [
+    ("x +", 3, EXPECTED_NUMBER),
+    ("x^(", 2, "expected a numeric exponent"),      # exponent must be a numeric literal
+    ("(x + 1", 6, "expected ')'"),
+    ("x y", 2, "unexpected trailing input"),
+    ("sin(x)", 0, "unknown identifier 'sin'"),
+    ("exp x", 4, "expected '('"),
+    ("", 0, EXPECTED_NUMBER),
+    ("x @ 2", 2, "unexpected character '@'"),
+    ("x^1e999", 2, "number out of range"),
+    ("2*1e999 @", 2, "number out of range"),
+    ("x^-2e308", 3, "number out of range"),
+]
+
+
+@pytest.mark.parametrize("text, offset, message", PARSE_ERRORS,
+                         ids=[f"{text}-{offset}" for text, offset, _ in PARSE_ERRORS])
+def test_parse_errors_carry_offset(text, offset, message):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.offset == offset
+    assert str(exc.value) == f"{message} (at offset {offset})"
+
+
+DEPTH = 230
+
+
+@pytest.mark.parametrize("opening, printed", [("(", "x"), ("exp(", "exp(" * DEPTH + "x" + ")" * DEPTH)],
+                         ids=["parentheses", "exp"])
+def test_parse_nesting_limit(opening, printed):
+    # each nesting level costs the parser a fixed number of frames: at the default
+    # recursion limit a fresh thread parses 248 levels, and one frame more per level
+    # would bring that below DEPTH
+    result = []
+    text = opening * DEPTH + "x" + ")" * DEPTH
+    thread = threading.Thread(target=lambda: result.append(to_string(parse(text))))
+    thread.start()
+    thread.join(timeout=10)
+    assert result == [printed]
+
+
+def test_readme_grammar_lists_the_tables():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rules = dict(re.findall(r"^(\w+)\s+:= (.*)$", readme, re.M))
+    assert rules["func"].split(" | ") == sorted(expr._FUNCTIONS)
+    assert all(f'"{name}"' in rules["base"].split(" | ") for name in expr._CONSTANTS)
 
 
 # ------------------------- evaluation -------------------------
