@@ -16,7 +16,7 @@ import sys
 
 from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec, RConvex,
                         check)
-from .expr import DomainError, Interval, parse, to_string
+from .expr import DomainError, Expr, Interval, ParseError, parse, to_string
 from .hh import (QUAD_TOL_DEFAULT, THEOREM_IDS, TOL_DEFAULT, _witness_dict,
                  report_to_dict, run_verifier)
 from .jsonio import dumps, fmt_float
@@ -124,8 +124,21 @@ def _cmd_means(args):
     return 0, payload, lambda: [_f(payload["value"])]
 
 
+def _exprs(args) -> tuple[Expr, Expr | None]:
+    """--f, and --g or None where the command has no --g or it is not given;
+    a text that fails to parse names the flag it came from."""
+    out = []
+    for flag in ("f", "g"):
+        text = getattr(args, flag, None)
+        try:
+            out.append(None if text is None else parse(text))
+        except (ParseError, RecursionError) as exc:     # the latter: nested too deep
+            raise ValueError(f"--{flag}: {exc}") from exc
+    return out[0], out[1]
+
+
 def _cmd_integrate(args):
-    res = integrate(parse(args.f), Interval(args.a, args.b), args.tol)
+    res = integrate(_exprs(args)[0], Interval(args.a, args.b), args.tol)
     payload = {"value": res.value, "error_bound": res.error_bound,
                "subdivisions": res.subdivisions}
     return 0, payload, lambda: [f"{k} = {_f(v)}" for k, v in payload.items()]
@@ -151,8 +164,7 @@ def _cmd_check(args):
     params = _class_args(args)
     iv = Interval(args.a, args.b)
     grid = GridSpec(args.grid_xy, args.grid_lambda, args.tol)
-    f = parse(args.f)
-    g = parse(args.g) if args.command == "check-dominance" else None
+    f, g = _exprs(args)
     res = check(f, iv, params, g, grid)
     cls = (_f(params.r) if isinstance(params, RConvex)
            else f"({_f(params.alpha)}, {_f(params.m)})")
@@ -176,8 +188,7 @@ def _cmd_check(args):
 
 
 def _cmd_verify(args):
-    f = parse(args.f)
-    g = parse(args.g) if args.g is not None else None
+    f, g = _exprs(args)
     grid = GridSpec(args.grid_xy, args.grid_lambda)
     rep = run_verifier(args.theorem_id, f, g, a=args.a, b=args.b,
                        alpha=args.alpha, m=args.m, r=args.r, tol=args.tol,
@@ -198,6 +209,13 @@ def _cmd_verify(args):
 _GRID_KEYS = {"grid_xy": "n_xy", "grid_lambda": "n_lambda"}
 
 
+def _number(what: str, value) -> float:
+    """A JSON number as a float; a bool or a string is no number here."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _stress_config_from(raw) -> StressConfig:
     """A StressConfig from a JSON object keyed by its field names, with
     grid_xy and grid_lambda for the grid; absent keys keep its defaults."""
@@ -215,15 +233,16 @@ def _stress_config_from(raw) -> StressConfig:
             if key in _GRID_KEYS:
                 grid[_GRID_KEYS[key]] = value
             elif key == "intervals":
-                kw[key] = tuple(Interval(float(lo), float(hi)) for lo, hi in value)
-            elif isinstance(_STRESS.get(key), tuple):
-                kw[key] = tuple(float(v) for v in value)
+                kw[key] = tuple(Interval(_number("each interval end", lo),
+                                         _number("each interval end", hi)) for lo, hi in value)
+            elif kind is list:
+                kw[key] = tuple(_number(f"each {key} entry", v) for v in value)
             elif key in _STRESS and key != "grid":
-                kw[key] = type(_STRESS[key])(value)
+                kw[key] = value if kind is int else _number(key, value)
             else:
                 raise ValueError(f"unknown key {key!r}")
         return StressConfig(**kw, **({"grid": GridSpec(**grid)} if grid else {}))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad stress config: {exc}") from exc
 
 
@@ -264,8 +283,7 @@ def _cmd_stress(args):
 def _cmd_scan(args):
     alphas = tuple(float(v) for v in args.alpha_list.split(","))
     ms = tuple(float(v) for v in args.m_list.split(","))
-    rows = tightness_scan(parse(args.f), parse(args.g),
-                          Interval(args.a, args.b), alphas, ms, tol=args.tol)
+    rows = tightness_scan(*_exprs(args), Interval(args.a, args.b), alphas, ms, tol=args.tol)
 
     def text():
         if args.csv:

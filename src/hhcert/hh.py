@@ -29,6 +29,7 @@ catalogue is one table with a row per report id, run by one engine.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -127,50 +128,42 @@ def _mean_integral(e: Expr, iv: Interval, quad_tol: float) -> tuple[float, float
     return res.value / iv.width, res.error_bound / iv.width
 
 
-def _plain(f: Expr, over_m: Callable[[], Expr], c: ClassParams) -> Expr:
-    return f
+def _plain(c: ClassParams) -> tuple[float, float]:
+    return 1.0, 0.0
 
 
-def _half_sum(f: Expr, over_m: Callable[[], Expr], c: ClassParams) -> Expr:
-    """(f(x) + m*f(x/m)) / 2 as an expression tree."""
-    return lin_comb(0.5, f, 0.5 * c.m, over_m())
+def _half_sum(c: ClassParams) -> tuple[float, float]:
+    """(f(x) + m*f(x/m)) / 2."""
+    return 0.5, 0.5 * c.m
 
 
-def _weighted(f: Expr, over_m: Callable[[], Expr], c: ClassParams) -> Expr:
-    """(f(x) + m*(2^alpha - 1)*f(x/m)) / 2^alpha as an expression tree."""
+def _weighted(c: ClassParams) -> tuple[float, float]:
+    """(f(x) + m*(2^alpha - 1)*f(x/m)) / 2^alpha."""
     two_a = 2.0 ** c.alpha
-    return lin_comb(1.0 / two_a, f, c.m * (two_a - 1.0) / two_a, over_m())
+    return 1.0 / two_a, c.m * (two_a - 1.0) / two_a
 
 
-def _midpoint(f: Expr, a: float, b: float, c: ClassParams) -> float:
-    return evaluate(f, 0.5 * (a + b))
+def _midpoint(F: Callable, a: float, b: float, c: ClassParams) -> float:
+    return F(0.5 * (a + b))
 
 
-def _ends(f: Expr, a: float, b: float, c: ClassParams) -> float:
-    return 0.5 * (evaluate(f, a) + evaluate(f, b))
+def _ends(F: Callable, a: float, b: float, c: ClassParams) -> float:
+    return 0.5 * (F(a) + F(b))
 
 
-def _trapezoid(f: Expr, a: float, b: float, c: ClassParams) -> float:
+def _trapezoid(F: Callable, a: float, b: float, c: ClassParams) -> float:
     alpha, m = c.alpha, c.m
-    fa = evaluate(f, a)
-    fb = evaluate(f, b)
-    fam = evaluate(f, a / m)
-    fbm = evaluate(f, b / m)
-    return 0.5 * ((fa + fb + (m * alpha) * fam + (m * alpha) * fbm) / (alpha + 1.0))
+    return 0.5 * ((F(a) + F(b) + (m * alpha) * F(a / m) + (m * alpha) * F(b / m)) / (alpha + 1.0))
 
 
-def _endpoint(f: Expr, a: float, b: float, c: ClassParams) -> float:
+def _endpoint(F: Callable, a: float, b: float, c: ClassParams) -> float:
     alpha, m = c.alpha, c.m
-    fa = evaluate(f, a)
-    fam = evaluate(f, a / m)
-    fbm = evaluate(f, b / m)
-    fbm2 = evaluate(f, _over_power(b, m, 2))
-    return 0.5 * ((fa + m * fam) / (alpha + 1.0)
-                  + (m * alpha) * ((fbm + m * fbm2) / (alpha + 1.0)))
+    return 0.5 * ((F(a) + m * F(a / m)) / (alpha + 1.0)
+                  + (m * alpha) * ((F(b / m) + m * F(_over_power(b, m, 2))) / (alpha + 1.0)))
 
 
-def _log_mean(f: Expr, a: float, b: float, c: ClassParams) -> float:
-    return gen_log_mean(evaluate(f, a), evaluate(f, b), c.r).value
+def _log_mean(F: Callable, a: float, b: float, c: ClassParams) -> float:
+    return gen_log_mean(F(a), F(b), c.r).value
 
 
 # ------------------------- the catalogue -------------------------
@@ -178,8 +171,8 @@ def _log_mean(f: Expr, a: float, b: float, c: ClassParams) -> float:
 @dataclass(frozen=True)
 class _Row:
     params: tuple[str, ...]      # class parameters in report order; alpha, m default to 1
-    integrand: Callable          # (f, f(x/m) thunk, class) -> expression averaged over [a, b]
-    form: Callable               # (f, a, b, class) -> the point side
+    weights: Callable            # class -> (c1, c2): c1*f(x) + c2*f(x/m) is averaged over [a, b]
+    form: Callable               # (F, a, b, class) -> the point side, F mapping x to f(x)
     avg_upper: bool              # the average is the larger side
     hyp_class: str               # names the hypothesis key f_<class> / g_<class>
     cert: int | None             # certify on [0, b/m^cert], or on [a, b] if None
@@ -239,10 +232,9 @@ def run_verifiers(ids: tuple[str, ...], f: Expr, g: Expr | None = None, *,
                   grid: GridSpec = DEFAULT_GRID) -> tuple[IneqReport, ...]:
     """Run the verifiers ``ids`` on one input and return one report per id.
 
-    Integrals, point forms and hypothesis statuses are computed once per
-    call, keyed by the row's builder, by which function they belong to and
-    by the class parameters, so rows that agree on those share them (the
-    two halves of a pair; theorem_a and t1_second at alpha = 1).
+    Each distinct integral, point value and hypothesis check is computed once
+    per call, keyed by what it is, so rows that agree on one share it (the two
+    halves of a pair; at alpha = 1, t1 and theorem_a).
     """
     params = {"alpha": alpha, "m": m, "r": r}
     rows = []
@@ -278,18 +270,22 @@ def run_verifiers(ids: tuple[str, ...], f: Expr, g: Expr | None = None, *,
             memo[key] = compute()
         return memo[key]
 
-    def over_m(w: str, c: ClassParams) -> Expr:
+    def value(w: str, x: float) -> float:
+        # keyed with its sign too: 0.0 == -0.0 as a key, yet f(0.0) and f(-0.0) may differ
+        return once(("at", w, x, math.copysign(1.0, x)), lambda: evaluate(fg[w], x))
+
+    def over_m(w: str, m: float) -> Expr:
         """f(x/m) or g(x/m), built once per function and m."""
-        return once(("x/m", w, c.m), lambda: compose_affine(fg[w], 1.0 / c.m, 0.0))
+        return once(("x/m", w, m), lambda: compose_affine(fg[w], 1.0 / m, 0.0))
 
     # every side before any hypothesis: a domain error costs no grid check
     sides = []
     for tid, row, c in todo:
         who = ("f", "g") if row.dominated else ("f",)
-        avgs = [once((row.integrand, w, c), lambda: _mean_integral(
-            row.integrand(fg[w], lambda: over_m(w, c), c), iv, quad_tol)) for w in who]
-        points = [once((row.form, w, c), lambda: row.form(fg[w], a, b, c))
-                  for w in who]
+        c1, c2 = row.weights(c)     # with c2 = 0 the integrand is f itself, for any m
+        avgs = [once(("avg", w, c1, c2, c.m if c2 else None), lambda: _mean_integral(
+            lin_comb(c1, fg[w], c2, over_m(w, c.m)) if c2 else fg[w], iv, quad_tol)) for w in who]
+        points = [row.form(lambda x: value(w, x), a, b, c) for w in who]
         lower_upper = [(pt, avg) if row.avg_upper else (avg, pt)
                        for (avg, _), pt in zip(avgs, points)]
         if row.dominated:
@@ -301,11 +297,11 @@ def run_verifiers(ids: tuple[str, ...], f: Expr, g: Expr | None = None, *,
     reports = []
     for (tid, row, c), (lhs, rhs, err) in zip(todo, sides):
         if row.dominated:
-            checks = {f"g_{row.hyp_class}": (g, None), "f_dominated": (f, g)}
+            checks = {f"g_{row.hyp_class}": ("g", None), "f_dominated": ("f", "g")}
         else:
-            checks = {f"f_{row.hyp_class}": (f, None)}
+            checks = {f"f_{row.hyp_class}": ("f", None)}
         bounds = (a, b) if row.cert is None else (0.0, _over_power(b, c.m, row.cert))
-        hyp = {key: once((row.cert, key, c), lambda: _status(c, bounds, e, dom, grid))
+        hyp = {key: once((bounds, e, dom, c), lambda: _status(c, bounds, fg[e], fg.get(dom), grid))
                if hypotheses else _SKIPPED for key, (e, dom) in checks.items()}
         params_out = {"a": a, "b": b, **{name: getattr(c, name) for name in row.params}}
         slack = rhs - lhs

@@ -422,6 +422,23 @@ def test_bad_numeric_input_exit_two_promptly(argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("command", [
+    ["check-dominance", "--alpha", "1", "--m", "1"],
+    ["verify", "t2", "--alpha", "1", "--m", "1"],
+    ["scan"]], ids=lambda command: command[0])
+@pytest.mark.parametrize("bad", ["f", "g"])
+@pytest.mark.parametrize("text, message", [
+    ("x^1e999", "number out of range (at offset 2)"),
+    ("(" * 300 + "x" + ")" * 300, "maximum recursion depth exceeded")],
+    ids=["overflow", "deep_nesting"])
+def test_parse_error_names_its_flag(command, bad, text, message):
+    # with the other text valid, only the flag tells which one failed
+    exprs = {"f": "x^2", "g": "x^2", bad: text}
+    code, out, err = _run(command + ["--f", exprs["f"], "--g", exprs["g"], "--a", "0", "--b", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --{bad}: {message}") and err.count("\n") == 1, err
+
+
 def test_error_after_output_leaves_stdout_empty(monkeypatch):
     def fails_in_handler(args):
         raise ValueError("late failure")
@@ -562,7 +579,10 @@ def test_stress_config_file_matches_api(tmp_path, raw, config):
                                  {"trials": 2.7}, {"seed": 1.9}, {"trials": True},
                                  {"grid_xy": 9.9, "grid_lambda": 5},
                                  {"alpha_pool": "1", "m_pool": [1]},
-                                 {"intervals": {"0": 1}}])
+                                 {"intervals": {"0": 1}},
+                                 {"tol": True}, {"tol": "1e-8"}, {"quad_tol": 10**400},
+                                 {"alpha_pool": ["1"], "m_pool": [True]},
+                                 {"intervals": [["0", "1"]]}])
 def test_stress_config_file_bad_content_exit_two(tmp_path, raw):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))

@@ -280,6 +280,8 @@ def test_run_verifier_covers_every_theorem():
     (THEOREM_A, dict(m=0.5)),
     (("theorem_a_first", "theorem_a_second", "t1_first", "t1_second", "t2"),
      dict(alpha=0.5, m=0.5)),
+    (THEOREM_IDS, dict(alpha=1.0, m=0.5, r=1.0)),
+    (THEOREM_IDS, dict(alpha=0.5, m=0.5, r=1.0)),
 ])
 def test_run_verifiers_matches_each_id_alone(ids, kw):
     # memo sharing inside one engine call changes no bit of any report
@@ -291,6 +293,44 @@ def test_run_verifiers_matches_each_id_alone(ids, kw):
         for tid, rep in zip(ids, together, strict=True):
             alone = run_verifier(tid, f, g, **args)
             assert report_json(rep) == report_json(alone), (tid, hypotheses)
+
+
+STRESS_IDS = ("theorem_a_first", "theorem_a_second", "t1_first", "t1_second", "t2")
+
+
+@pytest.mark.parametrize("ids, kw, counts", [
+    # f and g each averaged plainly and as (f(x) + m*f(x/m))/2, which at
+    # alpha = 1 is also the 2^alpha weighting; 10 distinct grid checks
+    (THEOREM_IDS, dict(alpha=1.0, m=0.5), {"integrate": 4, "_status": 10}),
+    # the 2^alpha weighting adds one integral per function
+    (THEOREM_IDS, dict(alpha=0.5, m=0.5), {"integrate": 6}),
+    # f and g at (a+b)/2, a = a/m = 0, b, b/m and b/m^2
+    (STRESS_IDS, dict(alpha=1.0, m=0.5, hypotheses=False), {"integrate": 4, "evaluate": 10}),
+], ids=["all_alpha_1", "all_alpha_half", "stress_ids"])
+def test_run_verifiers_computes_each_distinct_value_once(monkeypatch, ids, kw, counts):
+    calls = dict.fromkeys(counts, 0)
+    for name in counts:
+        real = getattr(hh, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(hh, name, counting)
+    f, g = parse("exp(x) + x^2"), parse("2*exp(x) + 3*x^2")
+    run_verifiers(ids, f, g, a=0.0, b=1.0, r=1.0, **kw)
+    assert calls == counts
+
+
+def test_point_values_keep_the_sign_of_zero():
+    # (a + b)/2 rounds to -0.0 and b is 0.0: equal as keys, but 0*x tells
+    # them apart, so the pair must not share f((a+b)/2) as f(b)
+    f = parse("0*x")
+    args = dict(a=-5e-324, b=0.0, hypotheses=False)
+    together = run_verifiers(CLASSIC, f, **args)
+    assert [report_json(rep) for rep in together] == [
+        report_json(run_verifier(tid, f, **args)) for tid in CLASSIC]
+    assert together[1].rhs == 0.0 and math.copysign(1.0, together[1].rhs) == 1.0
 
 
 def test_pairs_integrate_each_function_once(monkeypatch):
