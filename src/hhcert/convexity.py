@@ -1,4 +1,4 @@
-"""Grid certification of generalized convexity and convex dominance.
+"""Certification of generalized convexity and convex dominance, by proof or on a grid.
 
 A function f on [lo, hi] is checked against the defining inequality of a
 class at every triple (x, y, t) of a finite grid:
@@ -18,8 +18,10 @@ every 4th x, y and t first (if 4 divides n_xy - 1 and n_lambda - 1), whose
 entries are the full grid's to the same bits, so a violation or error there
 rejects at once; then the full grid until a violation.
 
-These are finite certificates, not proofs: a Pass says the inequality
-held at every sampled triple.
+:func:`check` and :func:`passes` first ask :func:`proved`, which proves membership at
+alpha = 1 and r >= 1, and (alpha, m)-dominance at alpha = 1: a proved check returns a
+grid pass's result without a scan.  Any other pass is a finite certificate, not a proof:
+the inequality held at every sampled triple.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import (DomainError, Expr, Interval, _exact_at_zero, _require_tol, _shape, evaluate,
-                   lin_comb)
+from .expr import (_AFFINE, _CONVEX, Add, DomainError, Expr, Interval, Sub, _exact_at_zero,
+                   _linear, _require_tol, _shape, evaluate, lin_comb)
 from .means import _power_mean_raw, _y_side
 
 __all__ = [
@@ -244,6 +246,16 @@ def _rows(f: Expr, g: Expr | None, params: ClassParams, xs, ts, comb):
     return rows
 
 
+def _proved_first(f: Expr, g: Expr | None, iv: Interval, params: ClassParams,
+                  grid: GridSpec) -> bool:
+    """:func:`proved`, which never holds where the grid raises ValueError (m < 1 below 0); where
+    it holds, np.empty raises the grid's MemoryError if any, touching no page."""
+    if not proved(f, iv, params, g):
+        return False
+    np.empty((grid.n_xy, grid.n_xy, grid.n_lambda))
+    return True
+
+
 def _grid_rows(f: Expr, g: Expr | None, iv: Interval, params: ClassParams, grid: GridSpec):
     """(rows, xs, ts, x rows per block) of :func:`_rows` on each grid of :func:`_grids`."""
     m = 1.0 if isinstance(params, RConvex) else params.m
@@ -257,27 +269,32 @@ def _grid_rows(f: Expr, g: Expr | None, iv: Interval, params: ClassParams, grid:
 
 def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
           grid: GridSpec = DEFAULT_GRID) -> CheckResult:
-    """Grid-check that f belongs to the class ``params`` or, given g, that
-    f is g-dominated over it.  r-classes need f, and g if given, strictly
-    positive at every sampled point; the (alpha, m) membership check also
-    reports the f(0) <= 0 side condition."""
-    rows, xs, ts, step = _grid_rows(f, g, iv, params, grid)[-1]
-    try:
-        found = _scan(rows, xs, ts, grid.tol, step)
-    except (DomainError, NonPositiveFunction):
-        found = None
-    # every check is elementwise, so on an error the whole grid fails too, but
-    # maybe first at another node or point: one block of all rows raises that
-    worst, first = found or _scan(rows, xs, ts, grid.tol, len(xs))
+    """Check that f belongs to the class ``params`` or, given g, that f is g-dominated over it,
+    by :func:`proved` (a grid pass's result, with no scan) or on the grid.  r-classes need f,
+    and g if given, strictly positive at every sampled point; the (alpha, m) membership check
+    also reports the f(0) <= 0 side condition."""
+    worst = first = None
+    if not _proved_first(f, g, iv, params, grid):
+        rows, xs, ts, step = _grid_rows(f, g, iv, params, grid)[-1]
+        try:
+            found = _scan(rows, xs, ts, grid.tol, step)
+        except (DomainError, NonPositiveFunction):
+            found = None
+        # every check is elementwise, so on an error the whole grid fails too, but
+        # maybe first at another node or point: one block of all rows raises that
+        worst, first = found or _scan(rows, xs, ts, grid.tol, len(xs))
     f0 = _f0_flag(f, iv) if g is None and isinstance(params, AlphaM) else None
-    return CheckResult(worst, first, len(xs) ** 2 * len(ts), f0)
+    return CheckResult(worst, first, grid.n_xy ** 2 * grid.n_lambda, f0)
 
 
 @np.errstate(all="ignore")
 def passes(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
            grid: GridSpec = DEFAULT_GRID) -> bool:
-    """``check(...).passed`` by the module docstring's scan.  Only where check raises does
-    it raise DomainError or NonPositiveFunction, or return False at a violation met first."""
+    """``check(...).passed``: True where :func:`proved` holds, else by the module docstring's
+    scan.  Only where check raises does it raise DomainError or NonPositiveFunction, or
+    return False at a violation met first."""
+    if _proved_first(f, g, iv, params, grid):
+        return True
     for rows, xs, ts, step in _grid_rows(f, g, iv, params, grid):
         for i in range(0, len(xs), step):
             lhs, rhs = rows(slice(i, i + step))
@@ -286,17 +303,36 @@ def passes(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
     return True
 
 
-def proved(f: Expr, iv: Interval, params: ClassParams) -> bool:
-    """Whether f is in the class ``params`` on iv, being convex there by ``expr._shape``:
-    at alpha = m = 1; at alpha = 1 on [0, b] if f(0) <= 0 exactly, as f(tx + m(1-t)y) <=
-    t f(x) + (1-t) f(my) <= t f(x) + (1-t)(m f(y) + (1-m) f(0)) (Toader, 1984); at r >= 1
-    if f > 0, as M_r >= M_1.  Evaluate raises nowhere on a proved f; False proves nothing."""
-    if not (params.r >= 1.0 if isinstance(params, RConvex) else params.alpha == 1.0):
+def _convex(e: Expr, iv: Interval) -> bool:
+    """Whether each term of e is affine on iv, or convex with a positive coefficient."""
+    return all(not c or (s := _shape(atom, iv)) is not None
+               and s[0] <= (_CONVEX if c > 0 else _AFFINE) for atom, c in _linear(e).items())
+
+
+def proved(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None) -> bool:
+    """Whether f is in the class ``params`` on iv or, given g at alpha = 1, g-dominated: g + f
+    and g - f are in it.  Each such h is convex on iv, by ``expr._shape`` or term by term, so
+    in its class at alpha = m = 1; at alpha = 1 on [0, b] if h(0) <= 0 exactly, as h(tx +
+    m(1-t)y) <= t h(x) + (1-t) h(my) <= t h(x) + (1-t)(m h(y) + (1-m) h(0)) (Toader, 1984);
+    at r >= 1 if h > 0, as M_r >= M_1.  Evaluate raises nowhere on a proved f or g, which
+    stay below 2^1020 in size; False proves nothing."""
+    r_class = isinstance(params, RConvex)
+    if not (params.r >= 1.0 and g is None if r_class else params.alpha == 1.0):
         return False
-    shape = _shape(f, iv)
-    if shape is None or isinstance(params, RConvex):
-        return shape is not None and shape[1] > 0.0
-    return params.m == 1.0 or iv.lo == 0.0 and (f0 := _exact_at_zero(f)) is not None and f0 <= 0
+    try:
+        shapes = [_shape(e, iv) for e in (f, g) if e is not None]
+        # below 2^1020 in size, every sum and difference of a grid check stays finite
+        if None in shapes or max(max(-low, high) for _, low, high in shapes) >= 2.0 ** 1020:
+            return False
+        sides = (f,) if g is None else (Add(g, f), Sub(g, f))
+        if not (g is None and shapes[0][0] <= _CONVEX or all(_convex(s, iv) for s in sides)):
+            return False
+        if r_class:
+            return shapes[0][1] > 0.0
+        return params.m == 1.0 or iv.lo == 0.0 and all(
+            (v := _exact_at_zero(side)) is not None and v <= 0 for side in sides)
+    except RecursionError:      # a tree too deep to walk here is left to the grid
+        return False
 
 
 @np.errstate(all="ignore")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -156,7 +157,7 @@ class DomainError(ArithmeticError):
 # and inf^-1.
 _CONST, _VAR, _OP, _DOMAIN = range(4)
 _STRICT, _FAST = 1, 2
-_CONSTANT, _AFFINE, _CONVEX = range(3)     # curvature ranks of the shape pass
+_CONSTANT, _AFFINE, _CONVEX, _UNKNOWN = range(4)     # curvature ranks of the shape pass
 _UFUNCS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Exp: np.exp,
            Log: np.log, Sqrt: np.sqrt, Abs: np.abs}
 _DOMAINS = {Log: (operator.le, "log of non-positive value"),
@@ -251,10 +252,10 @@ def _out(lo: float, hi: float, ulps: int = 1) -> tuple[float, float]:
 
 @np.errstate(all="ignore")     # an overflowing power is inf, and refused
 def _shape(f: Expr, iv: Interval) -> tuple[int, float, float] | None:
-    """(curvature, low, high) of f on iv by the composition rules of disciplined convex
-    programming (Grant, Boyd & Ye, 2006), or None where none applies or evaluate could raise.
-    [low, high] holds f's exact and computed values on iv, widened at a nonzero end that
-    grid points may round past; every step rounds outward (by four ulps for exp and power)."""
+    """(curvature, low, high) of f on iv by the rules of disciplined convex programming (Grant,
+    Boyd & Ye, 2006), _UNKNOWN where none applies; None where no enclosure rule does or
+    evaluate could raise.  [low, high] holds f's exact and computed values on iv, widened at
+    a nonzero end grid points may round past; each step rounds outward (4 ulps: exp, power)."""
     lo, hi = _out(iv.lo, iv.hi)
     x, vals = (_AFFINE, lo if iv.lo else 0.0, hi if iv.hi else 0.0), []
     for code, node, k, _ in _compile(f):
@@ -267,26 +268,48 @@ def _shape(f: Expr, iv: Interval) -> tuple[int, float, float] | None:
             match node, args:
                 case Add(), [(c, l1, h1), (d, l2, h2)]:
                     v = max(c, d), *_out(l1 + l2, h1 + h2)
-                case Sub(), [(c, l1, h1), (d, l2, h2)] if d < _CONVEX:
-                    v = max(c, d), *_out(l1 - h2, h1 - l2)
+                case Sub(), [(c, l1, h1), (d, l2, h2)]:
+                    v = max(c, d if d < _CONVEX else _UNKNOWN), *_out(l1 - h2, h1 - l2)
                 case Mul(), _ if min(args)[0] == _CONSTANT:
                     (_, cl, ch), (d, dl, dh) = sorted(args)
                     ends = (cl * dl, cl * dh, ch * dl, ch * dh)
-                    v = None if d == _CONVEX and cl < 0 else d, *_out(min(ends), max(ends))
+                    v = _UNKNOWN if d == _CONVEX and cl < 0 else d, *_out(min(ends), max(ends))
                 case Exp(), [(c, l, h)] if h < 709.0:
-                    v = c and _CONVEX, *_out(math.exp(l), math.exp(h), 4)
+                    v = c and max(c, _CONVEX), *_out(math.exp(l), math.exp(h), 4)
                 case Pow(_, e), [(c, l, h), _] if l > 0 or e >= 0 and e.is_integer():
                     even = e % 2 == 0
-                    ends = sorted(np.power((l, h), e))
-                    convex = e > 1 and (l >= 0 or even and c == _AFFINE) or e < 0 and c == _AFFINE
-                    v = (c if c == _CONSTANT or e == 1 else _CONVEX if convex else None,
+                    ends = sorted(float(p) for p in np.power((l, h), e))
+                    convex = c < _UNKNOWN and (e > 1 and (l >= 0 or even and c == _AFFINE)
+                                               or e < 0 and c == _AFFINE)
+                    v = (c if c == _CONSTANT or e == 1 else _CONVEX if convex else _UNKNOWN,
                          *_out(0.0 if even and l < 0 < h else ends[0], ends[1], 4))
                 case _:
                     return None
-        if v[0] is None or not (math.isfinite(v[1]) and math.isfinite(v[2])):
+        if not (math.isfinite(v[1]) and math.isfinite(v[2])):
             return None
         vals.append(v)
     return vals[0]
+
+
+_ONE = Const(1.0)
+
+
+def _linear(e: Expr) -> dict[Expr, Fraction]:
+    """e as exact coefficients of its subtrees that are not sums, differences or products
+    with a constant, keyed by structural equality; Const(1.0) keys the constant term.
+    e's constants must be finite."""
+    match e:
+        case Const(v):
+            return {_ONE: Fraction(v)}
+        case Add(l, r) | Sub(l, r):
+            terms = Counter(_linear(l))
+            (terms.update if isinstance(e, Add) else terms.subtract)(_linear(r))
+            return terms
+        case Mul(l, r):
+            a, b = sorted((_linear(l), _linear(r)), key=lambda t: t.keys() != {_ONE})
+            if a.keys() == {_ONE}:
+                return {atom: a[_ONE] * c for atom, c in b.items()}
+    return {e: Fraction(1)}
 
 
 def _exact_at_zero(e: Expr) -> Fraction | None:

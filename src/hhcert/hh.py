@@ -3,8 +3,8 @@
 Each verifier evaluates both sides of one inequality numerically and
 reports lhs, rhs, slack = rhs - lhs, and holds = (slack >= -tol), together
 with the accumulated quadrature error and the status of the inequality's
-hypotheses as certified on a finite grid.  Sides are always computed,
-even when a hypothesis fails, so near-misses can be inspected.
+hypotheses as :func:`convexity.check` gives it, by proof or on a finite grid.
+Sides are always computed, even when a hypothesis fails, so near-misses show.
 
 The catalogue, by report id (a two-sided bound is split into its halves):
 
@@ -214,7 +214,7 @@ def _class_of(row: _Row, params: dict[str, float]) -> ClassParams:
 
 def _status(c: ClassParams, bounds: tuple[float, float], f: Expr, g: Expr | None,
             grid: GridSpec) -> HypothesisStatus:
-    """Grid-certify f's class membership or, with g, f's dominance by g."""
+    """Certify f's class membership or, with g, f's dominance by g, as check does."""
     try:
         res = check(f, Interval(*bounds), c, g, grid)
     except (DomainError, NonPositiveFunction, ValueError) as exc:

@@ -2,12 +2,12 @@
 
 Candidate class members are positive combinations of simple convex atoms
 (c*x^p with integer p >= 2, c*(e^x - 1), c*x, and positive constants).
-Every emitted function is certified against its class before use: by proof
-where the construction gives one (:func:`convexity.proved`: each stress draw at
-alpha = 1 or r >= 1 is convex by the rules of disciplined convex programming,
-Grant, Boyd & Ye 2006; has f(0) <= 0 exactly at m < 1, Toader 1984; and is
-positive at r >= 1, as M_r >= M_1), else on the grid.  Draws that fail are
-rejected and retried up to a cap.  ``passes``, ``check`` and ``verify`` still scan.
+Every emitted function is certified against its class before use by
+:func:`convexity.passes`: by proof where the construction gives one (each stress
+draw at alpha = 1 or r >= 1 is convex by the rules of disciplined convex
+programming, Grant, Boyd & Ye 2006; has f(0) <= 0 exactly at m < 1, Toader 1984;
+and is positive at r >= 1, as M_r >= M_1), else on the grid.  Draws that fail
+are rejected and retried up to a cap.
 
 A stress trial draws two certified members h, k, forms the dominated pair
 f = (h - k)/2, g = (h + k)/2, and runs every verifier whose hypotheses
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec, NonPositiveFunction,
-                        RConvex, construct_dominated_pair, passes, proved)
+                        RConvex, construct_dominated_pair, passes)
 from .expr import (Add, Const, DomainError, Expr, Interval, Mul, Pow, Sub, Exp, X,
                    _require_tol)
 from .hh import TOL_DEFAULT, IneqReport, _over_power, run_verifier, run_verifiers
@@ -164,7 +164,7 @@ _NO_VALUE = (DomainError, NonPositiveFunction, NonConvergence)
 
 def _certifies(e: Expr, params: ClassParams, iv: Interval, grid: GridSpec) -> bool:
     try:
-        return proved(e, iv, params) or passes(e, iv, params, grid=grid)
+        return passes(e, iv, params, grid=grid)
     except _NO_VALUE:
         return False
 

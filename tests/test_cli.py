@@ -339,6 +339,16 @@ def test_overflowing_dominance_leaves_one_error_line():
         assert err == "error: float64 overflow: cannot print non-finite float inf\n"
 
 
+@pytest.mark.parametrize("f", ["exp(30*x)", "1e12*exp(x)"])
+def test_convex_functions_with_rounding_gaps_pass(f):
+    # on the grid's diagonal x = y the inequality is an identity, and there these
+    # functions' gaps are rounding alone (0.00195 and 2.4e-4, above tol): a proof
+    # of convexity gives the pass, where a scan reported a violation
+    code, out, err = _run(["check-convexity", "--f", f, "--a", "0", "--b", "1",
+                           "--alpha", "1", "--m", "1"])
+    assert (code, out, err) == (0, "PASS: (1, 1)-convexity holds at all 70785 grid points\n", "")
+
+
 def test_overflowing_gap_of_finite_sides_exit_two():
     # the worst witness has finite lhs and rhs, but lhs - rhs overflows
     f = "1.5e308 - 1.5e308*(2*x-1)^2 - 1.5e308*(2*x-1)^2"

@@ -602,30 +602,85 @@ def _mp(e, x):
     return x
 
 
-@settings(max_examples=300, deadline=None)
-@given(shape_trees(),
-       st.sampled_from([UNIT, Interval(0.0, 3.0), Interval(0.5, 2.0), Interval(-1.0, 1.0)]),
+# the proof-soundness tests: tier-1 runs them at multiples of the default
+# profile's 100 examples, and the "proof-soundness" profile of conftest.py at
+# ten times as many
+PROOF_EXAMPLES = settings.default.max_examples
+SHAPE_TREES = shape_trees()
+SHAPE_INTERVALS = [UNIT, Interval(0.0, 3.0), Interval(0.5, 2.0), Interval(-1.0, 1.0)]
+
+
+def _second_differences_ok(ys, scale) -> bool:
+    return all(a - 2 * b + c >= -1e-40 * scale for a, b, c in zip(ys, ys[1:], ys[2:]))
+
+
+def _mp_points(iv):
+    return [mpmath.mpf(iv.lo) + i * (mpmath.mpf(iv.hi) - iv.lo) / 256 for i in range(257)]
+
+
+@settings(max_examples=3 * PROOF_EXAMPLES, deadline=None)
+@given(SHAPE_TREES, st.sampled_from(SHAPE_INTERVALS),
        st.sampled_from([AlphaM(1.0, 1.0), AlphaM(1.0, 0.5), AlphaM(0.5, 1.0), RConvex(1.0),
                         RConvex(2.0), RConvex(0.0)]))
 @example(parse("(x - 0.5)^3 + 2"), UNIT, RConvex(1.0))
 @example(parse("(1 - x)^1.5 + (2 - x)^-2"), Interval(-1.0, 0.25), AlphaM(1.0, 1.0))
+@example(parse("x^2 - 0.5*x^2 - x"), Interval(0.0, 3.0), AlphaM(1.0, 0.5))
 def test_proved_members_are_in_their_class(f, iv, params):
     """Where proved holds, f is convex to 50 digits on a fine grid, meets its
-    rule's side condition there, and passes the grid check."""
+    rule's side condition there, and the grid's own gaps stay within its tolerance."""
     if not proved(f, iv, params):
         return
     with mpmath.workdps(50):
-        xs = [mpmath.mpf(iv.lo) + i * (mpmath.mpf(iv.hi) - iv.lo) / 256 for i in range(257)]
-        ys = [_mp(f, x) for x in xs]
+        ys = [_mp(f, x) for x in _mp_points(iv)]
         scale = 1 + max(abs(y) for y in ys)
-        assert all(a - 2 * b + c >= -1e-40 * scale for a, b, c in zip(ys, ys[1:], ys[2:]))
+        assert _second_differences_ok(ys, scale)
         if isinstance(params, RConvex):
             assert min(ys) > 0
         elif params.m < 1.0:
             assert _mp(f, mpmath.mpf(0)) <= 0
     # the grid's tolerance is absolute, so only moderate values leave rounding below it
     if scale < 1e3:
-        assert check(f, iv, params, grid=GridSpec(17, 33)).passed
+        grid = GridSpec(17, 33)
+        assert (gap_grid(f, iv, params, grid=grid) <= grid.tol).all()
+
+
+@st.composite
+def shape_pairs(draw):
+    """f = (h - k)/2 and g = (h + k)/2 for trees h and k, maybe with c*p added
+    to f or to g for one more tree p."""
+    f, g = construct_dominated_pair(draw(SHAPE_TREES), draw(SHAPE_TREES))
+    side = draw(st.sampled_from([None, "f", "g"]))
+    if side is not None:
+        c, p = draw(st.sampled_from([-0.5, 0.25, 1.0])), draw(SHAPE_TREES)
+        f, g = (lin_comb(1.0, f, c, p), g) if side == "f" else (f, lin_comb(1.0, g, c, p))
+    return f, g
+
+
+@settings(max_examples=2 * PROOF_EXAMPLES, deadline=None)
+@given(shape_pairs(), st.sampled_from(SHAPE_INTERVALS),
+       st.sampled_from([AlphaM(1.0, 1.0), AlphaM(1.0, 0.5), AlphaM(0.5, 1.0), RConvex(1.0),
+                        RConvex(2.0)]))
+@example(construct_dominated_pair(parse("x^2 + exp(x) - 1"), parse("2*x^2 - x")), UNIT,
+         AlphaM(1.0, 0.5))
+def test_proved_pairs_are_dominated(pair, iv, params):
+    """Where proved holds for a pair, g + f and g - f are convex to 50 digits on
+    a fine grid and, at m < 1, at most 0 at 0; the grid's own dominance gaps stay
+    within its tolerance.  r-classes and alpha < 1 are never proved."""
+    f, g = pair
+    if not proved(f, iv, params, g):
+        return
+    assert isinstance(params, AlphaM) and params.alpha == 1.0
+    with mpmath.workdps(50):
+        xs = _mp_points(iv)
+        fs, gs = [_mp(f, x) for x in xs], [_mp(g, x) for x in xs]
+        scale = 1 + max(max(abs(y) for y in fs), max(abs(y) for y in gs))
+        for sign in (1, -1):
+            assert _second_differences_ok([b + sign * a for a, b in zip(fs, gs)], scale)
+            if params.m < 1.0:
+                assert _mp(g, mpmath.mpf(0)) + sign * _mp(f, mpmath.mpf(0)) <= 0
+    if scale < 1e3:
+        grid = GridSpec(17, 33)
+        assert (gap_grid(f, iv, params, g, grid) <= grid.tol).all()
 
 
 @pytest.mark.parametrize("text, iv, params", [
@@ -646,9 +701,11 @@ def test_proved_members_are_in_their_class(f, iv, params):
     ("x*x", UNIT, AlphaM(1.0, 1.0)),                            # a product of two non-constants
     ("x^2", UNIT, AlphaM(0.5, 1.0)),                            # no rule below alpha = 1
     ("x^2 + 1", UNIT, RConvex(0.5)),                            # nor below r = 1
+    ("2e307*x^2", UNIT, AlphaM(1.0, 1.0)),                      # beyond 2^1020
+    ("x^2 - 1.5*x^2", UNIT, AlphaM(1.0, 1.0)),                  # concave once collected
 ])
 def test_proved_refuses(text, iv, params):
-    assert not proved(parse(text), iv, params)
+    assert proved(parse(text), iv, params) is False
 
 
 @pytest.mark.parametrize("text, iv, params", [
@@ -657,8 +714,93 @@ def test_proved_refuses(text, iv, params):
     ("(x - 0.5)^2 + exp(-x) - 3", Interval(-1.0, 1.0), AlphaM(1.0, 1.0)),
     ("x^-1 + (2*x + 1)^1.5 + (x^2 - 1)^1.5", Interval(1.5, 2.0), RConvex(3.0)),
     ("0.5*(1.2*x^2 + 0.7) + 0.5*(1.2*x^2 + 0.7 + 0.3*(exp(x) - 1))", UNIT, RConvex(1.0)),
+    # the enclosure's low end comes from a power, a numpy float
+    ("1.5715*(1.8735-x)^-1", Interval(0.25, 1.0), RConvex(2.0)),
+    ("x^2 - 0.5*x^2 - x", Interval(0.0, 3.0), AlphaM(1.0, 0.5)),  # convex once collected
 ])
 def test_proved_accepts(text, iv, params):
     f = parse(text)
-    assert proved(f, iv, params)
-    assert check(f, iv, params).passed
+    assert proved(f, iv, params) is True
+    assert (gap_grid(f, iv, params) <= DEFAULT_GRID.tol).all()
+
+
+def _pair(h: str, k: str):
+    return construct_dominated_pair(parse(h), parse(k))
+
+
+@pytest.mark.parametrize("pair, iv, params", [
+    (_pair("x^2 + 1", "-x^2"), UNIT, AlphaM(1.0, 1.0)),         # a planted concave k
+    (_pair("x^2 + 1", "x - x^3"), UNIT, AlphaM(1.0, 1.0)),
+    (_pair("x^2", "x^4"), UNIT, AlphaM(0.5, 1.0)),              # no rule below alpha = 1
+    (_pair("x^2 + 1", "exp(x)"), UNIT, RConvex(2.0)),           # r-dominance is not linear
+    (_pair("x^2 + 1", "exp(x)"), UNIT, RConvex(1.0)),
+    (_pair("x^2", "x^2 + 1"), UNIT, AlphaM(1.0, 0.5)),          # (g - f)(0) > 0
+    (_pair("x^2 + 1e-300*1e-300", "x^2"), UNIT, AlphaM(1.0, 0.5)),  # (g + f)(0) > 0
+    (_pair("x^2", "sqrt(x + 1)"), UNIT, AlphaM(1.0, 1.0)),      # no rule for sqrt
+    # g - f = 0, but f and g reach 1.7e308, where the grid's sums overflow
+    ((parse("1.7e308*(2*x-1)^2 - 1.7e308*(1-(2*x-1)^2)"),) * 2, UNIT, AlphaM(1.0, 1.0)),
+    ((parse("2e307*x^2"),) * 2, UNIT, AlphaM(1.0, 1.0)),
+])
+def test_proved_refuses_pairs(pair, iv, params):
+    f, g = pair
+    assert proved(f, iv, params, g) is False
+
+
+@pytest.mark.parametrize("pair, iv, params", [
+    (_pair("1.2*x^2 + 0.5*(exp(x) - 1)", "0.7*x + 1.3*x^3"), UNIT, AlphaM(1.0, 0.5)),
+    (_pair("x^2 + 1", "exp(-x) - 3*x"), Interval(-1.0, 2.0), AlphaM(1.0, 1.0)),
+    (_pair("x^2", "x^2 - 2*x"), Interval(0.0, 3.0), AlphaM(1.0, 0.5)),
+    ((parse("x^2"), parse("3*x^2 + 2")), UNIT, AlphaM(1.0, 1.0)),
+    ((parse("1e300*x^2"), parse("1e300*x^2")), UNIT, AlphaM(1.0, 1.0)),
+])
+def test_proved_accepts_pairs(pair, iv, params):
+    f, g = pair
+    assert proved(f, iv, params, g) is True
+    if max(abs(evaluate(e, iv.hi)) for e in pair) < 1e3:
+        assert (gap_grid(f, iv, params, g) <= DEFAULT_GRID.tol).all()
+
+
+@pytest.mark.parametrize("f, g, iv, params", [
+    ("exp(3*x)", None, UNIT, AlphaM(1.0, 1.0)),
+    ("x^2 - x", None, UNIT, AlphaM(1.0, 0.5)),
+    ("x^2 + 1", None, Interval(0.0, 3.0), RConvex(2.0)),
+    ("0.5*(x^2 + 1) - 0.5*(exp(x) - x)", "0.5*(x^2 + 1) + 0.5*(exp(x) - x)", UNIT,
+     AlphaM(1.0, 1.0)),
+    ("x^3 - x", "x^3 + x", UNIT, AlphaM(1.0, 0.75)),
+])
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, GridSpec(9, 17), GridSpec(10, 7)])
+def test_proof_gives_the_grid_pass_result(f, g, iv, params, grid):
+    # a proved check returns what a scan of its grid returns on a pass, without scanning
+    f, g = parse(f), g and parse(g)
+    assert proved(f, iv, params, g)
+    with mock.patch.object(convexity, "proved", lambda *args: False):
+        scanned = check(f, iv, params, g, grid)
+    with mock.patch.object(convexity, "_grid_rows", None):
+        assert check(f, iv, params, g, grid) == scanned
+        assert passes(f, iv, params, g, grid) is True
+    assert scanned.passed
+
+
+def test_proof_comes_after_argument_checks():
+    # m < 1 below 0 is refused before a proof, and a grid whose cube cannot be
+    # allocated raises as a scan of it would
+    with pytest.raises(ValueError, match="live on \\[0, b\\]"):
+        check(parse("x^2"), Interval(-1.0, 1.0), AlphaM(1.0, 0.5))
+    with pytest.raises(ValueError, match="live on \\[0, b\\]"):
+        passes(parse("x^2"), Interval(-1.0, 1.0), AlphaM(1.0, 0.5), parse("2*x^2"))
+    for fn in (check, passes):
+        with pytest.raises(MemoryError):
+            fn(parse("x^2"), UNIT, AlphaM(1.0, 1.0), grid=GridSpec(10**5, 65))
+
+
+def test_tree_too_deep_for_the_proof_is_left_to_the_grid():
+    # a walk that meets the recursion limit proves nothing, and check scans as before
+    f, g = parse("x^2 - x"), parse("3*x^2")
+
+    def too_deep(e):
+        raise RecursionError
+    with mock.patch.object(convexity, "_linear", too_deep):
+        assert proved(f, UNIT, AlphaM(1.0, 1.0), g) is False
+        with mock.patch.object(convexity, "_grid_rows", mock.Mock(wraps=convexity._grid_rows)):
+            assert check(f, UNIT, AlphaM(1.0, 1.0), g).passed
+            assert convexity._grid_rows.called

@@ -7,9 +7,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hhcert import search
-from hhcert.convexity import (DEFAULT_GRID, AlphaM, GridSpec, RConvex, check_alpha_m_convex,
-                              check_r_convex, passes)
+from hhcert import convexity, search
+from hhcert.convexity import AlphaM, GridSpec, RConvex, check_alpha_m_convex, check_r_convex
 from hhcert.expr import Const, Interval, parse, to_string
 from hhcert.hh import run_verifier
 from hhcert.search import (STRESS_THEOREMS, ScanRow, StressConfig,
@@ -212,18 +211,26 @@ def test_stress_summary_golden(config, digest):
 
 
 def test_alpha_one_and_r_ge_one_members_need_no_grid_scan():
-    # every candidate the construction draws at alpha = 1 or r >= 1 is proved,
-    # so only the r-dominance check of a pair still scans the grid
+    # every candidate the construction draws at alpha = 1 or r >= 1 is proved
+    # inside passes, so only the r-dominance check of a pair still scans the
+    # grid, and evaluate meets no other tree on grid points
     config = StressConfig(seed=6, trials=30, intervals=THREE_INTERVALS, alpha_pool=(1.0,),
                           m_pool=(0.5, 1.0), r_pool=(1.0, 2.0))
-    scanned = []
+    scanned, evaluated = [], []
+    grid_rows, evaluate = convexity._grid_rows, convexity.evaluate
 
-    def spy(f, iv, params, g=None, grid=DEFAULT_GRID):
-        scanned.append(g)
-        return passes(f, iv, params, g, grid)
-    with mock.patch.object(search, "passes", spy):
+    def spy_rows(f, g, *args):
+        scanned.append((f, g))
+        return grid_rows(f, g, *args)
+
+    def spy_evaluate(f, x):
+        evaluated.append(f)
+        return evaluate(f, x)
+    with mock.patch.object(convexity, "_grid_rows", spy_rows), \
+            mock.patch.object(convexity, "evaluate", spy_evaluate):
         summary = summary_json(stress(config))
-    assert scanned and None not in scanned
+    assert scanned and all(g is not None for _, g in scanned)
+    assert evaluated and set(evaluated) <= {e for pair in scanned for e in pair}
     assert summary == summary_json(stress(config))
 
 
