@@ -310,14 +310,16 @@ def _convex(e: Expr, iv: Interval) -> bool:
 
 
 def proved(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None) -> bool:
-    """Whether f is in the class ``params`` on iv or, given g at alpha = 1, g-dominated: g + f
-    and g - f are in it.  Each such h is convex on iv, by ``expr._shape`` or term by term, so
-    in its class at alpha = m = 1; at alpha = 1 on [0, b] if h(0) <= 0 exactly, as h(tx +
-    m(1-t)y) <= t h(x) + (1-t) h(my) <= t h(x) + (1-t)(m h(y) + (1-m) h(0)) (Toader, 1984);
-    at r >= 1 if h > 0, as M_r >= M_1.  Evaluate raises nowhere on a proved f or g, which
-    stay below 2^1020 in size; False proves nothing."""
+    """Whether f is in the class ``params`` on iv or, given g at alpha = 1 or r = 1,
+    g-dominated: g + f and g - f are in it.  Each such h is convex on iv, by ``expr._shape`` or
+    term by term, so in its class at alpha = m = 1; at alpha = 1 on [0, b] if h(0) <= 0
+    exactly, as h(tx + m(1-t)y) <= t h(x) + (1-t) h(my) <= t h(x) + (1-t)(m h(y) + (1-m) h(0))
+    (Toader, 1984); at r >= 1 if h > 0, as M_r >= M_1.  M_1 is t a + (1-t) b, so g-dominance
+    at r = 1 is dominance at alpha = m = 1, given f > 0 and g > 0 as the grid needs them.
+    Evaluate raises nowhere on a proved f or g, which stay below 2^1020 in size; False proves
+    nothing."""
     r_class = isinstance(params, RConvex)
-    if not (params.r >= 1.0 and g is None if r_class else params.alpha == 1.0):
+    if not (params.r == 1.0 or params.r >= 1.0 and g is None if r_class else params.alpha == 1.0):
         return False
     try:
         shapes = [_shape(e, iv) for e in (f, g) if e is not None]
@@ -328,7 +330,7 @@ def proved(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None) ->
         if not (g is None and shapes[0][0] <= _CONVEX or all(_convex(s, iv) for s in sides)):
             return False
         if r_class:
-            return shapes[0][1] > 0.0
+            return all(low > 0.0 for _, low, _ in shapes)
         return params.m == 1.0 or iv.lo == 0.0 and all(
             (v := _exact_at_zero(side)) is not None and v <= 0 for side in sides)
     except RecursionError:      # a tree too deep to walk here is left to the grid

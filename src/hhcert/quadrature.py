@@ -7,11 +7,19 @@ tolerance are bisected.  Panels are examined strictly left to right and
 summed in that order, so repeated runs are bit-identical.
 
 A bisected panel prefetches: one ``evaluate`` call gets f at the nodes of
-its descendants ``_AHEAD`` levels deep (2 + 4 + 8 sub-panels), and each of
-them takes its values from that block when it is examined.  The values are
-those of one call per panel to the bit.  A block that leaves f's domain is
-dropped, and its panels are evaluated one at a time, so a DomainError names
-the panel, node and x that panel-by-panel evaluation names.
+sub-panels it may examine, in a block keyed by panel ``(a, b)``; each takes
+its values from the block when they are there, else is evaluated alone.  A
+panel fetches its descendants ``_AHEAD`` levels deep (2 + 4 + 8 sub-panels),
+unless it lies at an end of the interval at 0 and is ``2 * _AHEAD`` or more
+levels deep: then it fetches a chain, the two children of each panel toward
+0, for as many levels as it is deep, up to ``_CHAIN``.  Floats are dense at
+0, so an integrable singularity there, as in -log(x), is bisected down to
+subnormal widths, a thousand levels deep; near any other end nodes round
+onto it some 50 levels below its magnitude.  The values are those of one
+call per panel to the bit.  A block that leaves f's domain is dropped, and
+its panels are evaluated one at a time, so a DomainError names the panel,
+node and x that panel-by-panel evaluation names; after a dropped chain, the
+end fetches trees.
 """
 
 from __future__ import annotations
@@ -78,23 +86,29 @@ class IntegralResult:
     subdivisions: int
 
 
-_AHEAD = 3   # levels of descendants a bisected panel evaluates in one call
+_AHEAD = 3   # levels of descendants one tree holds
+_CHAIN = 64  # most levels one chain toward 0 covers
 
 
-def _prefetch(f: Expr, a: float, b: float) -> np.ndarray | None:
-    """f at the nodes of the sub-panels of [a, b], ``_AHEAD`` levels deep, one
-    row per panel in heap order (the children of row k - 2 are rows 2k - 2
-    and 2k - 1), or None if the block leaves f's domain."""
-    ends = [(a, b)]
-    for i in range(2 ** _AHEAD - 1):
-        lo, hi = ends[i]
-        mid = 0.5 * (lo + hi)
-        ends += [(lo, mid), (mid, hi)]
-    mid_half = np.array([(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in ends[1:]])
+def _prefetch(f: Expr, a: float, b: float, levels: int, left: bool | None) -> dict | None:
+    """f at the nodes of the sub-panels of [a, b] keyed by panel, or None if the block leaves
+    f's domain: all of them ``levels`` levels deep (``left`` None), or the two children of
+    each panel on the chain toward a (``left``) or b.  Panels (+-0, +-0) are left out, as
+    their keys cannot tell -0.0 from 0.0; any other key's nodes do not depend on it."""
+    ends, level = [], [(a, b)]
+    for _ in range(levels):
+        kids = []
+        for lo, hi in level:
+            mid = 0.5 * (lo + hi)
+            kids += [(lo, mid), (mid, hi)]
+        ends += kids
+        level = kids if left is None else kids[:1] if left else kids[1:]
+    mid_half = np.array([(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in ends])
     try:
-        return evaluate(f, mid_half[:, :1] + mid_half[:, 1:] * _NODES)
+        rows = evaluate(f, mid_half[:, :1] + mid_half[:, 1:] * _NODES)
     except DomainError:
         return None
+    return {p: row for p, row in zip(ends, rows) if p[0] or p[1]}
 
 
 @np.errstate(all="ignore")    # entered once per call, not once per panel
@@ -108,21 +122,23 @@ def integrate(f: Expr, iv: Interval, tol: float = QUAD_TOL_DEFAULT,
     """
     _require_tol("tol", tol)
     width = iv.width
-    # (a, b, the prefetched block or None, the panel's heap index in it)
-    stack = [(iv.lo, iv.hi, None, 1)]
+    stack = [(iv.lo, iv.hi, None, 0)]     # (a, b, the prefetched block or None, depth)
+    chains = True                   # whether the end at 0, if any, still fetches chains
     total = 0.0
     err_total = 0.0
     accepted = 0
     examined = 0
     while stack:
-        a, b, block, k = stack.pop()
+        a, b, block, depth = stack.pop()
         examined += 1
         if examined > max_panels:
             raise NonConvergence(
                 f"integral did not converge within {max_panels} panels")
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        fv = evaluate(f, mid + half * _NODES) if block is None else block[k - 2]
+        fv = None if block is None else block.get((a, b))
+        if fv is None:
+            fv = evaluate(f, mid + half * _NODES)
         k15 = float(np.dot(_W15, fv))
         g7 = float(np.dot(_W7, fv))
         err = half * abs(k15 - g7)
@@ -131,8 +147,12 @@ def integrate(f: Expr, iv: Interval, tol: float = QUAD_TOL_DEFAULT,
             err_total += err
             accepted += 1
         else:
-            if block is None or k >= 2 ** _AHEAD:
-                block, k = _prefetch(f, a, b), 1
-            stack.append((mid, b, block, 2 * k + 1))   # pushed first, popped second
-            stack.append((a, mid, block, 2 * k))       # keeps accumulation left to right
+            if block is None or (a, mid) not in block:
+                if chains and depth >= 2 * _AHEAD and (a == iv.lo == 0.0 or b == iv.hi == 0.0):
+                    block = _prefetch(f, a, b, min(depth, _CHAIN), a == iv.lo)
+                    chains = block is not None      # after a dropped chain, trees only
+                else:
+                    block = _prefetch(f, a, b, _AHEAD, None)
+            stack.append((mid, b, block, depth + 1))   # pushed first, popped second
+            stack.append((a, mid, block, depth + 1))   # keeps accumulation left to right
     return IntegralResult(total, err_total, accepted)

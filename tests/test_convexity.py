@@ -662,21 +662,26 @@ def shape_pairs(draw):
                         RConvex(2.0)]))
 @example(construct_dominated_pair(parse("x^2 + exp(x) - 1"), parse("2*x^2 - x")), UNIT,
          AlphaM(1.0, 0.5))
+@example((parse("0.5*x + 1"), parse("x^2 + exp(x)")), UNIT, RConvex(1.0))
 def test_proved_pairs_are_dominated(pair, iv, params):
     """Where proved holds for a pair, g + f and g - f are convex to 50 digits on
-    a fine grid and, at m < 1, at most 0 at 0; the grid's own dominance gaps stay
-    within its tolerance.  r-classes and alpha < 1 are never proved."""
+    a fine grid and, at m < 1, at most 0 at 0, or at r = 1 f and g are positive
+    there; the grid's own dominance gaps stay within its tolerance.  r other
+    than 1 and alpha < 1 are never proved."""
     f, g = pair
     if not proved(f, iv, params, g):
         return
-    assert isinstance(params, AlphaM) and params.alpha == 1.0
+    r_class = isinstance(params, RConvex)
+    assert params.r == 1.0 if r_class else params.alpha == 1.0
     with mpmath.workdps(50):
         xs = _mp_points(iv)
         fs, gs = [_mp(f, x) for x in xs], [_mp(g, x) for x in xs]
         scale = 1 + max(max(abs(y) for y in fs), max(abs(y) for y in gs))
+        if r_class:
+            assert min(fs) > 0 and min(gs) > 0
         for sign in (1, -1):
             assert _second_differences_ok([b + sign * a for a, b in zip(fs, gs)], scale)
-            if params.m < 1.0:
+            if not r_class and params.m < 1.0:
                 assert _mp(g, mpmath.mpf(0)) + sign * _mp(f, mpmath.mpf(0)) <= 0
     if scale < 1e3:
         grid = GridSpec(17, 33)
@@ -733,7 +738,11 @@ def _pair(h: str, k: str):
     (_pair("x^2 + 1", "x - x^3"), UNIT, AlphaM(1.0, 1.0)),
     (_pair("x^2", "x^4"), UNIT, AlphaM(0.5, 1.0)),              # no rule below alpha = 1
     (_pair("x^2 + 1", "exp(x)"), UNIT, RConvex(2.0)),           # r-dominance is not linear
-    (_pair("x^2 + 1", "exp(x)"), UNIT, RConvex(1.0)),
+    (_pair("x^2 + 1", "exp(x)"), UNIT, RConvex(1.0)),           # at r = 1 it is, but f <= 0
+    ((parse("-0.5"), parse("x^2 + 2")), UNIT, RConvex(1.0)),    # f < 0
+    ((parse("0.5"), parse("x^2 - 1")), UNIT, RConvex(1.0)),     # g < 0
+    ((parse("0.5*x"), parse("x^2 + 2")), UNIT, RConvex(1.0)),   # f(0) = 0
+    ((parse("0.5"), parse("x^2 + 2")), UNIT, RConvex(0.5)),     # no rule below r = 1
     (_pair("x^2", "x^2 + 1"), UNIT, AlphaM(1.0, 0.5)),          # (g - f)(0) > 0
     (_pair("x^2 + 1e-300*1e-300", "x^2"), UNIT, AlphaM(1.0, 0.5)),  # (g + f)(0) > 0
     (_pair("x^2", "sqrt(x + 1)"), UNIT, AlphaM(1.0, 1.0)),      # no rule for sqrt
@@ -752,6 +761,8 @@ def test_proved_refuses_pairs(pair, iv, params):
     (_pair("x^2", "x^2 - 2*x"), Interval(0.0, 3.0), AlphaM(1.0, 0.5)),
     ((parse("x^2"), parse("3*x^2 + 2")), UNIT, AlphaM(1.0, 1.0)),
     ((parse("1e300*x^2"), parse("1e300*x^2")), UNIT, AlphaM(1.0, 1.0)),
+    ((parse("0.5*x + 1"), parse("x^2 + exp(x)")), UNIT, RConvex(1.0)),
+    ((parse("x^2 + 1"), parse("3*x^2 + exp(x)")), Interval(-1.0, 2.0), RConvex(1.0)),
 ])
 def test_proved_accepts_pairs(pair, iv, params):
     f, g = pair

@@ -201,7 +201,8 @@ _IVS = [UNIT, Interval(-1.0, 2.0), Interval(0.29, 0.31), Interval(-5.0, -1e-3),
 # any_tree's extreme constants end most integrals at the root; finite
 # constants and a rough or singular term make most of these bisect
 _ROUGH = [parse(t) for t in ("sqrt(x)", "log(x)", "1/(x - 0.25)", "x^-0.5", "abs(x - 0.3)",
-                             "sqrt(abs(x - 0.3))", "log(abs(x + 0.7))", "abs(x + 0.7)^1.5")]
+                             "sqrt(abs(x - 0.3))", "log(abs(x + 0.7))", "abs(x + 0.7)^1.5",
+                             "-log(1 - x)", "(1 - x)^-0.5", "-log(x - 2)", "-log(-x)")]
 
 
 def _rough_tree():
@@ -213,15 +214,17 @@ def _rough_tree():
 
 
 _BUDGETS = st.sampled_from([1, 4, 64, None])
+# twice the profile's examples: ten times more under the "proof-soundness" profile
+PREFETCH_EXAMPLES = 2 * settings.default.max_examples
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=PREFETCH_EXAMPLES, deadline=None)
 @given(any_tree(), st.sampled_from(_IVS), _BUDGETS)
 def test_prefetch_matches_panel_by_panel_loop(f, iv, max_panels):
     _same_as_reference(f, iv, max_panels)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=PREFETCH_EXAMPLES, deadline=None)
 @given(_rough_tree(), st.sampled_from(_IVS[:3]), _BUDGETS)
 def test_prefetch_matches_on_rough_integrands(f, iv, max_panels):
     _same_as_reference(f, iv, max_panels)
@@ -230,7 +233,10 @@ def test_prefetch_matches_on_rough_integrands(f, iv, max_panels):
 @pytest.mark.parametrize("text, lo, hi", [
     ("log(x - 0.3)", 0.0, 1.0), ("sqrt(x - 0.5)", 0.0, 1.0), ("1/(x - 0.25)", 0.0, 1.0),
     ("x^-0.5", 0.0, 1.0), ("abs(x - 0.7508)", 0.0, 1.0), ("sqrt(x)", 0.0, 1.0),
-    ("exp(x)*x^2 + sqrt(x + 1)", 0.0, 3.0), ("log(x)", 1e-3, 2.0)])
+    ("exp(x)*x^2 + sqrt(x + 1)", 0.0, 3.0), ("log(x)", 1e-3, 2.0),
+    # singular at the right end, or at an end other than 0
+    ("-log(1 - x)", 0.0, 1.0), ("(1 - x)^-0.5", 0.0, 1.0), ("-log(x - 2)", 2.0, 3.0),
+    ("-log(-x)", -1.0, 0.0)])
 @pytest.mark.parametrize("max_panels", [1, 5, 1000, None])
 def test_prefetch_matches_on_domain_edges(text, lo, hi, max_panels):
     _same_as_reference(parse(text), Interval(lo, hi), max_panels)
@@ -266,8 +272,28 @@ def test_log_chain_prefetch_drops_domain_errors(monkeypatch):
 
 def test_prefetch_cuts_evaluate_calls(monkeypatch):
     counts = _counting_evaluate(monkeypatch)
-    integrate(parse("-1.2345*log(x)"), UNIT)
-    assert counts["calls"] <= 400   # one call per panel makes 2135
+    for text, iv in (("-1.2345*log(x)", UNIT), ("-log(-x)", Interval(-1.0, 0.0)),
+                     ("-log(x)", Interval(0.0, 1e-3))):
+        counts["calls"] = 0
+        integrate(parse(text), iv)
+        assert counts["calls"] <= 31    # chains toward 0; one call per panel makes 2135
     counts["calls"] = 0
     assert integrate(parse("exp(x)+x^2"), UNIT).subdivisions == 1
     assert counts["calls"] == 1     # the root is evaluated alone
+
+
+# tree_calls: the evaluate calls of a prefetch that fetches only depth-3 trees; the last
+# four, singular only away from 0, fetch no chain and make the same calls
+@pytest.mark.parametrize("text, lo, hi, max_panels, tree_calls", [
+    ("x^-0.5", 0.0, 1.0, MAX_PANELS, 362), ("-1.3*sqrt(x)", 0.0, 1.0, MAX_PANELS, 16),
+    ("log(abs(x - 0.01))", 0.0, 1.0, 4096, 799),
+    ("-log(x - 2)", 2.0, 3.0, MAX_PANELS, 21), ("(1 - x)^-0.5", 0.0, 1.0, 4096, 495),
+    ("-log(1 - x)", 0.0, 1.0, MAX_PANELS, 7213), ("-1.2345*log(1 - x)", 0.0, 1.0, MAX_PANELS, 8007)])
+def test_chain_prefetch_makes_no_more_calls_than_trees(monkeypatch, text, lo, hi, max_panels,
+                                                       tree_calls):
+    counts = _counting_evaluate(monkeypatch)
+    try:
+        integrate(parse(text), Interval(lo, hi), max_panels=max_panels)
+    except (DomainError, NonConvergence):    # nodes round onto the end, or the budget runs out
+        pass
+    assert counts["calls"] <= tree_calls

@@ -9,7 +9,7 @@ import pytest
 
 from hhcert import convexity, search
 from hhcert.convexity import AlphaM, GridSpec, RConvex, check_alpha_m_convex, check_r_convex
-from hhcert.expr import Const, Interval, parse, to_string
+from hhcert.expr import Const, Interval, _shape, parse, to_string
 from hhcert.hh import run_verifier
 from hhcert.search import (STRESS_THEOREMS, ScanRow, StressConfig,
                            random_convex_expr, scan_csv, stress, summary_json,
@@ -212,16 +212,18 @@ def test_stress_summary_golden(config, digest):
 
 def test_alpha_one_and_r_ge_one_members_need_no_grid_scan():
     # every candidate the construction draws at alpha = 1 or r >= 1 is proved
-    # inside passes, so only the r-dominance check of a pair still scans the
-    # grid, and evaluate meets no other tree on grid points
+    # inside passes, and so is a pair at r = 1 unless the enclosure of f = (h - k)/2,
+    # which holds k twice, reaches 0; so only the dominance check of a pair still
+    # scans the grid, and evaluate meets no other tree on grid points
     config = StressConfig(seed=6, trials=30, intervals=THREE_INTERVALS, alpha_pool=(1.0,),
                           m_pool=(0.5, 1.0), r_pool=(1.0, 2.0))
     scanned, evaluated = [], []
     grid_rows, evaluate = convexity._grid_rows, convexity.evaluate
 
-    def spy_rows(f, g, *args):
-        scanned.append((f, g))
-        return grid_rows(f, g, *args)
+    def spy_rows(f, g, iv, params, *args):
+        assert params == RConvex(2.0) or min(_shape(f, iv)[1], _shape(g, iv)[1]) <= 0.0
+        scanned.append((f, g, params))
+        return grid_rows(f, g, iv, params, *args)
 
     def spy_evaluate(f, x):
         evaluated.append(f)
@@ -229,8 +231,9 @@ def test_alpha_one_and_r_ge_one_members_need_no_grid_scan():
     with mock.patch.object(convexity, "_grid_rows", spy_rows), \
             mock.patch.object(convexity, "evaluate", spy_evaluate):
         summary = summary_json(stress(config))
-    assert scanned and all(g is not None for _, g in scanned)
-    assert evaluated and set(evaluated) <= {e for pair in scanned for e in pair}
+    assert scanned and all(g is not None for _, g, _ in scanned)
+    assert RConvex(1.0) in {params for _, _, params in scanned}
+    assert evaluated and set(evaluated) <= {e for f, g, _ in scanned for e in (f, g)}
     assert summary == summary_json(stress(config))
 
 
