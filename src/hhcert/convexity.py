@@ -11,6 +11,10 @@ A check passes when no grid triple violates its inequality by more than
 ``grid.tol``.  Violations report two witnesses: the largest violation on
 the grid and the first one in row-major scan order (x outer, y middle,
 t inner).  Both are deterministic.  A check scans blocks of whole x rows.  It
+evaluates f once per distinct point t*x + m*(1-t)*y of the grid and gathers each
+block's lhs from those values, which are f's at each entry to the bit, as evaluate is
+elementwise; where f raises there (or is not positive, in an r-class), each block
+evaluates its own entries, so an error names the node and x it does without them.  It
 computes f on the x values once, and with it the y side of the right-hand side
 (m*(1-t^alpha)*f(y), or the power mean's y term), so that each block adds only
 its x side.  :func:`passes` gives the verdict alone: it scans the subgrid of
@@ -26,9 +30,9 @@ the inequality held at every sampled triple.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -136,20 +140,60 @@ class NonPositiveFunction(ValueError):
 # ------------------------- grid plumbing -------------------------
 
 _BLOCK = 16384  # entries per block of x rows in a scan; a block has at least one row
+_GRIDS: dict = {}   # _grids' results, least recently used first
 
 
-@functools.lru_cache(maxsize=2)
 def _grids(lo: str, hi: str, m: float, n_xy: int, n_lambda: int):
-    """Read-only (xs, ts, comb = t*x + m*(1-t)*y) on [lo, hi], after its subgrid if any;
-    the ends come as float.hex, which tells -0.0 from 0.0.  r-convexity uses m = 1."""
-    xs = np.linspace(float.fromhex(lo), float.fromhex(hi), n_xy)
-    ts = np.linspace(0.0, 1.0, n_lambda)
-    comb = (ts * xs[:, None, None]) + (m * (1.0 - ts)) * xs[None, :, None]
-    grids = (((xs[::4].copy(), ts[::4].copy(), comb[::4, ::4, ::4].copy()), (xs, ts, comb))
-             if (n_xy - 1) % 4 == 0 and (n_lambda - 1) % 4 == 0 else ((xs, ts, comb),))
-    for a in sum(grids, ()):
-        a.flags.writeable = False
-    return grids
+    """Read-only (xs, ts, u, inv) of :func:`_distinct` on [lo, hi], after its subgrid if any;
+    the ends come as float.hex, which tells -0.0 from 0.0.  r-convexity uses m = 1.  It keeps
+    the most recently used grids that fit in two float64 cubes of this grid's size."""
+    key = (lo, hi, m, n_xy, n_lambda)
+    if key not in _GRIDS:
+        xs = np.linspace(float.fromhex(lo), float.fromhex(hi), n_xy)
+        ts = np.linspace(0.0, 1.0, n_lambda)
+        sub = [(xs[::4].copy(), ts[::4].copy())] * ((n_xy - 1) % 4 == (n_lambda - 1) % 4 == 0)
+        held = [g[3] for gs in _GRIDS.values() for g in gs]     # an equal inv is held once
+        grids = tuple((x, t, u, next((h for h in held if np.array_equal(h, inv)), inv))
+                      for x, t in sub + [(xs, ts)] for u, inv in [_distinct(x, t, m)])
+        for a in sum(grids, ()):
+            a.flags.writeable = False
+        while _GRIDS and sum({id(a): a.nbytes for g in (grids, *_GRIDS.values())
+                              for a in sum(g, ())}.values()) > 16 * n_xy * n_xy * n_lambda:
+            del _GRIDS[next(iter(_GRIDS))]
+        _GRIDS[key] = grids
+    _GRIDS[key] = _GRIDS.pop(key)
+    return _GRIDS[key]
+
+
+def _distinct(xs, ts, m: float):
+    """(u, inv), u[inv] the cube t*x + m*(1-t)*y bit for bit, with no sort.  A key guesses an
+    entry's value as a multiple of h/(q*(len(ts) - 1)) for m ~ p/q, as it is where lo = 0 or
+    m = 1, plus its two lowest bits, which tell roundings of one value apart.  A key's slot
+    takes one entry's bits, and an entry whose bits differ (as -0.0 from 0.0) gets an entry of
+    u of its own.  So u holds only the cube's values, each slot's once."""
+    n, nl = len(xs), len(ts)
+    inv, step = np.empty((n, n, nl), np.intp), max(1, _BLOCK // (n * nl))
+    p, q = Fraction(m).limit_denominator(max(1, n // 4)).as_integer_ratio()    # <= n*n*nl slots
+    size, k = 4 * max(p, q) * (nl - 1) * (n - 1) + 4, np.arange(nl)
+    ki, kj = q * k * np.arange(n)[:, None, None], p * (nl - 1 - k) * np.arange(n)[:, None]
+
+    def blocks():   # (x rows, bits, keys) of the cube on blocks of x rows
+        for i in range(0, n, step):
+            comb = (ts * xs[i:i + step, None, None]) + (m * (1.0 - ts)) * xs[None, :, None]
+            bits = comb.view(np.uint64)
+            yield slice(i, i + step), bits, 4 * (ki[i:i + step] + kj) + (bits & 3).view(np.int64)
+
+    slot, used = np.zeros(size, np.uint64), np.zeros(size, bool)
+    for _, bits, keys in blocks():
+        slot[keys], used[keys] = bits, True
+    at, u = np.cumsum(used) - 1, [slot[used]]
+    for rows, bits, keys in blocks():
+        own = slot.take(keys) != bits
+        inv[rows] = at.take(keys)
+        inv[rows][own] = np.arange(own.sum()) + sum(map(len, u))
+        u.append(bits[own])
+    u = np.concatenate(u).view(np.float64)
+    return u, inv.astype(np.min_scalar_type(len(u) - 1))
 
 
 def _witness_at(i: int, flat: int, shape, lhs: float, rhs: float, xs, ts) -> Witness:
@@ -165,13 +209,13 @@ def _scan(rows, xs, ts, tol: float, step: int) -> tuple:
     for i in range(0, len(xs), step):
         lhs, rhs = rows(slice(i, i + step))
         gaps = lhs - rhs
-        if (gaps <= tol).all():     # no violation, and no NaN, which np.argmax ranks first
-            continue
-        top = int(np.argmax(gaps))
-        tops.append((gaps.flat[top], i, top, gaps.shape, lhs.flat[top], rhs.flat[top]))
-        if first is None and (gaps > tol).any():
-            at = int(np.argmax(gaps > tol))
-            first = _witness_at(i, at, gaps.shape, lhs.flat[at], rhs.flat[at], xs, ts)
+        if not (gaps <= tol).all():     # a violation, or a NaN, which np.argmax ranks first
+            top = int(np.argmax(gaps))
+            tops.append((gaps.flat[top], i, top, gaps.shape, lhs.flat[top], rhs.flat[top]))
+            if first is None and (gaps > tol).any():
+                at = int(np.argmax(gaps > tol))
+                first = _witness_at(i, at, gaps.shape, lhs.flat[at], rhs.flat[at], xs, ts)
+        del lhs, rhs, gaps      # before the next block's are made
     if first is None:
         return None, None
     worst = tops[int(np.argmax([top[0] for top in tops]))]
@@ -198,33 +242,48 @@ def _f0_flag(f: Expr, iv: Interval) -> bool | None:
 
 # ------------------------- one check for every class -------------------------
 
-def _sides(f: Expr, params: ClassParams, xs, ts, comb, name: str):
+def _on_distinct(f: Expr, u, positive: bool):
+    """f on u, in blocks into one array; False where evaluate raises or, if ``positive``, f is
+    not strictly positive, so that each block evaluates its own points and meets its errors."""
+    fu = np.empty_like(u)
+    try:
+        for c in range(0, len(u), _BLOCK):
+            fu[c:c + _BLOCK] = evaluate(f, u[c:c + _BLOCK])
+    except DomainError:
+        return False
+    return False if positive and (fu <= 0.0).any() else fu
+
+
+def _sides(f: Expr, params: ClassParams, xs, ts, u, inv, name: str):
     """Both sides of params' defining inequality for f on a grid of
     :func:`_grids`: rows(slice) gives lhs and rhs on those x rows, rhs in an
     array of its own.  r-classes need f (called ``name`` in errors) strictly
     positive at every sample, as the power mean does."""
     r_class = isinstance(params, RConvex)
     ta = None if r_class else np.power(ts, params.alpha)
-
-    @functools.cache
-    def fvals():    # once per check: f on xs and the y side of rhs, which no x row changes
-        fx = evaluate(f, xs)
-        if r_class:
-            _require_positive(fx, xs, name)
-            return fx, _y_side(fx[None, :, None], ts, params.r)
-        return fx, (params.m * (1.0 - ta))[None, None, :] * fx[None, :, None]
+    fu = fx = y_side = None     # once per check: f on u and on xs, and the y side of rhs
 
     def rows(sl: slice):
-        lhs, (fx, y_side) = evaluate(f, comb[sl]), fvals()
+        nonlocal fu, fx, y_side
+        fu = _on_distinct(f, u, r_class) if fu is None else fu
+        pts = u.take(inv[sl]) if fu is False else None
+        lhs = fu.take(inv[sl]) if pts is None else evaluate(f, pts)
+        if y_side is None:
+            fx = evaluate(f, xs)
+            if r_class:
+                _require_positive(fx, xs, name)
+            y_side = (_y_side(fx[None, :, None], ts, params.r) if r_class
+                      else (params.m * (1.0 - ta))[None, None, :] * fx[None, :, None])
         if r_class:
-            _require_positive(lhs, comb[sl], name)
+            if pts is not None:
+                _require_positive(lhs, pts, name)
             return lhs, _power_mean_raw(fx[sl, None, None], fx[None, :, None], ts, params.r,
                                         out=np.empty_like(lhs), y_side=y_side)
         return lhs, np.add(ta[None, None, :] * fx[sl, None, None], y_side, out=np.empty_like(lhs))
     return rows
 
 
-def _rows(f: Expr, g: Expr | None, params: ClassParams, xs, ts, comb):
+def _rows(f: Expr, g: Expr | None, params: ClassParams, xs, ts, u, inv):
     """The rows of :func:`_sides` for f or, given g, |combination(f) -
     f(point)| and combination(g) - g(point) as :func:`_sides` gives them.
 
@@ -233,8 +292,8 @@ def _rows(f: Expr, g: Expr | None, params: ClassParams, xs, ts, comb):
     """
     r_class = isinstance(params, RConvex)
     if g is None:
-        return _sides(f, params, xs, ts, comb, "f")
-    f_rows, g_rows = _sides(f, params, xs, ts, comb, "f"), _sides(g, params, xs, ts, comb, "g")
+        return _sides(f, params, xs, ts, u, inv, "f")
+    f_rows, g_rows = _sides(f, params, xs, ts, u, inv, "f"), _sides(g, params, xs, ts, u, inv, "g")
 
     def rows(sl: slice):
         if r_class:
@@ -263,8 +322,8 @@ def _grid_rows(f: Expr, g: Expr | None, iv: Interval, params: ClassParams, grid:
         raise ValueError(f"(alpha, m) classes with m < 1 live on [0, b]; "
                          f"interval starts at {iv.lo}")
     grids = _grids(float(iv.lo).hex(), float(iv.hi).hex(), m, grid.n_xy, grid.n_lambda)
-    return [(_rows(f, g, params, xs, ts, comb), xs, ts, max(1, _BLOCK // comb[0].size))
-            for xs, ts, comb in grids]
+    return [(_rows(f, g, params, xs, ts, u, inv), xs, ts, max(1, _BLOCK // inv[0].size))
+            for xs, ts, u, inv in grids]
 
 
 def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
@@ -297,8 +356,7 @@ def passes(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
         return True
     for rows, xs, ts, step in _grid_rows(f, g, iv, params, grid):
         for i in range(0, len(xs), step):
-            lhs, rhs = rows(slice(i, i + step))
-            if (lhs - rhs > grid.tol).any():
+            if (np.subtract(*rows(slice(i, i + step))) > grid.tol).any():
                 return False
     return True
 

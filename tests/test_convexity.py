@@ -8,7 +8,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hhcert import convexity
@@ -486,8 +486,9 @@ def test_fine_grid_check_memory_is_bounded(params):
 def test_hoisted_y_side_gives_the_whole_cube_rhs(fx, n_lambda, params, block):
     """Each block's rhs, built on the y side a check computes once, is bit
     for bit the formula on the whole (x, y, t) cube for random f values."""
-    fx = np.array(fx)
-    fake = lambda f, pts: fx if pts.ndim == 1 else np.ones(pts.shape)   # f on xs, on comb
+    fx, m = np.array(fx), 1.0 if isinstance(params, RConvex) else params.m
+    xs = convexity._grids(0.0.hex(), 1.0.hex(), m, len(fx), n_lambda)[-1][0]
+    fake = lambda f, pts: fx if pts is xs else np.ones(pts.shape)   # f on xs, on other points
     with mock.patch.object(convexity, "_BLOCK", block), \
             mock.patch.object(convexity, "evaluate", fake), np.errstate(all="ignore"):
         rows, xs, ts, step = convexity._grid_rows(
@@ -564,11 +565,96 @@ def test_passes_may_meet_another_error_first():
 
 def test_subgrid_takes_full_grid_entries():
     sub, full = convexity._grids(0.0.hex(), 3.0.hex(), 0.5, 33, 65)
-    for a, b in zip(sub, full):
+    for a in sub + full:
         assert a.flags.c_contiguous and not a.flags.writeable
+    # xs, ts and the cube u[inv]
+    for a, b in zip((*sub[:2], sub[2][sub[3]]), (*full[:2], full[2][full[3]])):
         assert np.array_equal(a, b[(slice(None, None, 4),) * b.ndim])
     for n_xy, n_lambda in ((10, 7), (33, 66), (34, 65)):
         assert len(convexity._grids(0.0.hex(), 1.0.hex(), 1.0, n_xy, n_lambda)) == 1
+
+
+# ------------------------- distinct combination points -------------------------
+
+# half the default profile's examples in tier-1; the "Grid dedup equivalence" CI step
+# runs ten times as many:
+#   pytest tests/test_convexity.py -k dedup --hypothesis-profile proof-soundness
+DEDUP_EXAMPLES = settings.default.max_examples // 2
+ENDS = [-0.0, 0.0, 0.3, 1.0, 1.7777777777777777, 3.0, 1e300, -1.0, -2.5]
+
+
+@settings(max_examples=2 * DEDUP_EXAMPLES, deadline=None)
+@given(st.lists(st.sampled_from(ENDS), min_size=2, max_size=2, unique=True).map(sorted),
+       st.sampled_from([1.0, 0.5, 0.75, 0.6, 1 / 3]), st.integers(2, 41), st.integers(3, 70))
+def test_dedup_gives_the_cube_bit_for_bit(ends, m, n_xy, n_lambda):
+    """u[inv] is the cube t*x + m*(1-t)*y to the bit, and u holds only its values, whether
+    the key guesses right (lo = 0 or m = 1, where rounding allows) or not."""
+    lo, hi = ends
+    assume(m == 1.0 or lo >= 0.0)
+    xs, ts = np.linspace(lo, hi, n_xy), np.linspace(0.0, 1.0, n_lambda)
+    with np.errstate(all="ignore"):
+        cube = ts * xs[:, None, None] + m * (1 - ts) * xs[None, :, None]
+        u, inv = convexity._distinct(xs, ts, m)
+    assert u[inv].tobytes() == cube.tobytes()
+    assert np.isin(u.view(np.uint64), cube.view(np.uint64)).all()
+    assert inv.dtype.kind == "u" and len(u) <= cube.size
+
+
+@pytest.mark.parametrize("hi, m, n_xy, distinct", [
+    (1.0, 1.0, 129, 8193), (1.0, 0.5, 129, 16258), (1.0, 0.75, 129, 32046),
+    (2.0, 1.0, 33, 2049), (16 / 9, 0.75, 33, 13638), (0.3, 1.0, 33, 4158)])
+def test_dedup_keeps_one_entry_per_distinct_float(hi, m, n_xy, distinct):
+    # on [0, hi] the key's lattice holds, and the low bits keep roundings apart
+    xs, ts, u, inv = convexity._grids(0.0.hex(), hi.hex(), m, n_xy, 65)[-1]
+    cube = ts * xs[:, None, None] + m * (1 - ts) * xs[None, :, None]
+    assert len(u) == len(np.unique(cube.view(np.uint64))) == distinct
+    assert inv.dtype == np.uint16
+
+
+def _without_dedup(xs, ts, m):
+    """u the whole cube, and inv the identity."""
+    cube = ts * xs[:, None, None] + m * (1 - ts) * xs[None, :, None]
+    return cube.ravel(), np.arange(cube.size).reshape(cube.shape)
+
+
+def _dedup_outcomes(f, g, iv, params, grid):
+    """check's results and passes' verdicts for f and (f, g), or their errors' type, message,
+    node and x, with a cache of grids of its own."""
+    out = []
+    with mock.patch.object(convexity, "_GRIDS", {}):
+        for fn in (check, passes):
+            for h in (None, g):
+                try:
+                    out.append(repr(fn(f, iv, params, h, grid)))
+                except (DomainError, ValueError) as exc:
+                    out.append((type(exc), str(exc), id(getattr(exc, "node", None)),
+                                repr(getattr(exc, "x", None))))
+    return out
+
+
+# f or g meets its domain's edge, or 0, only at combination points t*x + (1-t)*y, or first
+# at a point that is not the least of those it fails at
+POINT_TREES = st.sampled_from(["abs(x - 0.015625)", "log(abs(x - 0.015625))", "sqrt(x - 0.015625)",
+                               "1/(x - 0.015625)", "abs(x - 0.015625) + x^2", "sqrt(0.9 - x)",
+                               "sqrt(0.9 - x) + log(x - 0.05)"]).map(parse)
+
+
+@settings(max_examples=DEDUP_EXAMPLES, deadline=None)
+@given(any_tree() | POINT_TREES, any_tree() | POINT_TREES,
+       st.sampled_from([AlphaM(1.0, 1.0), AlphaM(0.5, 0.75), AlphaM(0.5, 1.0), RConvex(-1.0),
+                        RConvex(0.0), RConvex(1.0), RConvex(2.0)]),
+       st.sampled_from([UNIT, Interval(0.0, 3.0), Interval(-1.0, 1.0)]),
+       st.sampled_from([DEFAULT_GRID, GridSpec(9, 17), GridSpec(10, 7)]))
+@example(parse("abs(x - 0.015625)"), parse("x^2 + 1"), RConvex(1.0), UNIT, DEFAULT_GRID)
+def test_dedup_matches_identity_inverse(f, g, params, iv, grid):
+    """check and passes give the same results, verdicts and errors with f evaluated once per
+    distinct point as with f evaluated at every entry of the cube."""
+    assume(isinstance(params, RConvex) or params.m == 1.0 or iv.lo >= 0.0)
+    # identity inverses, and every block evaluates its own points, as a scan of the cube does
+    with mock.patch.object(convexity, "_distinct", _without_dedup), \
+            mock.patch.object(convexity, "_on_distinct", lambda f, u, positive: False):
+        whole = _dedup_outcomes(f, g, iv, params, grid)
+    assert _dedup_outcomes(f, g, iv, params, grid) == whole
 
 
 # ------------------------- membership by construction -------------------------
