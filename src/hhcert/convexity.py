@@ -7,20 +7,23 @@ class at every triple (x, y, t) of a finite grid:
 * r-convexity:            f(t*x + (1-t)*y)  <= M_r(f(x), f(y); t)
 * dominance variants:     |combination(f) - f(point)| <= combination(g) - g(point)
 
-A check passes when no grid triple violates its inequality by more than
-``grid.tol``.  Violations report two witnesses: the largest violation on
-the grid and the first one in row-major scan order (x outer, y middle,
-t inner).  Both are deterministic.  A check scans blocks of whole x rows.  It
-evaluates f once per distinct point t*x + m*(1-t)*y of the grid and gathers each
-block's lhs from those values, which are f's at each entry to the bit, as evaluate is
-elementwise; where f raises there (or is not positive, in an r-class), each block
-evaluates its own entries, so an error names the node and x it does without them.  It
-computes f on the x values once, and with it the y side of the right-hand side
-(m*(1-t^alpha)*f(y), or the power mean's y term), so that each block adds only
-its x side.  :func:`passes` gives the verdict alone: it scans the subgrid of
-every 4th x, y and t first (if 4 divides n_xy - 1 and n_lambda - 1), whose
-entries are the full grid's to the same bits, so a violation or error there
-rejects at once; then the full grid until a violation.
+A check passes when no grid triple violates its inequality by more than ``grid.tol``.
+Violations report two witnesses: the largest violation on the grid and the first one in
+row-major scan order (x outer, y middle, t inner).  Both are deterministic.  A check scans
+blocks of x rows; where the gaps at (x, y, t) and (y, x, 1 - t) are the same bits (r-classes,
+as M_r(a, b; t) = M_r(b, a; 1 - t), and alpha = m = 1, when 1 - t is t reversed to the bit),
+rows from i take the y columns from i only.  The least triple of a set the mirror keeps (the
+largest gaps, those above tol, the failing points) has x <= y, so no witness or error moves,
+and ``points_checked`` counts every triple, a skipped one's gap being its mirror's.  It
+evaluates f once per distinct point t*x + m*(1-t)*y of the grid and gathers each block's lhs
+from those values, which are f's at each entry to the bit, as evaluate is elementwise; where f
+raises there (or is not positive, in an r-class), each block evaluates its own entries, so an
+error names the node and x it does without them.  It computes f on the x values once, and with
+it the y side of the right-hand side (m*(1-t^alpha)*f(y), or the power mean's y term), so that
+each block adds only its x side.  :func:`passes` gives the verdict alone: it scans the subgrid
+of every 4th x, y and t first (if 4 divides n_xy - 1 and n_lambda - 1), whose entries are the
+full grid's to the same bits, so a violation or error there rejects at once; then the full
+grid until a violation.
 
 :func:`check` and :func:`passes` first ask :func:`proved`, which proves membership at
 alpha = 1 and r >= 1, and (alpha, m)-dominance at alpha = 1: a proved check returns a
@@ -144,21 +147,22 @@ _GRIDS: dict = {}   # _grids' results, least recently used first
 
 
 def _grids(lo: str, hi: str, m: float, n_xy: int, n_lambda: int):
-    """Read-only (xs, ts, u, inv) of :func:`_distinct` on [lo, hi], after its subgrid if any;
-    the ends come as float.hex, which tells -0.0 from 0.0.  r-convexity uses m = 1.  It keeps
-    the most recently used grids that fit in two float64 cubes of this grid's size."""
+    """Read-only (xs, ts, u, inv) of :func:`_distinct` on [lo, hi], after its subgrid if any, and
+    whether 1 - ts is ts reversed to the bit; the ends come as float.hex, which tells -0.0 from
+    0.0.  r-convexity uses m = 1.  It keeps the latest grids within two of its float64 cubes."""
     key = (lo, hi, m, n_xy, n_lambda)
     if key not in _GRIDS:
         xs = np.linspace(float.fromhex(lo), float.fromhex(hi), n_xy)
         ts = np.linspace(0.0, 1.0, n_lambda)
         sub = [(xs[::4].copy(), ts[::4].copy())] * ((n_xy - 1) % 4 == (n_lambda - 1) % 4 == 0)
         held = [g[3] for gs in _GRIDS.values() for g in gs]     # an equal inv is held once
-        grids = tuple((x, t, u, next((h for h in held if np.array_equal(h, inv)), inv))
+        grids = tuple((x, t, u, next((h for h in held if np.array_equal(h, inv)), inv),
+                       np.array_equal(1.0 - t, t[::-1]))
                       for x, t in sub + [(xs, ts)] for u, inv in [_distinct(x, t, m)])
-        for a in sum(grids, ()):
+        for a in (a for g in grids for a in g[:4]):
             a.flags.writeable = False
-        while _GRIDS and sum({id(a): a.nbytes for g in (grids, *_GRIDS.values())
-                              for a in sum(g, ())}.values()) > 16 * n_xy * n_xy * n_lambda:
+        while _GRIDS and sum({id(a): a.nbytes for gs in (grids, *_GRIDS.values()) for g in gs
+                              for a in g[:4]}.values()) > 16 * n_xy * n_xy * n_lambda:
             del _GRIDS[next(iter(_GRIDS))]
         _GRIDS[key] = grids
     _GRIDS[key] = _GRIDS.pop(key)
@@ -196,25 +200,36 @@ def _distinct(xs, ts, m: float):
     return u, inv.astype(np.min_scalar_type(len(u) - 1))
 
 
-def _witness_at(i: int, flat: int, shape, lhs: float, rhs: float, xs, ts) -> Witness:
-    a, j, k = np.unravel_index(flat, shape)     # in a block of x rows from row i
-    return Witness(float(xs[i + a]), float(xs[j]), float(ts[k]), float(lhs), float(rhs))
+def _blocks(n: int, n_lambda: int, mirrored: bool):
+    """(x rows, first y column) of blocks of about _BLOCK entries, each whole blocks of the
+    rows that take every column; mirrored, the rows from i take the columns from i."""
+    whole, i = max(1, _BLOCK // (n * n_lambda)), 0
+    while i < n:
+        step = whole * max(1, _BLOCK // ((n - i * mirrored) * n_lambda) // whole)
+        yield slice(i, i + step), i * mirrored
+        i += step
+
+
+def _witness_at(block, flat: int, shape, lhs: float, rhs: float, xs, ts) -> Witness:
+    (rows, j0), (a, j, k) = block, np.unravel_index(flat, shape)    # y columns from j0
+    return Witness(*map(float, (xs[rows.start + a], xs[j0 + j], ts[k], lhs, rhs)))
 
 
 @np.errstate(all="ignore")     # overflow to inf or NaN is part of the result
-def _scan(rows, xs, ts, tol: float, step: int) -> tuple:
-    """np.argmax's worst and first witnesses on lhs - rhs over the whole grid
-    (None on a pass), from (lhs, rhs) = rows(slice) on blocks of step x rows."""
+def _scan(rows, xs, ts, tol: float, blocks) -> tuple:
+    """np.argmax's worst and first witnesses on lhs - rhs over the whole grid (None on a pass),
+    from (lhs, rhs) = rows(x rows, first y column) on ``blocks``, which hold each triple or,
+    mirrored, at least the one of it and its mirror with x <= y."""
     tops, first = [], None      # each block's argmax gap and its witness's arguments
-    for i in range(0, len(xs), step):
-        lhs, rhs = rows(slice(i, i + step))
+    for block in blocks:
+        lhs, rhs = rows(*block)
         gaps = lhs - rhs
         if not (gaps <= tol).all():     # a violation, or a NaN, which np.argmax ranks first
             top = int(np.argmax(gaps))
-            tops.append((gaps.flat[top], i, top, gaps.shape, lhs.flat[top], rhs.flat[top]))
+            tops.append((gaps.flat[top], block, top, gaps.shape, lhs.flat[top], rhs.flat[top]))
             if first is None and (gaps > tol).any():
                 at = int(np.argmax(gaps > tol))
-                first = _witness_at(i, at, gaps.shape, lhs.flat[at], rhs.flat[at], xs, ts)
+                first = _witness_at(block, at, gaps.shape, lhs.flat[at], rhs.flat[at], xs, ts)
         del lhs, rhs, gaps      # before the next block's are made
     if first is None:
         return None, None
@@ -256,18 +271,18 @@ def _on_distinct(f: Expr, u, positive: bool):
 
 def _sides(f: Expr, params: ClassParams, xs, ts, u, inv, name: str):
     """Both sides of params' defining inequality for f on a grid of
-    :func:`_grids`: rows(slice) gives lhs and rhs on those x rows, rhs in an
-    array of its own.  r-classes need f (called ``name`` in errors) strictly
-    positive at every sample, as the power mean does."""
+    :func:`_grids`: rows(slice, j0) gives lhs and rhs on those x rows and the
+    y columns from j0, rhs in an array of its own.  r-classes need f (called
+    ``name`` in errors) strictly positive at every sample, as the power mean does."""
     r_class = isinstance(params, RConvex)
     ta = None if r_class else np.power(ts, params.alpha)
     fu = fx = y_side = None     # once per check: f on u and on xs, and the y side of rhs
 
-    def rows(sl: slice):
+    def rows(sl: slice, j0: int):
         nonlocal fu, fx, y_side
         fu = _on_distinct(f, u, r_class) if fu is None else fu
-        pts = u.take(inv[sl]) if fu is False else None
-        lhs = fu.take(inv[sl]) if pts is None else evaluate(f, pts)
+        pts = u.take(inv[sl, j0:]) if fu is False else None
+        lhs = fu.take(inv[sl, j0:]) if pts is None else evaluate(f, pts)
         if y_side is None:
             fx = evaluate(f, xs)
             if r_class:
@@ -277,9 +292,10 @@ def _sides(f: Expr, params: ClassParams, xs, ts, u, inv, name: str):
         if r_class:
             if pts is not None:
                 _require_positive(lhs, pts, name)
-            return lhs, _power_mean_raw(fx[sl, None, None], fx[None, :, None], ts, params.r,
-                                        out=np.empty_like(lhs), y_side=y_side)
-        return lhs, np.add(ta[None, None, :] * fx[sl, None, None], y_side, out=np.empty_like(lhs))
+            return lhs, _power_mean_raw(fx[sl, None, None], fx[None, j0:, None], ts, params.r,
+                                        out=np.empty_like(lhs), y_side=y_side[:, j0:])
+        return lhs, np.add(ta[None, None, :] * fx[sl, None, None], y_side[:, j0:],
+                           out=np.empty_like(lhs))
     return rows
 
 
@@ -295,11 +311,11 @@ def _rows(f: Expr, g: Expr | None, params: ClassParams, xs, ts, u, inv):
         return _sides(f, params, xs, ts, u, inv, "f")
     f_rows, g_rows = _sides(f, params, xs, ts, u, inv, "f"), _sides(g, params, xs, ts, u, inv, "g")
 
-    def rows(sl: slice):
+    def rows(sl: slice, j0: int):
         if r_class:
-            (lhs_g, rhs_g), (lhs_f, rhs_f) = g_rows(sl), f_rows(sl)
+            (lhs_g, rhs_g), (lhs_f, rhs_f) = g_rows(sl, j0), f_rows(sl, j0)
         else:
-            (lhs_f, rhs_f), (lhs_g, rhs_g) = f_rows(sl), g_rows(sl)
+            (lhs_f, rhs_f), (lhs_g, rhs_g) = f_rows(sl, j0), g_rows(sl, j0)
         np.abs(np.subtract(rhs_f, lhs_f, out=rhs_f), out=rhs_f)
         return rhs_f, np.subtract(rhs_g, lhs_g, out=rhs_g)
     return rows
@@ -316,14 +332,17 @@ def _proved_first(f: Expr, g: Expr | None, iv: Interval, params: ClassParams,
 
 
 def _grid_rows(f: Expr, g: Expr | None, iv: Interval, params: ClassParams, grid: GridSpec):
-    """(rows, xs, ts, x rows per block) of :func:`_rows` on each grid of :func:`_grids`."""
+    """(rows, xs, ts, mirrored) of :func:`_rows` on each grid of :func:`_grids`, mirrored where
+    the gaps at (x, y, t) and (y, x, 1 - t) are the same to the bit: for r-classes, whose power
+    mean has M_r(a, b; t) = M_r(b, a; 1 - t), and alpha = m = 1, on a mirrored grid."""
     m = 1.0 if isinstance(params, RConvex) else params.m
     if m < 1.0 and iv.lo < 0.0:     # t*x + m*(1-t)*y may leave [a, b] unless a >= 0
         raise ValueError(f"(alpha, m) classes with m < 1 live on [0, b]; "
                          f"interval starts at {iv.lo}")
     grids = _grids(float(iv.lo).hex(), float(iv.hi).hex(), m, grid.n_xy, grid.n_lambda)
-    return [(_rows(f, g, params, xs, ts, u, inv), xs, ts, max(1, _BLOCK // inv[0].size))
-            for xs, ts, u, inv in grids]
+    mirror = isinstance(params, RConvex) or params.alpha == m == 1.0
+    return [(_rows(f, g, params, xs, ts, u, inv), xs, ts, mirror and mirrored)
+            for xs, ts, u, inv, mirrored in grids]
 
 
 def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
@@ -334,14 +353,14 @@ def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
     also reports the f(0) <= 0 side condition."""
     worst = first = None
     if not _proved_first(f, g, iv, params, grid):
-        rows, xs, ts, step = _grid_rows(f, g, iv, params, grid)[-1]
+        rows, xs, ts, mirrored = _grid_rows(f, g, iv, params, grid)[-1]
         try:
-            found = _scan(rows, xs, ts, grid.tol, step)
+            found = _scan(rows, xs, ts, grid.tol, _blocks(len(xs), len(ts), mirrored))
         except (DomainError, NonPositiveFunction):
             found = None
         # every check is elementwise, so on an error the whole grid fails too, but
-        # maybe first at another node or point: one block of all rows raises that
-        worst, first = found or _scan(rows, xs, ts, grid.tol, len(xs))
+        # maybe first at another node or point: one block of the whole grid raises that
+        worst, first = found or _scan(rows, xs, ts, grid.tol, [(slice(0, len(xs)), 0)])
     f0 = _f0_flag(f, iv) if g is None and isinstance(params, AlphaM) else None
     return CheckResult(worst, first, grid.n_xy ** 2 * grid.n_lambda, f0)
 
@@ -352,13 +371,19 @@ def passes(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
     """``check(...).passed``: True where :func:`proved` holds, else by the module docstring's
     scan.  Only where check raises does it raise DomainError or NonPositiveFunction, or
     return False at a violation met first."""
-    if _proved_first(f, g, iv, params, grid):
-        return True
-    for rows, xs, ts, step in _grid_rows(f, g, iv, params, grid):
-        for i in range(0, len(xs), step):
-            if (np.subtract(*rows(slice(i, i + step))) > grid.tol).any():
-                return False
-    return True
+    return _proved_first(f, g, iv, params, grid) or not any(
+        _violated(*scan, grid.tol) for scan in _grid_rows(f, g, iv, params, grid))
+
+
+def _violated(rows, xs, ts, mirror: bool, tol: float) -> bool:
+    """Whether a gap exceeds tol, as blocks of whole rows find, raising the error they meet
+    first; mirrored blocks, each holding whole ones, find the same unless they raise."""
+    try:
+        return any((np.subtract(*rows(*b)) > tol).any() for b in _blocks(len(xs), len(ts), mirror))
+    except (DomainError, NonPositiveFunction):
+        if not mirror:
+            raise
+        return _violated(rows, xs, ts, False, tol)
 
 
 def _convex(e: Expr, iv: Interval) -> bool:
@@ -400,7 +425,7 @@ def gap_grid(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
              grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
     """lhs - rhs of the inequality :func:`check` checks, at every triple of its grid,
     shaped (n_xy, n_xy, n_lambda); an entry above ``grid.tol`` is a violation there."""
-    lhs, rhs = _grid_rows(f, g, iv, params, grid)[-1][0](slice(None))
+    lhs, rhs = _grid_rows(f, g, iv, params, grid)[-1][0](slice(None), 0)
     return lhs - rhs
 
 

@@ -11,12 +11,13 @@ from hhcert.expr import (Abs, Add, Const, Div, Exp, Log, Mul, Pow, Sqrt, Sub, X,
                          compose_affine)
 from hhcert.search import ATOM_KINDS, _draw_candidate
 
-# ten times the default profile's examples, for the proof-soundness and grid
-# dedup tests of test_convexity.py and the prefetch tests of test_quadrature.py,
-# which scale their example counts by it:
+# ten times the default profile's examples, for the proof-soundness, grid dedup
+# and mirror tests of test_convexity.py and the prefetch tests of
+# test_quadrature.py, which scale their example counts by it:
 #   pytest tests/test_convexity.py -k "proved or proof" --hypothesis-profile proof-soundness
 #   pytest tests/test_quadrature.py -k prefetch --hypothesis-profile proof-soundness
 #   pytest tests/test_convexity.py -k dedup --hypothesis-profile proof-soundness
+#   pytest tests/test_convexity.py -k mirror --hypothesis-profile proof-soundness
 settings.register_profile("proof-soundness", max_examples=10 * settings.default.max_examples)
 
 SPECIAL = [0.0, -0.0, 1.0, -2.5, 0.5, 710.0, -746.0, 1e308, -1e308, 1e-308,

@@ -485,15 +485,19 @@ def test_fine_grid_check_memory_is_bounded(params):
        st.sampled_from([1, convexity._BLOCK]))
 def test_hoisted_y_side_gives_the_whole_cube_rhs(fx, n_lambda, params, block):
     """Each block's rhs, built on the y side a check computes once, is bit
-    for bit the formula on the whole (x, y, t) cube for random f values."""
+    for bit the formula on the whole (x, y, t) cube for random f values; so is
+    each mirrored block's, on its columns j >= j0."""
     fx, m = np.array(fx), 1.0 if isinstance(params, RConvex) else params.m
     xs = convexity._grids(0.0.hex(), 1.0.hex(), m, len(fx), n_lambda)[-1][0]
     fake = lambda f, pts: fx if pts is xs else np.ones(pts.shape)   # f on xs, on other points
     with mock.patch.object(convexity, "_BLOCK", block), \
             mock.patch.object(convexity, "evaluate", fake), np.errstate(all="ignore"):
-        rows, xs, ts, step = convexity._grid_rows(
+        rows, xs, ts, mirrored = convexity._grid_rows(
             parse("x"), None, UNIT, params, GridSpec(len(fx), n_lambda))[-1]
-        got = np.concatenate([rows(slice(i, i + step))[1] for i in range(0, len(xs), step)])
+        got = np.concatenate([rows(sl, 0)[1] for sl, _ in convexity._blocks(len(xs), len(ts),
+                                                                            False)])
+        half = [(sl, j0, rows(sl, j0)[1])
+                for sl, j0 in convexity._blocks(len(xs), len(ts), mirrored)]
         x, y = fx[:, None, None], fx[None, :, None]
         if isinstance(params, RConvex):
             want = _power_mean_raw(x, y, ts, params.r)
@@ -501,6 +505,8 @@ def test_hoisted_y_side_gives_the_whole_cube_rhs(fx, n_lambda, params, block):
             ta = ts ** params.alpha
             want = ta * x + params.m * (1.0 - ta) * y
     assert got.tobytes() == want.tobytes()
+    for sl, j0, rhs in half:
+        assert rhs.tobytes() == want[sl, j0:].tobytes()
 
 
 # ------------------------- the verdict alone -------------------------
@@ -565,8 +571,9 @@ def test_passes_may_meet_another_error_first():
 
 def test_subgrid_takes_full_grid_entries():
     sub, full = convexity._grids(0.0.hex(), 3.0.hex(), 0.5, 33, 65)
-    for a in sub + full:
+    for a in sub[:4] + full[:4]:
         assert a.flags.c_contiguous and not a.flags.writeable
+    assert sub[4] is full[4] is True    # 1 - ts is ts reversed, at 17 and 65 weights
     # xs, ts and the cube u[inv]
     for a, b in zip((*sub[:2], sub[2][sub[3]]), (*full[:2], full[2][full[3]])):
         assert np.array_equal(a, b[(slice(None, None, 4),) * b.ndim])
@@ -605,7 +612,7 @@ def test_dedup_gives_the_cube_bit_for_bit(ends, m, n_xy, n_lambda):
     (2.0, 1.0, 33, 2049), (16 / 9, 0.75, 33, 13638), (0.3, 1.0, 33, 4158)])
 def test_dedup_keeps_one_entry_per_distinct_float(hi, m, n_xy, distinct):
     # on [0, hi] the key's lattice holds, and the low bits keep roundings apart
-    xs, ts, u, inv = convexity._grids(0.0.hex(), hi.hex(), m, n_xy, 65)[-1]
+    xs, ts, u, inv, _ = convexity._grids(0.0.hex(), hi.hex(), m, n_xy, 65)[-1]
     cube = ts * xs[:, None, None] + m * (1 - ts) * xs[None, :, None]
     assert len(u) == len(np.unique(cube.view(np.uint64))) == distinct
     assert inv.dtype == np.uint16
@@ -617,7 +624,7 @@ def _without_dedup(xs, ts, m):
     return cube.ravel(), np.arange(cube.size).reshape(cube.shape)
 
 
-def _dedup_outcomes(f, g, iv, params, grid):
+def _grid_outcomes(f, g, iv, params, grid):
     """check's results and passes' verdicts for f and (f, g), or their errors' type, message,
     node and x, with a cache of grids of its own."""
     out = []
@@ -653,8 +660,122 @@ def test_dedup_matches_identity_inverse(f, g, params, iv, grid):
     # identity inverses, and every block evaluates its own points, as a scan of the cube does
     with mock.patch.object(convexity, "_distinct", _without_dedup), \
             mock.patch.object(convexity, "_on_distinct", lambda f, u, positive: False):
-        whole = _dedup_outcomes(f, g, iv, params, grid)
-    assert _dedup_outcomes(f, g, iv, params, grid) == whole
+        whole = _grid_outcomes(f, g, iv, params, grid)
+    assert _grid_outcomes(f, g, iv, params, grid) == whole
+
+
+
+# ------------------------- the mirror half of a grid -------------------------
+
+# half the default profile's examples in tier-1; the "Mirror half-scan equivalence" CI step
+# runs ten times as many:
+#   pytest tests/test_convexity.py -k mirror --hypothesis-profile proof-soundness
+MIRROR_EXAMPLES = settings.default.max_examples // 2
+# every branch of _power_mean_raw, and alpha = m = 1
+MIRRORED = [RConvex(r) for r in (0.0, 1e-10, -1e-10, 0.1, -0.2, -1.0, 1.0, 2.0, 3.5)] + [
+    AlphaM(1.0, 1.0)]
+GRID_ROWS = convexity._grid_rows
+
+
+def _valued(values):
+    """An elementwise evaluate that gives each tree's value at a point as one of
+    ``values[tree]``, picked by the point's bits."""
+    def evaluate(f, pts):
+        vals, bits = np.asarray(values[f]), np.asarray(pts, dtype=float).view(np.uint64)
+        return vals[(bits * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(40)) % len(vals)]
+    return evaluate
+
+
+FLOATS = st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, sys.float_info.min, 1.0, 1.7e308, -1.7e308]), min_size=1, max_size=9)
+
+
+@settings(max_examples=2 * MIRROR_EXAMPLES, deadline=None)
+@given(FLOATS, FLOATS, st.booleans(), st.sampled_from(MIRRORED), st.sampled_from([3, 5, 17, 65]),
+       st.integers(2, 41),
+       st.sampled_from([UNIT, Interval(0.0, 3.0), Interval(-1.0, 1.0)]))
+def test_mirror_gaps_are_the_same_bits(f_values, g_values, pair, params, n_lambda, n_xy, iv):
+    """Where the half scan applies, gap(x, y, t) and gap(y, x, 1 - t) are the same bits, for
+    random values of f (and g), positive in r-classes, at every grid point."""
+    f, g, grid = parse("x"), parse("2*x") if pair else None, GridSpec(n_xy, n_lambda)
+    if isinstance(params, RConvex):
+        f_values, g_values = (np.maximum(np.abs(v), 5e-324) for v in (f_values, g_values))
+    assert all(mirrored for *_, mirrored in GRID_ROWS(f, g, iv, params, grid))
+    with mock.patch.object(convexity, "evaluate", _valued({f: f_values, g: g_values})):
+        gaps = gap_grid(f, iv, params, g, grid)
+    assert gaps.tobytes() == gaps.transpose(1, 0, 2)[:, :, ::-1].tobytes()
+
+
+def _unmirrored(*args):
+    return [(rows, xs, ts, False) for rows, xs, ts, _ in GRID_ROWS(*args)]
+
+
+# gaps that overflow to inf, and inf - inf: NaN gaps
+OVERFLOWS = ["-1.7e308*(2*x-1)^2 + 1.53e308", "1.7e308*(2*x-1)^2 - 1.7e308*(1-(2*x-1)^2)"]
+OVERFLOW = st.sampled_from(OVERFLOWS).map(parse)
+
+
+@settings(max_examples=MIRROR_EXAMPLES, deadline=None)
+@given(*[any_tree() | candidates().map(parse) | POINT_TREES | OVERFLOW] * 2,
+       st.sampled_from(MIRRORED), st.sampled_from([UNIT, Interval(0.0, 3.0), Interval(-1.0, 1.0)]),
+       st.sampled_from([DEFAULT_GRID, GridSpec(9, 17), GridSpec(17, 65, tol=1e-300)]),
+       st.sampled_from([2048, convexity._BLOCK]), st.booleans())
+@example(parse(OVERFLOWS[0]), parse(OVERFLOWS[0]), AlphaM(1.0, 1.0), UNIT, DEFAULT_GRID,
+         convexity._BLOCK, False)
+@example(parse(OVERFLOWS[1]), parse(OVERFLOWS[1]), AlphaM(1.0, 1.0), UNIT, DEFAULT_GRID,
+         convexity._BLOCK, False)
+def test_mirror_half_scan_matches_whole_grid(f, g, params, iv, grid, block, blockwise):
+    """check and passes give the same results, verdicts and errors (type, message, node, x)
+    scanning the mirror half of a grid as scanning all of it, in blocks of ``block`` entries,
+    with f on the distinct points or (``blockwise``) each block evaluating its own."""
+    with mock.patch.object(convexity, "proved", lambda *args: False), \
+            mock.patch.object(convexity, "_BLOCK", block), \
+            mock.patch.object(convexity, "_on_distinct", (lambda f, u, positive: False)
+                              if blockwise else convexity._on_distinct):
+        with mock.patch.object(convexity, "_grid_rows", _unmirrored):
+            whole = _grid_outcomes(f, g, iv, params, grid)
+        assert _grid_outcomes(f, g, iv, params, grid) == whole
+
+
+# On the 33 x 65 grid, blocks of whole rows are rows 0-6, 7-13, 14-20, 21-27 and 28-32, and
+# mirrored blocks rows 0-6, 7-13, 14-20 and 21-32.  The -c*abs(x - k) kink makes gaps above tol
+# first in row 15 and in row 27; 1e-15/(x - p) divides by zero only at p = 1591/2048, first met
+# in row 16, and at p = 2047/2048, first met in row 31.
+@pytest.mark.parametrize("f, want", [
+    ("x^2 - 0.05*abs(x - 0.55) + 1e-15/(x - 0.77685546875)", "division by zero at x=0.77685546875"),
+    ("x^2 - 0.03*abs(x - 0.87) + 1e-15/(x - 0.99951171875)", False)])
+@pytest.mark.parametrize("params", [AlphaM(1.0, 1.0), RConvex(1.0)])
+def test_mirror_passes_meets_what_whole_rows_meet(f, want, params):
+    # row 15's violation must not end the scan before row 16's error, as a mirrored block of
+    # rows 7-15 would; row 31's error must not hide row 27's violation, as rows 21-32 do
+    f = parse(f"{f} + 1" if isinstance(params, RConvex) else f)
+    if want is False:
+        assert passes(f, UNIT, params) is False
+    else:
+        with pytest.raises(DomainError, match=f"^{want}$"):
+            passes(f, UNIT, params)
+
+
+@pytest.mark.parametrize("params, n_lambda, mirrored", [
+    (RConvex(-1.0), 11, False), (RConvex(-1.0), 50, False), (AlphaM(1.0, 1.0), 11, False),
+    (AlphaM(1.0, 1.0), 50, False), (AlphaM(0.5, 1.0), 65, False), (AlphaM(1.0, 0.75), 65, False),
+    (RConvex(-1.0), 65, True), (AlphaM(1.0, 1.0), 65, True)])
+def test_mirror_half_only_where_gaps_mirror(params, n_lambda, mirrored):
+    # 1 - ts is ts reversed to the bit only where n_lambda - 1 is a power of two; elsewhere,
+    # and for alpha < 1 or m < 1, every block takes all the y columns of its rows
+    blocks, seen = convexity._blocks, []
+
+    def spy(*args):
+        out = list(blocks(*args))
+        seen.extend(out)
+        return out
+    f, g, grid = parse("x^2 + 1"), parse("3*x^2 + 2"), GridSpec(33, n_lambda)
+    with mock.patch.object(convexity, "_blocks", spy), \
+            mock.patch.object(convexity, "proved", lambda *args: False):
+        assert check(f, UNIT, params, g, grid).passed == passes(f, UNIT, params, g, grid)
+    assert seen
+    assert all(j0 == (sl.start if mirrored else 0) for sl, j0 in seen)
+    assert any(j0 for _, j0 in seen) == mirrored
 
 
 # ------------------------- membership by construction -------------------------
