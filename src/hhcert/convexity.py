@@ -389,18 +389,27 @@ def _violated(rows, xs, ts, mirror: bool, tol: float) -> bool:
 def _convex(e: Expr, iv: Interval) -> bool:
     """Whether each term of e is affine on iv, or convex with a positive coefficient."""
     return all(not c or (s := _shape(atom, iv)) is not None
-               and s[0] <= (_CONVEX if c > 0 else _AFFINE) for atom, c in _linear(e).items())
+               and s[0] <= (_CONVEX if c > 0 else _AFFINE) for atom, c in _linear(e)[1].items())
+
+
+def _positive(e: Expr, iv: Interval, depth: int) -> bool:
+    """Whether _shape's enclosure of e is > 0 on both halves of iv, each bisected again where
+    it is not, down to pieces of iv.width / 2**depth."""
+    mid = iv.lo + 0.5 * iv.width
+    return depth > 0 and iv.lo < mid < iv.hi and all(
+        (s := _shape(e, h)) and s[1] > 0.0 or _positive(e, h, depth - 1)
+        for h in (Interval(iv.lo, mid), Interval(mid, iv.hi)))
 
 
 def proved(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None) -> bool:
     """Whether f is in the class ``params`` on iv or, given g at alpha = 1 or r = 1,
     g-dominated: g + f and g - f are in it.  Each such h is convex on iv, by ``expr._shape`` or
-    term by term, so in its class at alpha = m = 1; at alpha = 1 on [0, b] if h(0) <= 0
-    exactly, as h(tx + m(1-t)y) <= t h(x) + (1-t) h(my) <= t h(x) + (1-t)(m h(y) + (1-m) h(0))
-    (Toader, 1984); at r >= 1 if h > 0, as M_r >= M_1.  M_1 is t a + (1-t) b, so g-dominance
-    at r = 1 is dominance at alpha = m = 1, given f > 0 and g > 0 as the grid needs them.
-    Evaluate raises nowhere on a proved f or g, which stay below 2^1020 in size; False proves
-    nothing."""
+    term by term over the ``expr._linear`` forms kept on f's and g's nodes, so in its class at
+    alpha = m = 1; at alpha = 1 on [0, b] if h(0) <= 0 exactly, as h(tx + m(1-t)y) <= t h(x) +
+    (1-t) h(my) <= t h(x) + (1-t)(m h(y) + (1-m) h(0)) (Toader, 1984); at r >= 1 if h > 0 on iv
+    or on each of up to 16 pieces, as M_r >= M_1.  M_1 is t a + (1-t) b, so g-dominance at r = 1
+    is dominance at alpha = m = 1, given f > 0 and g > 0 as the grid needs them.  Evaluate raises
+    nowhere on a proved f or g, which stay below 2^1020 in size; False proves nothing."""
     r_class = isinstance(params, RConvex)
     if not (params.r == 1.0 or params.r >= 1.0 and g is None if r_class else params.alpha == 1.0):
         return False
@@ -413,7 +422,7 @@ def proved(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None) ->
         if not (g is None and shapes[0][0] <= _CONVEX or all(_convex(s, iv) for s in sides)):
             return False
         if r_class:
-            return all(low > 0.0 for _, low, _ in shapes)
+            return all(low > 0.0 or _positive(e, iv, 4) for e, (_, low, _) in zip((f, g), shapes))
         return params.m == 1.0 or iv.lo == 0.0 and all(
             (v := _exact_at_zero(side)) is not None and v <= 0 for side in sides)
     except RecursionError:      # a tree too deep to walk here is left to the grid

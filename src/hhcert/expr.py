@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -168,10 +167,19 @@ def _divide(den, num):
     return num / den
 
 
+def _kept(compute):
+    """compute(e, *args), kept on the node for the latest args: each tree is compiled and walked
+    once, a node's result built from its children's, which are shared (copy one to change it)."""
+    def kept(e: Expr, *args):
+        if (got := getattr(e, "__dict__", {}).get(compute.__name__)) is None or got[0] != args:
+            object.__setattr__(e, compute.__name__, got := (args, compute(e, *args)))
+        return got[1]
+    return kept
+
+
+@_kept
 def _compile(f: Expr) -> tuple:
-    """f's tape, compiled on first use and kept on the node."""
-    if "_tape" in getattr(f, "__dict__", ()):
-        return f._tape
+    """f's tape, compiled on first use."""
     tape: list[tuple] = []
     put = tape.append
 
@@ -211,8 +219,7 @@ def _compile(f: Expr) -> tuple:
         put((_OP, node, op, check if isinstance(node, Abs) else check | _STRICT))
 
     emit(f, _FAST)
-    object.__setattr__(f, "_tape", tuple(tape))
-    return f._tape
+    return tuple(tape)
 
 
 def _run(tape: tuple, xv: np.ndarray, mode: int):
@@ -250,12 +257,14 @@ def _out(lo: float, hi: float, ulps: int = 1) -> tuple[float, float]:
     return lo - ulps * math.ulp(lo), hi + ulps * math.ulp(hi)
 
 
+@_kept
 @np.errstate(all="ignore")     # an overflowing power is inf, and refused
 def _shape(f: Expr, iv: Interval) -> tuple[int, float, float] | None:
     """(curvature, low, high) of f on iv by the rules of disciplined convex programming (Grant,
     Boyd & Ye, 2006), _UNKNOWN where none applies; None where no enclosure rule does or
     evaluate could raise.  [low, high] holds f's exact and computed values on iv, widened at
-    a nonzero end grid points may round past; each step rounds outward (4 ulps: exp, power)."""
+    a nonzero end grid points may round past; each step rounds outward (4 ulps: exp, power).
+    Each node the walk passes keeps its own result, so a subtree's costs a lookup."""
     lo, hi = _out(iv.lo, iv.hi)
     x, vals = (_AFFINE, lo if iv.lo else 0.0, hi if iv.hi else 0.0), []
     for code, node, k, _ in _compile(f):
@@ -287,6 +296,8 @@ def _shape(f: Expr, iv: Interval) -> tuple[int, float, float] | None:
                     return None
         if not (math.isfinite(v[1]) and math.isfinite(v[2])):
             return None
+        if code == _OP:     # not a leaf, nor a power's exponent, which comes with its node
+            node.__dict__["_shape"] = (iv,), v
         vals.append(v)
     return vals[0]
 
@@ -294,31 +305,46 @@ def _shape(f: Expr, iv: Interval) -> tuple[int, float, float] | None:
 _ONE = Const(1.0)
 
 
-def _linear(e: Expr) -> dict[Expr, Fraction]:
-    """e as exact coefficients of its subtrees that are not sums, differences or products
-    with a constant, keyed by structural equality; Const(1.0) keys the constant term.
-    e's constants must be finite."""
+@_kept
+def _linear(e: Expr) -> tuple[int, dict[Expr, int]]:
+    """(k, terms): e as the sum of terms[atom]·atom / 2^k over its subtrees that are not sums,
+    differences or products with a constant, keyed by structural equality; Const(1.0) keys
+    the constant term.  Floats are dyadic, so ints over one power of two hold every
+    coefficient exactly.  e's constants must be finite."""
     match e:
         case Const(v):
-            return {_ONE: Fraction(v)}
+            n, d = float(v).as_integer_ratio()
+            return d.bit_length() - 1, {_ONE: n}
         case Add(l, r) | Sub(l, r):
-            terms = Counter(_linear(l))
-            (terms.update if isinstance(e, Add) else terms.subtract)(_linear(r))
-            return terms
+            (i, a), (j, b), op = _linear(l), _linear(r), _UFUNCS[type(e)]
+            k = max(i, j)
+            terms = {atom: c << k - i for atom, c in a.items()} if k > i else dict(a)
+            for atom, c in b.items():
+                terms[atom] = op(terms.get(atom, 0), c << k - j)
+            return k, terms
         case Mul(l, r):
-            a, b = sorted((_linear(l), _linear(r)), key=lambda t: t.keys() != {_ONE})
-            if a.keys() == {_ONE}:
-                return {atom: a[_ONE] * c for atom, c in b.items()}
-    return {e: Fraction(1)}
+            (i, a), (j, b) = _linear(l), _linear(r)
+            if len(b) == 1 and _ONE in b:   # a constant's form, as _ONE is its one key
+                (i, a), (j, b) = (j, b), (i, a)
+            if len(a) == 1 and _ONE in a:
+                return i + j, {atom: a[_ONE] * c for atom, c in b.items()}
+    return 0, {e: 1}
 
 
+@_kept
 def _exact_at_zero(e: Expr) -> Fraction | None:
-    """e(0) in rational arithmetic; None where no rule gives it, or for a power above 64."""
+    """e(0) in rational arithmetic, over :func:`_linear`'s terms for a sum or difference; None
+    where no rule gives it or a term's atom, whatever its coefficient, or for a power above 64."""
     match e:
         case Const() | Var():
             return Fraction(getattr(e, "value", 0))
-        case Add() | Sub() | Mul() if None not in (a := [*map(_exact_at_zero, (e.left, e.right))]):
-            return _UFUNCS[type(e)](*a)
+        case Add() | Sub():
+            k, terms = _linear(e)
+            values = [_exact_at_zero(atom) for atom in terms]
+            return None if None in values else Fraction(
+                sum(c * v for c, v in zip(terms.values(), values) if v), 1 << k)
+        case Mul() if None not in (a := [_exact_at_zero(e.left), _exact_at_zero(e.right)]):
+            return a[0] * a[1]
         case Exp(a) if _exact_at_zero(a) == 0:
             return Fraction(1)
         case Pow(b, p) if 0 <= p <= 64 and p.is_integer() and (v := _exact_at_zero(b)) is not None:
@@ -342,7 +368,7 @@ def evaluate(f: Expr, x: float | np.ndarray) -> float | np.ndarray:
         except DomainError:
             if not fast:
                 raise
-            out = _run(f._tape, xv, _STRICT)
+            out = _run(_compile(f), xv, _STRICT)
     if xv.ndim == 0:
         return float(out)
     if isinstance(out, np.ndarray) and out is not xv and out.shape == xv.shape:

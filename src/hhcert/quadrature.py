@@ -139,8 +139,8 @@ def integrate(f: Expr, iv: Interval, tol: float = QUAD_TOL_DEFAULT,
         fv = None if block is None else block.get((a, b))
         if fv is None:
             fv = evaluate(f, mid + half * _NODES)
-        k15 = float(np.dot(_W15, fv))
-        g7 = float(np.dot(_W7, fv))
+        k15 = float(_W15.dot(fv))
+        g7 = float(_W7.dot(fv))
         err = half * abs(k15 - g7)
         if err <= tol * (b - a) / width:
             total += half * k15

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import operator
 import sys
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -11,15 +15,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hhcert import convexity
+from hhcert import convexity, expr
 from hhcert.convexity import (DEFAULT_GRID, AlphaM, CheckResult, GridSpec,
                               NonPositiveFunction, RConvex, Witness, check,
                               check_alpha_m_convex, check_dominated_alpha_m,
                               check_dominated_r, check_r_convex, construct_dominated_pair,
                               gap_grid, passes, proved, split_pair)
-from hhcert.expr import (Add, Const, DomainError, Exp, Interval, Mul, Pow, Sub, X, evaluate,
-                         lin_comb, parse, to_string)
+from hhcert.expr import (Add, Const, DomainError, Exp, Expr, Interval, Mul, Pow, Sub, Var, X,
+                         compose_affine, evaluate, lin_comb, parse, to_string)
 from hhcert.means import _power_mean_raw, power_mean
+from hhcert.search import StressConfig, _draw_pair, _trial_rng
 
 from conftest import any_tree, atom_combination
 
@@ -1022,3 +1027,178 @@ def test_tree_too_deep_for_the_proof_is_left_to_the_grid():
         with mock.patch.object(convexity, "_grid_rows", mock.Mock(wraps=convexity._grid_rows)):
             assert check(f, UNIT, AlphaM(1.0, 1.0), g).passed
             assert convexity._grid_rows.called
+
+
+# ------------------------- proofs from kept linear forms -------------------------
+
+def _fresh(e):
+    """A copy of e that shares no node with it, and so no result kept on one."""
+    return type(e)(*(_fresh(v) if isinstance(v, Expr) else v
+                     for v in (getattr(e, fd.name) for fd in dataclasses.fields(e))))
+
+
+# proved as it was before linear forms and values at 0 were kept on the nodes, as a
+# reference: Fraction coefficients, a walk of each side's whole tree, and _shape on fresh
+# copies; only its positivity at r >= 1 also takes the enclosures on pieces
+def _ref_linear(e):
+    match e:
+        case Const(v):
+            return {ONE: Fraction(v)}
+        case Add(l, r) | Sub(l, r):
+            terms = Counter(_ref_linear(l))
+            (terms.update if isinstance(e, Add) else terms.subtract)(_ref_linear(r))
+            return terms
+        case Mul(l, r):
+            a, b = sorted((_ref_linear(l), _ref_linear(r)), key=lambda t: t.keys() != {ONE})
+            if a.keys() == {ONE}:
+                return {atom: a[ONE] * c for atom, c in b.items()}
+    return {e: Fraction(1)}
+
+
+def _ref_exact_at_zero(e):
+    match e:
+        case Const() | Var():
+            return Fraction(getattr(e, "value", 0))
+        case Add() | Sub() | Mul() if None not in (a := [*map(_ref_exact_at_zero, (e.left, e.right))]):
+            return {Add: operator.add, Sub: operator.sub, Mul: operator.mul}[type(e)](*a)
+        case Exp(a) if _ref_exact_at_zero(a) == 0:
+            return Fraction(1)
+        case Pow(b, p) if 0 <= p <= 64 and p.is_integer() and (v := _ref_exact_at_zero(b)) is not None:
+            return v ** int(p)
+    return None
+
+
+def _ref_shape(e, iv):
+    return expr._shape(_fresh(e), iv)
+
+
+def _ref_convex(e, iv):
+    return all(not c or (s := _ref_shape(atom, iv)) is not None
+               and s[0] <= (expr._CONVEX if c > 0 else expr._AFFINE)
+               for atom, c in _ref_linear(e).items())
+
+
+def _ref_proved(f, iv, params, g=None):
+    r_class = isinstance(params, RConvex)
+    if not (params.r == 1.0 or params.r >= 1.0 and g is None if r_class else params.alpha == 1.0):
+        return False
+    try:
+        shapes = [_ref_shape(e, iv) for e in (f, g) if e is not None]
+        if None in shapes or max(max(-low, high) for _, low, high in shapes) >= 2.0 ** 1020:
+            return False
+        sides = (f,) if g is None else (Add(g, f), Sub(g, f))
+        if not (g is None and shapes[0][0] <= expr._CONVEX
+                or all(_ref_convex(s, iv) for s in sides)):
+            return False
+        if r_class:
+            return all(low > 0.0 or convexity._positive(_fresh(e), iv, 4)
+                       for e, (_, low, _) in zip((f, g), shapes))
+        return params.m == 1.0 or iv.lo == 0.0 and all(
+            (v := _ref_exact_at_zero(side)) is not None and v <= 0 for side in sides)
+    except RecursionError:
+        return False
+
+
+ONE = Const(1.0)
+# atoms that _shape ranks but that have no exact value at 0: a fractional, negative or
+# large power, and exp of a tree that is not 0 at 0; log and sqrt have neither rule
+NO_ZERO_RULE = [parse(t) for t in ("(x + 1)^1.5", "(x + 2)^-1", "x^66", "exp(x + 1)",
+                                   "log(x + 2)", "sqrt(x + 1)")]
+PROOF_PARAMS = [AlphaM(1.0, 1.0), AlphaM(1.0, 0.5), AlphaM(1.0, 0.75), AlphaM(0.5, 1.0),
+                RConvex(1.0), RConvex(2.0), RConvex(0.5)]
+PROOF_INTERVALS = SHAPE_INTERVALS + [Interval(0.25, 2.0)]
+PROOF_TREES = any_tree() | SHAPE_TREES | st.integers(0, 2**32 - 1).map(
+    lambda seed: atom_combination(np.random.default_rng(seed)))
+
+
+@st.composite
+def proof_inputs(draw):
+    """(f, None), or a stress pair (f, g) whose trees share h and k, or the same pair with g
+    a copy that shares no node with f; maybe with c*atom added to f or g, for an atom with no
+    value at 0 and c = 0 or not."""
+    kind = draw(st.sampled_from(["member", "shared", "copies"]))
+    f, g = (draw(PROOF_TREES), None) if kind == "member" else construct_dominated_pair(
+        draw(PROOF_TREES), draw(PROOF_TREES))
+    if kind == "copies":
+        g = _fresh(g)
+    if draw(st.booleans()):
+        c, atom = draw(st.sampled_from([0.0, 0.5, -0.25])), draw(st.sampled_from(NO_ZERO_RULE))
+        f, g = (lin_comb(1.0, f, c, atom), g) if g is None or draw(st.booleans()) else (
+            f, lin_comb(1.0, g, c, atom))
+    return f, g
+
+
+@settings(max_examples=3 * PROOF_EXAMPLES, deadline=None)
+@given(proof_inputs(), st.sampled_from(PROOF_INTERVALS), st.sampled_from(PROOF_PARAMS),
+       st.sampled_from(PROOF_INTERVALS))
+@example(_pair("x^2 + 0*(x + 1)^1.5", "x^2"), UNIT, AlphaM(1.0, 0.5), UNIT)
+@example(_pair("x^2 + 0*(x + 1)^1.5", "x^2"), UNIT, AlphaM(1.0, 1.0), UNIT)
+@example(_pair("x^2 + 0.5*x^66", "x^3"), UNIT, AlphaM(1.0, 0.5), Interval(0.0, 3.0))
+@example(_pair("x^2 + 0.5*(exp(x) - 1)", "0.7*x + 1.3*x^3"), UNIT, AlphaM(1.0, 0.5),
+         Interval(0.5, 2.0))
+@example(_pair("3*x^2 + 2", "x^2 + 1"), UNIT, RConvex(1.0), Interval(-1.0, 1.0))
+def test_proved_from_kept_forms_matches_the_reference(pair, iv, params, other):
+    """proved gives the reference's verdict, on trees new to it and on trees it has proved
+    on another interval, whose nodes keep the results of that proof; each tree's and each
+    side's linear form and value at 0 are the reference's, zero coefficients included."""
+    f, g = pair
+    want = _ref_proved(f, iv, params, g)
+    assert proved(f, iv, params, g) is want
+    proved(f, other, params, g)
+    assert proved(f, iv, params, g) is want
+    for e in (f,) if g is None else (f, g, Add(g, f), Sub(g, f)):
+        assert _or_error(_kept_linear, e) == _or_error(lambda e: dict(_ref_linear(e)), e)
+        assert _or_error(expr._exact_at_zero, e) == _or_error(_ref_exact_at_zero, e)
+
+
+def _kept_linear(e):
+    k, terms = expr._linear(e)
+    return {atom: Fraction(c, 1 << k) for atom, c in terms.items()}
+
+
+def _or_error(fn, e):
+    """fn(e), or "raised" where a constant that is not finite makes it raise: proved never
+    asks, as _shape refuses such a tree first, so which constant raises first may differ."""
+    try:
+        return fn(e)
+    except (ValueError, OverflowError):
+        return "raised"
+
+
+def _looks(e):
+    return (e == _fresh(e), hash(e), repr(e), to_string(e),
+            [(fd.name, getattr(e, fd.name)) for fd in dataclasses.fields(e)],
+            compose_affine(e, 0.5, 0.25))
+
+
+@settings(max_examples=PROOF_EXAMPLES, deadline=None)
+@given(SHAPE_TREES, SHAPE_TREES, st.sampled_from(PROOF_PARAMS), st.sampled_from(PROOF_INTERVALS),
+       st.sampled_from(PROOF_INTERVALS))
+def test_kept_proof_results_are_invisible(h, k, params, iv, other):
+    """A proof leaves ==, hash, repr, to_string, the fields and compose_affine of its trees
+    as they were; h and k, each a subtree of both f and g, and f proved on two intervals get
+    the verdicts that trees sharing no node get."""
+    f, g = construct_dominated_pair(h, k)
+    before = [_looks(e) for e in (f, g, h, k)]
+    calls = [(f, iv, g), (h, other, None), (k, iv, None), (f, other, g), (g, iv, None),
+             (f, iv, g)]
+    fresh = [proved(_fresh(e), piv, params, g2 and _fresh(g2)) for e, piv, g2 in calls]
+    assert [proved(e, piv, params, g2) for e, piv, g2 in calls] == fresh
+    assert [_looks(e) for e in (f, g, h, k)] == before
+
+
+def test_proof_on_pieces_passes_on_the_grid():
+    """Each stress pair at r = 1 that proved accepts only through enclosures on pieces of
+    the interval, as f's or g's enclosure on all of it reaches 0, passes on the grid."""
+    config, r_one, newly = StressConfig(alpha_pool=(), m_pool=(), r_pool=(1.0,)), RConvex(1.0), 0
+    for seed in range(12):
+        for iv in (UNIT, Interval(0.0, 3.0), Interval(0.5, 2.0)):
+            pair, _ = _draw_pair(_trial_rng(seed, 0), r_one, iv, config)
+            if pair is None or min(expr._shape(e, iv)[1] for e in pair) > 0.0:
+                continue
+            f, g = pair
+            if proved(f, iv, r_one, g):
+                newly += 1
+                with mock.patch.object(convexity, "proved", lambda *args: False):
+                    assert check(f, iv, r_one, g).passed
+    assert newly >= 10

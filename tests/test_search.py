@@ -212,27 +212,36 @@ def test_stress_summary_golden(config, digest):
 
 def test_alpha_one_and_r_ge_one_members_need_no_grid_scan():
     # every candidate the construction draws at alpha = 1 or r >= 1 is proved
-    # inside passes, and so is a pair at r = 1 unless the enclosure of f = (h - k)/2,
-    # which holds k twice, reaches 0; so only the dominance check of a pair still
-    # scans the grid, and evaluate meets no other tree on grid points
+    # inside passes, and so is every pair at r = 1 here, though the enclosure of
+    # f = (h - k)/2, which holds k twice, reaches 0 on the whole interval: its
+    # enclosures on halves, quarters, eighths or sixteenths do not.  So only the
+    # r = 2 dominance check, which is not linear, still scans the grid, and
+    # evaluate meets no other tree on grid points
     config = StressConfig(seed=6, trials=30, intervals=THREE_INTERVALS, alpha_pool=(1.0,),
                           m_pool=(0.5, 1.0), r_pool=(1.0, 2.0))
-    scanned, evaluated = [], []
-    grid_rows, evaluate = convexity._grid_rows, convexity.evaluate
+    scanned, evaluated, r_one_pairs = [], [], []
+    grid_rows, evaluate, proved = convexity._grid_rows, convexity.evaluate, convexity.proved
 
     def spy_rows(f, g, iv, params, *args):
-        assert params == RConvex(2.0) or min(_shape(f, iv)[1], _shape(g, iv)[1]) <= 0.0
+        assert params == RConvex(2.0)
         scanned.append((f, g, params))
         return grid_rows(f, g, iv, params, *args)
 
     def spy_evaluate(f, x):
         evaluated.append(f)
         return evaluate(f, x)
+
+    def spy_proved(f, iv, params, g=None):
+        if params == RConvex(1.0) and g is not None:
+            r_one_pairs.append((f, g, iv))
+        return proved(f, iv, params, g)
     with mock.patch.object(convexity, "_grid_rows", spy_rows), \
-            mock.patch.object(convexity, "evaluate", spy_evaluate):
+            mock.patch.object(convexity, "evaluate", spy_evaluate), \
+            mock.patch.object(convexity, "proved", spy_proved):
         summary = summary_json(stress(config))
     assert scanned and all(g is not None for _, g, _ in scanned)
-    assert RConvex(1.0) in {params for _, _, params in scanned}
+    # 3 of the 9 r = 1 pairs have an enclosure on the whole interval that reaches 0
+    assert sum(min(_shape(f, iv)[1], _shape(g, iv)[1]) <= 0.0 for f, g, iv in r_one_pairs) == 3
     assert evaluated and set(evaluated) <= {e for f, g, _ in scanned for e in (f, g)}
     assert summary == summary_json(stress(config))
 
