@@ -13,17 +13,16 @@ row-major scan order (x outer, y middle, t inner).  Both are deterministic.  A c
 blocks of x rows; where the gaps at (x, y, t) and (y, x, 1 - t) are the same bits (r-classes,
 as M_r(a, b; t) = M_r(b, a; 1 - t), and alpha = m = 1, when 1 - t is t reversed to the bit),
 rows from i take the y columns from i only.  The least triple of a set the mirror keeps (the
-largest gaps, those above tol, the failing points) has x <= y, so no witness or error moves,
-and ``points_checked`` counts every triple, a skipped one's gap being its mirror's.  It
-evaluates f once per distinct point t*x + m*(1-t)*y of the grid and gathers each block's lhs
-from those values, which are f's at each entry to the bit, as evaluate is elementwise; where f
-raises there (or is not positive, in an r-class), each block evaluates its own entries, so an
-error names the node and x it does without them.  It computes f on the x values once, and with
-it the y side of the right-hand side (m*(1-t^alpha)*f(y), or the power mean's y term), so that
-each block adds only its x side.  :func:`passes` gives the verdict alone: it scans the subgrid
-of every 4th x, y and t first (if 4 divides n_xy - 1 and n_lambda - 1), whose entries are the
-full grid's to the same bits, so a violation or error there rejects at once; then the full
-grid until a violation.
+largest gaps, those above tol) has x <= y, so no witness moves, and ``points_checked`` counts
+every triple, a skipped one's gap being its mirror's.  It evaluates f once per distinct point
+t*x + m*(1-t)*y of the grid and gathers each block's lhs from those values, which are f's at
+each entry to the bit, as evaluate is elementwise; where f raises there (or is not positive, in
+an r-class), it raises at once what one pass over the whole grid raises.  It computes f on the
+x values once, and with it the y side of the right-hand side (m*(1-t^alpha)*f(y), or the power
+mean's y term), so that each block adds only its x side.  :func:`passes` gives the verdict
+alone: it scans the subgrid of every 4th x, y and t first (if 4 divides n_xy - 1 and
+n_lambda - 1), whose entries are the full grid's to the same bits, so a violation there rejects
+at once; then the full grid until a violation.  Where f fails, it evaluates that grid whole.
 
 :func:`check` and :func:`passes` first ask :func:`proved`, which proves membership at
 alpha = 1 and r >= 1, and (alpha, m)-dominance at alpha = 1: a proved check returns a
@@ -201,11 +200,11 @@ def _distinct(xs, ts, m: float):
 
 
 def _blocks(n: int, n_lambda: int, mirrored: bool):
-    """(x rows, first y column) of blocks of about _BLOCK entries, each whole blocks of the
-    rows that take every column; mirrored, the rows from i take the columns from i."""
-    whole, i = max(1, _BLOCK // (n * n_lambda)), 0
+    """(x rows, first y column) of blocks of about _BLOCK entries, at least one row each;
+    mirrored, the rows from i take the columns from i."""
+    i = 0
     while i < n:
-        step = whole * max(1, _BLOCK // ((n - i * mirrored) * n_lambda) // whole)
+        step = max(1, _BLOCK // ((n - i * mirrored) * n_lambda))
         yield slice(i, i + step), i * mirrored
         i += step
 
@@ -257,41 +256,41 @@ def _f0_flag(f: Expr, iv: Interval) -> bool | None:
 
 # ------------------------- one check for every class -------------------------
 
-def _on_distinct(f: Expr, u, positive: bool):
-    """f on u, in blocks into one array; False where evaluate raises or, if ``positive``, f is
-    not strictly positive, so that each block evaluates its own points and meets its errors."""
+def _on_distinct(f: Expr, u, inv, xs, positive: bool, name: str):
+    """f on u, in blocks into one array.  Where evaluate raises there or, if ``positive``, f is not
+    positive, it raises what one pass over the whole grid u[inv] raises, as it must, u holding only
+    its values: evaluate's error, else NonPositiveFunction at the first x, else grid entry."""
     fu = np.empty_like(u)
     try:
         for c in range(0, len(u), _BLOCK):
             fu[c:c + _BLOCK] = evaluate(f, u[c:c + _BLOCK])
+        if not (positive and (fu <= 0.0).any()):
+            return fu
     except DomainError:
-        return False
-    return False if positive and (fu <= 0.0).any() else fu
+        pass
+    pts = u.take(inv)
+    lhs = evaluate(f, pts)
+    _require_positive(evaluate(f, xs), xs, name)
+    _require_positive(lhs, pts, name)
 
 
 def _sides(f: Expr, params: ClassParams, xs, ts, u, inv, name: str):
     """Both sides of params' defining inequality for f on a grid of
     :func:`_grids`: rows(slice, j0) gives lhs and rhs on those x rows and the
-    y columns from j0, rhs in an array of its own.  r-classes need f (called
-    ``name`` in errors) strictly positive at every sample, as the power mean does."""
+    y columns from j0, rhs in an array of its own, raising :func:`_on_distinct`'s error
+    at its first call.  r-classes need f (``name`` in errors) positive, as M_r does."""
     r_class = isinstance(params, RConvex)
     ta = None if r_class else np.power(ts, params.alpha)
-    fu = fx = y_side = None     # once per check: f on u and on xs, and the y side of rhs
+    fu = fx = y_side = None     # once per check: f on u and on xs (in u), and rhs's y side
 
     def rows(sl: slice, j0: int):
         nonlocal fu, fx, y_side
-        fu = _on_distinct(f, u, r_class) if fu is None else fu
-        pts = u.take(inv[sl, j0:]) if fu is False else None
-        lhs = fu.take(inv[sl, j0:]) if pts is None else evaluate(f, pts)
-        if y_side is None:
-            fx = evaluate(f, xs)
-            if r_class:
-                _require_positive(fx, xs, name)
+        if fu is None:
+            fu, fx = _on_distinct(f, u, inv, xs, r_class, name), evaluate(f, xs)
             y_side = (_y_side(fx[None, :, None], ts, params.r) if r_class
                       else (params.m * (1.0 - ta))[None, None, :] * fx[None, :, None])
+        lhs = fu.take(inv[sl, j0:])
         if r_class:
-            if pts is not None:
-                _require_positive(lhs, pts, name)
             return lhs, _power_mean_raw(fx[sl, None, None], fx[None, j0:, None], ts, params.r,
                                         out=np.empty_like(lhs), y_side=y_side[:, j0:])
         return lhs, np.add(ta[None, None, :] * fx[sl, None, None], y_side[:, j0:],
@@ -348,19 +347,13 @@ def _grid_rows(f: Expr, g: Expr | None, iv: Interval, params: ClassParams, grid:
 def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
           grid: GridSpec = DEFAULT_GRID) -> CheckResult:
     """Check that f belongs to the class ``params`` or, given g, that f is g-dominated over it,
-    by :func:`proved` (a grid pass's result, with no scan) or on the grid.  r-classes need f,
-    and g if given, strictly positive at every sampled point; the (alpha, m) membership check
-    also reports the f(0) <= 0 side condition."""
+    by :func:`proved` (a grid pass's result, with no scan) or on the grid, raising what one pass
+    over it raises where f or g fails: r-classes need both strictly positive at every sample.
+    The (alpha, m) membership check also reports the f(0) <= 0 side condition."""
     worst = first = None
     if not _proved_first(f, g, iv, params, grid):
         rows, xs, ts, mirrored = _grid_rows(f, g, iv, params, grid)[-1]
-        try:
-            found = _scan(rows, xs, ts, grid.tol, _blocks(len(xs), len(ts), mirrored))
-        except (DomainError, NonPositiveFunction):
-            found = None
-        # every check is elementwise, so on an error the whole grid fails too, but
-        # maybe first at another node or point: one block of the whole grid raises that
-        worst, first = found or _scan(rows, xs, ts, grid.tol, [(slice(0, len(xs)), 0)])
+        worst, first = _scan(rows, xs, ts, grid.tol, _blocks(len(xs), len(ts), mirrored))
     f0 = _f0_flag(f, iv) if g is None and isinstance(params, AlphaM) else None
     return CheckResult(worst, first, grid.n_xy ** 2 * grid.n_lambda, f0)
 
@@ -369,21 +362,12 @@ def check(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
 def passes(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
            grid: GridSpec = DEFAULT_GRID) -> bool:
     """``check(...).passed``: True where :func:`proved` holds, else by the module docstring's
-    scan.  Only where check raises does it raise DomainError or NonPositiveFunction, or
-    return False at a violation met first."""
+    scan.  Where f or g fails on a grid it scans, it evaluates that grid whole, as check does,
+    and raises check's error for it before any violation: it raises only where check does."""
     return _proved_first(f, g, iv, params, grid) or not any(
-        _violated(*scan, grid.tol) for scan in _grid_rows(f, g, iv, params, grid))
-
-
-def _violated(rows, xs, ts, mirror: bool, tol: float) -> bool:
-    """Whether a gap exceeds tol, as blocks of whole rows find, raising the error they meet
-    first; mirrored blocks, each holding whole ones, find the same unless they raise."""
-    try:
-        return any((np.subtract(*rows(*b)) > tol).any() for b in _blocks(len(xs), len(ts), mirror))
-    except (DomainError, NonPositiveFunction):
-        if not mirror:
-            raise
-        return _violated(rows, xs, ts, False, tol)
+        (np.subtract(*rows(*block)) > grid.tol).any()
+        for rows, xs, ts, mirrored in _grid_rows(f, g, iv, params, grid)
+        for block in _blocks(len(xs), len(ts), mirrored))
 
 
 def _convex(e: Expr, iv: Interval) -> bool:

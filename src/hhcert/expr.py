@@ -333,18 +333,14 @@ def _linear(e: Expr) -> tuple[int, dict[Expr, int]]:
 
 @_kept
 def _exact_at_zero(e: Expr) -> Fraction | None:
-    """e(0) in rational arithmetic, over :func:`_linear`'s terms for a sum or difference; None
-    where no rule gives it or a term's atom, whatever its coefficient, or for a power above 64."""
+    """e(0) in rational arithmetic from its children's kept values; None where no rule gives it
+    at e or at a node it needs, whatever that node's factor, or for a power above 64."""
     match e:
         case Const() | Var():
             return Fraction(getattr(e, "value", 0))
-        case Add() | Sub():
-            k, terms = _linear(e)
-            values = [_exact_at_zero(atom) for atom in terms]
-            return None if None in values else Fraction(
-                sum(c * v for c, v in zip(terms.values(), values) if v), 1 << k)
-        case Mul() if None not in (a := [_exact_at_zero(e.left), _exact_at_zero(e.right)]):
-            return a[0] * a[1]
+        case Add(l, r) | Sub(l, r) | Mul(l, r) if None not in (a := [_exact_at_zero(l),
+                                                                    _exact_at_zero(r)]):
+            return _UFUNCS[type(e)](*a)
         case Exp(a) if _exact_at_zero(a) == 0:
             return Fraction(1)
         case Pow(b, p) if 0 <= p <= 64 and p.is_integer() and (v := _exact_at_zero(b)) is not None:

@@ -13,11 +13,9 @@ from hhcert.search import ATOM_KINDS, _draw_candidate
 
 # ten times the default profile's examples, for the proof-soundness, grid dedup
 # and mirror tests of test_convexity.py and the prefetch tests of
-# test_quadrature.py, which scale their example counts by it:
-#   pytest tests/test_convexity.py -k "proved or proof" --hypothesis-profile proof-soundness
-#   pytest tests/test_quadrature.py -k prefetch --hypothesis-profile proof-soundness
-#   pytest tests/test_convexity.py -k dedup --hypothesis-profile proof-soundness
-#   pytest tests/test_convexity.py -k mirror --hypothesis-profile proof-soundness
+# test_quadrature.py, which scale their example counts by it; CI runs them as:
+#   pytest tests/test_convexity.py tests/test_quadrature.py
+#       -k "proved or proof or prefetch or dedup or mirror" --hypothesis-profile proof-soundness
 settings.register_profile("proof-soundness", max_examples=10 * settings.default.max_examples)
 
 SPECIAL = [0.0, -0.0, 1.0, -2.5, 0.5, 710.0, -746.0, 1e308, -1e308, 1e-308,

@@ -588,9 +588,8 @@ def test_subgrid_takes_full_grid_entries():
 
 # ------------------------- distinct combination points -------------------------
 
-# half the default profile's examples in tier-1; the "Grid dedup equivalence" CI step
-# runs ten times as many:
-#   pytest tests/test_convexity.py -k dedup --hypothesis-profile proof-soundness
+# half the default profile's examples in tier-1; the CI step "Proof soundness and
+# equivalence" runs ten times as many, by the "proof-soundness" profile of conftest.py
 DEDUP_EXAMPLES = settings.default.max_examples // 2
 ENDS = [-0.0, 0.0, 0.3, 1.0, 1.7777777777777777, 3.0, 1e300, -1.0, -2.5]
 
@@ -662,19 +661,74 @@ def test_dedup_matches_identity_inverse(f, g, params, iv, grid):
     """check and passes give the same results, verdicts and errors with f evaluated once per
     distinct point as with f evaluated at every entry of the cube."""
     assume(isinstance(params, RConvex) or params.m == 1.0 or iv.lo >= 0.0)
-    # identity inverses, and every block evaluates its own points, as a scan of the cube does
-    with mock.patch.object(convexity, "_distinct", _without_dedup), \
-            mock.patch.object(convexity, "_on_distinct", lambda f, u, positive: False):
+    with mock.patch.object(convexity, "_distinct", _without_dedup):
         whole = _grid_outcomes(f, g, iv, params, grid)
     assert _grid_outcomes(f, g, iv, params, grid) == whole
 
 
+def _raised(fn, *args):
+    """fn's return value, or its error's type, message, node identity and x."""
+    try:
+        return fn(*args)
+    except (DomainError, NonPositiveFunction) as exc:
+        return type(exc), str(exc), id(getattr(exc, "node", None)), repr(exc.x)
+
+
+def _whole_grid_pass(f, g, params, xs, u, inv):
+    """One pass over the whole cube u[inv]: g then f in r-dominance, f then g otherwise, each
+    evaluated on the cube and then, in r-classes, checked positive on xs and on the cube."""
+    r_class, cube = isinstance(params, RConvex), u[inv]
+    for h, name in [(g, "g"), (f, "f")] if r_class else [(f, "f"), (g, "g")]:
+        if h is None:
+            continue
+        lhs = evaluate(h, cube)
+        for values, points in [(evaluate(h, xs), xs), (lhs, cube)] if r_class else []:
+            bad = (values <= 0.0).ravel()
+            if bad.any():
+                at = int(np.argmax(bad))
+                raise NonPositiveFunction(name, float(points.ravel()[at]),
+                                          float(values.ravel()[at]))
+
+
+@settings(max_examples=DEDUP_EXAMPLES, deadline=None)
+@given(any_tree() | POINT_TREES, any_tree() | POINT_TREES,
+       st.sampled_from([AlphaM(1.0, 1.0), AlphaM(0.5, 0.75), AlphaM(0.5, 1.0), RConvex(-1.0),
+                        RConvex(0.0), RConvex(1.0), RConvex(2.0)]),
+       st.sampled_from([UNIT, Interval(0.0, 3.0), Interval(-1.0, 1.0)]),
+       st.sampled_from([DEFAULT_GRID, GridSpec(9, 17), GridSpec(10, 7)]))
+@example(parse("sqrt(0.9 - x) + log(x - 0.05)"), parse("x^2 + 1"), AlphaM(1.0, 1.0), UNIT,
+         DEFAULT_GRID)
+@example(parse("x + log(x)"), parse("(2*x/3 - 1)^2 - 0.5"), RConvex(-1.0), Interval(0.0, 3.0),
+         GridSpec(5, 5))
+# 0 at x = 0.5 and, first in scan order, at 0.0625, which is no x value
+@example(parse("abs(x - 0.0625)*abs(x - 0.5)"), parse("x^2 + 1"), RConvex(0.0), UNIT,
+         GridSpec(9, 17))
+def test_dedup_errors_are_one_whole_grid_pass(f, g, params, iv, grid):
+    """Where f or g fails on the grid, check and gap_grid raise what one pass over the whole
+    grid raises (type, message, node, x), and elsewhere nothing.  passes raises that of the
+    first grid it scans that fails, unless a violation on a subgrid that does not ends it."""
+    assume(isinstance(params, RConvex) or params.m == 1.0 or iv.lo >= 0.0)
+    m = 1.0 if isinstance(params, RConvex) else params.m
+    grids = convexity._grids(float(iv.lo).hex(), float(iv.hi).hex(), m, grid.n_xy, grid.n_lambda)
+    for h in (None, g):
+        want = [_raised(_whole_grid_pass, f, h, params, xs, u, inv)
+                for xs, _, u, inv, _ in grids]
+        failing = [e for e in want if e]
+        got = _raised(check, f, iv, params, h, grid)
+        assert got == want[-1] if want[-1] else isinstance(got, CheckResult)
+        got = _raised(gap_grid, f, iv, params, h, grid)
+        assert got == want[-1] if want[-1] else isinstance(got, np.ndarray)
+        got = _raised(passes, f, iv, params, h, grid)
+        if got is False:
+            assert want[-1] is None or len(want) == 2 and want[0] is None
+        else:
+            assert got == (failing[0] if failing else True)
+
 
 # ------------------------- the mirror half of a grid -------------------------
 
-# half the default profile's examples in tier-1; the "Mirror half-scan equivalence" CI step
-# runs ten times as many:
-#   pytest tests/test_convexity.py -k mirror --hypothesis-profile proof-soundness
+# half the default profile's examples in tier-1; the CI step "Proof soundness and
+# equivalence" runs ten times as many, by the "proof-soundness" profile of conftest.py
 MIRROR_EXAMPLES = settings.default.max_examples // 2
 # every branch of _power_mean_raw, and alpha = m = 1
 MIRRORED = [RConvex(r) for r in (0.0, 1e-10, -1e-10, 0.1, -0.2, -1.0, 1.0, 2.0, 3.5)] + [
@@ -724,41 +778,35 @@ OVERFLOW = st.sampled_from(OVERFLOWS).map(parse)
 @given(*[any_tree() | candidates().map(parse) | POINT_TREES | OVERFLOW] * 2,
        st.sampled_from(MIRRORED), st.sampled_from([UNIT, Interval(0.0, 3.0), Interval(-1.0, 1.0)]),
        st.sampled_from([DEFAULT_GRID, GridSpec(9, 17), GridSpec(17, 65, tol=1e-300)]),
-       st.sampled_from([2048, convexity._BLOCK]), st.booleans())
+       st.sampled_from([2048, convexity._BLOCK]))
 @example(parse(OVERFLOWS[0]), parse(OVERFLOWS[0]), AlphaM(1.0, 1.0), UNIT, DEFAULT_GRID,
-         convexity._BLOCK, False)
+         convexity._BLOCK)
 @example(parse(OVERFLOWS[1]), parse(OVERFLOWS[1]), AlphaM(1.0, 1.0), UNIT, DEFAULT_GRID,
-         convexity._BLOCK, False)
-def test_mirror_half_scan_matches_whole_grid(f, g, params, iv, grid, block, blockwise):
+         convexity._BLOCK)
+def test_mirror_half_scan_matches_whole_grid(f, g, params, iv, grid, block):
     """check and passes give the same results, verdicts and errors (type, message, node, x)
-    scanning the mirror half of a grid as scanning all of it, in blocks of ``block`` entries,
-    with f on the distinct points or (``blockwise``) each block evaluating its own."""
+    scanning the mirror half of a grid as scanning all of it, in blocks of ``block`` entries."""
     with mock.patch.object(convexity, "proved", lambda *args: False), \
-            mock.patch.object(convexity, "_BLOCK", block), \
-            mock.patch.object(convexity, "_on_distinct", (lambda f, u, positive: False)
-                              if blockwise else convexity._on_distinct):
+            mock.patch.object(convexity, "_BLOCK", block):
         with mock.patch.object(convexity, "_grid_rows", _unmirrored):
             whole = _grid_outcomes(f, g, iv, params, grid)
         assert _grid_outcomes(f, g, iv, params, grid) == whole
 
 
-# On the 33 x 65 grid, blocks of whole rows are rows 0-6, 7-13, 14-20, 21-27 and 28-32, and
-# mirrored blocks rows 0-6, 7-13, 14-20 and 21-32.  The -c*abs(x - k) kink makes gaps above tol
-# first in row 15 and in row 27; 1e-15/(x - p) divides by zero only at p = 1591/2048, first met
-# in row 16, and at p = 2047/2048, first met in row 31.
+# 1e-15/(x - p) divides by zero only at p = 1591/2048, first met in row 16 of the 33 x 65 grid,
+# and at p = 2047/2048, first met in row 31.  The -c*abs(x - k) kink makes gaps above tol first
+# in row 15 and in row 27, which end no scan: f fails on the grid's distinct points, and check
+# and passes raise what one pass over the whole grid raises.
 @pytest.mark.parametrize("f, want", [
     ("x^2 - 0.05*abs(x - 0.55) + 1e-15/(x - 0.77685546875)", "division by zero at x=0.77685546875"),
-    ("x^2 - 0.03*abs(x - 0.87) + 1e-15/(x - 0.99951171875)", False)])
+    ("x^2 - 0.03*abs(x - 0.87) + 1e-15/(x - 0.99951171875)",
+     "division by zero at x=0.99951171875")])
 @pytest.mark.parametrize("params", [AlphaM(1.0, 1.0), RConvex(1.0)])
 def test_mirror_passes_meets_what_whole_rows_meet(f, want, params):
-    # row 15's violation must not end the scan before row 16's error, as a mirrored block of
-    # rows 7-15 would; row 31's error must not hide row 27's violation, as rows 21-32 do
     f = parse(f"{f} + 1" if isinstance(params, RConvex) else f)
-    if want is False:
-        assert passes(f, UNIT, params) is False
-    else:
+    for fn in (check, passes):
         with pytest.raises(DomainError, match=f"^{want}$"):
-            passes(f, UNIT, params)
+            fn(f, UNIT, params)
 
 
 @pytest.mark.parametrize("params, n_lambda, mirrored", [
