@@ -188,6 +188,7 @@ def _cmd_check(args):
 
 
 def _cmd_verify(args):
+    _by_r(args)
     f, g = _exprs(args)
     grid = GridSpec(args.grid_xy, args.grid_lambda)
     rep = run_verifier(args.theorem_id, f, g, a=args.a, b=args.b,

@@ -17,10 +17,10 @@ largest gaps, those above tol) has x <= y, so no witness moves, and ``points_che
 every triple, a skipped one's gap being its mirror's.  It evaluates f once per distinct point
 t*x + m*(1-t)*y of the grid and gathers each block's lhs from those values, which are f's at
 each entry to the bit, as evaluate is elementwise; where f raises there (or is not positive, in
-an r-class), it raises at once what one pass over the whole grid raises.  It computes f on the
-x values once, and with it the y side of the right-hand side (m*(1-t^alpha)*f(y), or the power
-mean's y term), so that each block adds only its x side.  :func:`passes` gives the verdict
-alone: it scans the subgrid of every 4th x, y and t first (if 4 divides n_xy - 1 and
+an r-class), it raises at once what one pass over the whole grid raises.  It reads f on the x
+values there too (at t = 1), and from it computes once the y side (m*(1-t^alpha)*f(y), or the
+power mean's y term) of the rhs, so that each block adds only its x side.  :func:`passes` gives
+the verdict alone: it scans the subgrid of every 4th x, y and t first (if 4 divides n_xy - 1 and
 n_lambda - 1), whose entries are the full grid's to the same bits, so a violation there rejects
 at once; then the full grid until a violation.  Where f fails, it evaluates that grid whole.
 
@@ -237,12 +237,10 @@ def _scan(rows, xs, ts, tol: float, blocks) -> tuple:
 
 
 def _require_positive(values, points, name: str) -> None:
-    bad = np.asarray(values <= 0.0)
+    bad = (values <= 0.0).ravel()      # evaluate gives values in the points' shape
     if bad.any():
-        idx = int(np.argmax(bad.ravel()))
-        pt = float(np.broadcast_to(points, bad.shape).ravel()[idx])
-        val = float(np.asarray(values).ravel()[idx])
-        raise NonPositiveFunction(name, pt, val)
+        idx = int(np.argmax(bad))
+        raise NonPositiveFunction(name, float(points.ravel()[idx]), float(values.ravel()[idx]))
 
 
 def _f0_flag(f: Expr, iv: Interval) -> bool | None:
@@ -256,10 +254,11 @@ def _f0_flag(f: Expr, iv: Interval) -> bool | None:
 
 # ------------------------- one check for every class -------------------------
 
-def _on_distinct(f: Expr, u, inv, xs, positive: bool, name: str):
+def _on_distinct(f: Expr, u, inv, positive: bool, name: str):
     """f on u, in blocks into one array.  Where evaluate raises there or, if ``positive``, f is not
     positive, it raises what one pass over the whole grid u[inv] raises, as it must, u holding only
-    its values: evaluate's error, else NonPositiveFunction at the first x, else grid entry."""
+    its values: evaluate's error, else NonPositiveFunction at the first x (the grid's entries at
+    y = lo and t = 1, which are x to the bit), else grid entry."""
     fu = np.empty_like(u)
     try:
         for c in range(0, len(u), _BLOCK):
@@ -270,53 +269,43 @@ def _on_distinct(f: Expr, u, inv, xs, positive: bool, name: str):
         pass
     pts = u.take(inv)
     lhs = evaluate(f, pts)
-    _require_positive(evaluate(f, xs), xs, name)
+    _require_positive(lhs[:, 0, -1], pts[:, 0, -1], name)
     _require_positive(lhs, pts, name)
 
 
-def _sides(f: Expr, params: ClassParams, xs, ts, u, inv, name: str):
-    """Both sides of params' defining inequality for f on a grid of
-    :func:`_grids`: rows(slice, j0) gives lhs and rhs on those x rows and the
-    y columns from j0, rhs in an array of its own, raising :func:`_on_distinct`'s error
-    at its first call.  r-classes need f (``name`` in errors) positive, as M_r does."""
+def _rows(f: Expr, g: Expr | None, params: ClassParams, ts, u, inv):
+    """rows(slice, j0) gives lhs and rhs, rhs in an array of its own, on those x rows and the y
+    columns from j0 of a grid of :func:`_grids`: the sides of params' defining inequality for f
+    or, given g, |combination(f) - f(point)| and combination(g) - g(point).  Its first call
+    evaluates each function once, on u by :func:`_on_distinct`, raising its error: g before f in
+    r-classes, which need both strictly positive, as M_r does, and f before g in (alpha, m)
+    classes.  It keeps each one's values on u, on the x values (read at y = lo and t = 1, where
+    t*x + m*(1-t)*y is x to the bit) and the y side of its rhs."""
     r_class = isinstance(params, RConvex)
     ta = None if r_class else np.power(ts, params.alpha)
-    fu = fx = y_side = None     # once per check: f on u and on xs (in u), and rhs's y side
+    order = [("f", f)] if g is None else [("g", g), ("f", f)] if r_class else [("f", f), ("g", g)]
+    kept = {}   # name: (values on u, values on the x values, rhs's y side), once per check
 
-    def rows(sl: slice, j0: int):
-        nonlocal fu, fx, y_side
-        if fu is None:
-            fu, fx = _on_distinct(f, u, inv, xs, r_class, name), evaluate(f, xs)
-            y_side = (_y_side(fx[None, :, None], ts, params.r) if r_class
-                      else (params.m * (1.0 - ta))[None, None, :] * fx[None, :, None])
+    def sides(fu, fx, y_side, sl: slice, j0: int):
         lhs = fu.take(inv[sl, j0:])
         if r_class:
             return lhs, _power_mean_raw(fx[sl, None, None], fx[None, j0:, None], ts, params.r,
                                         out=np.empty_like(lhs), y_side=y_side[:, j0:])
         return lhs, np.add(ta[None, None, :] * fx[sl, None, None], y_side[:, j0:],
                            out=np.empty_like(lhs))
-    return rows
-
-
-def _rows(f: Expr, g: Expr | None, params: ClassParams, xs, ts, u, inv):
-    """The rows of :func:`_sides` for f or, given g, |combination(f) -
-    f(point)| and combination(g) - g(point) as :func:`_sides` gives them.
-
-    r-dominance needs f and g strictly positive and validates g before f;
-    (alpha, m) dominance evaluates f before g.
-    """
-    r_class = isinstance(params, RConvex)
-    if g is None:
-        return _sides(f, params, xs, ts, u, inv, "f")
-    f_rows, g_rows = _sides(f, params, xs, ts, u, inv, "f"), _sides(g, params, xs, ts, u, inv, "g")
 
     def rows(sl: slice, j0: int):
-        if r_class:
-            (lhs_g, rhs_g), (lhs_f, rhs_f) = g_rows(sl, j0), f_rows(sl, j0)
-        else:
-            (lhs_f, rhs_f), (lhs_g, rhs_g) = f_rows(sl, j0), g_rows(sl, j0)
-        np.abs(np.subtract(rhs_f, lhs_f, out=rhs_f), out=rhs_f)
-        return rhs_f, np.subtract(rhs_g, lhs_g, out=rhs_g)
+        for name, e in order * (not kept):     # at the first call only
+            fu = _on_distinct(e, u, inv, r_class, name)
+            fx = fu.take(inv[:, 0, -1])
+            kept[name] = fu, fx, (_y_side(fx[None, :, None], ts, params.r) if r_class
+                                  else (params.m * (1.0 - ta))[None, None, :] * fx[None, :, None])
+        lhs, rhs = sides(*kept["f"], sl, j0)
+        if g is None:
+            return lhs, rhs
+        lhs_g, rhs_g = sides(*kept["g"], sl, j0)
+        np.abs(np.subtract(rhs, lhs, out=rhs), out=rhs)
+        return rhs, np.subtract(rhs_g, lhs_g, out=rhs_g)
     return rows
 
 
@@ -340,7 +329,7 @@ def _grid_rows(f: Expr, g: Expr | None, iv: Interval, params: ClassParams, grid:
                          f"interval starts at {iv.lo}")
     grids = _grids(float(iv.lo).hex(), float(iv.hi).hex(), m, grid.n_xy, grid.n_lambda)
     mirror = isinstance(params, RConvex) or params.alpha == m == 1.0
-    return [(_rows(f, g, params, xs, ts, u, inv), xs, ts, mirror and mirrored)
+    return [(_rows(f, g, params, ts, u, inv), xs, ts, mirror and mirrored)
             for xs, ts, u, inv, mirrored in grids]
 
 

@@ -359,9 +359,15 @@ def test_overflowing_gap_of_finite_sides_exit_two():
 
 
 def test_conflicting_class_flags_exit_two():
-    code, _, err = _run(["check-convexity", "--f", "x^2", "--a", "0",
-                         "--b", "1", "--alpha", "1", "--m", "1", "--r", "1"])
-    assert code == 2
+    for argv in (["check-convexity", "--f", "x^2", "--a", "0", "--b", "1",
+                  "--alpha", "1", "--m", "1", "--r", "1"],
+                 ["verify", "gill_r", "--f", "x+1", "--a", "0", "--b", "1",
+                  "--r", "1", "--alpha", "0.5", "--m", "0.5"],
+                 ["verify", "gill_r", "--f", "x+1", "--a", "0", "--b", "1",
+                  "--r", "1", "--m", "0.5"]):
+        code, out, err = _run(argv)
+        assert (code, out) == (2, "")
+        assert "not both" in err
 
 
 def test_missing_class_flags_exit_two():

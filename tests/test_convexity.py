@@ -494,7 +494,10 @@ def test_hoisted_y_side_gives_the_whole_cube_rhs(fx, n_lambda, params, block):
     each mirrored block's, on its columns j >= j0."""
     fx, m = np.array(fx), 1.0 if isinstance(params, RConvex) else params.m
     xs = convexity._grids(0.0.hex(), 1.0.hex(), m, len(fx), n_lambda)[-1][0]
-    fake = lambda f, pts: fx if pts is xs else np.ones(pts.shape)   # f on xs, on other points
+    at = {x.tobytes(): v for x, v in zip(xs, fx)}
+
+    def fake(f, pts):   # f at each x, keyed by its bits, and 1 at every other point
+        return np.array([at.get(p.tobytes(), 1.0) for p in pts.ravel()]).reshape(pts.shape)
     with mock.patch.object(convexity, "_BLOCK", block), \
             mock.patch.object(convexity, "evaluate", fake), np.errstate(all="ignore"):
         rows, xs, ts, mirrored = convexity._grid_rows(
@@ -607,6 +610,7 @@ def test_dedup_gives_the_cube_bit_for_bit(ends, m, n_xy, n_lambda):
         cube = ts * xs[:, None, None] + m * (1 - ts) * xs[None, :, None]
         u, inv = convexity._distinct(xs, ts, m)
     assert u[inv].tobytes() == cube.tobytes()
+    assert u[inv[:, 0, -1]].tobytes() == xs.tobytes()   # grid checks read f on xs there
     assert np.isin(u.view(np.uint64), cube.view(np.uint64)).all()
     assert inv.dtype.kind == "u" and len(u) <= cube.size
 
@@ -723,6 +727,30 @@ def test_dedup_errors_are_one_whole_grid_pass(f, g, params, iv, grid):
             assert want[-1] is None or len(want) == 2 and want[0] is None
         else:
             assert got == (failing[0] if failing else True)
+
+
+@pytest.mark.parametrize("f, g, params", [
+    ("x^2 + 1", None, AlphaM(0.5, 0.75)), ("x^2", "3*x^2 + 1", AlphaM(0.5, 0.75)),
+    ("x^2 + 1", None, RConvex(0.0)), ("x^2 + 1", "3*x^2 + 2", RConvex(0.0)),
+    ("x - 0.5", None, RConvex(0.0)), ("x^2 + 1", "x - 0.5", RConvex(-1.0))])
+def test_grid_checks_evaluate_only_on_distinct_points(f, g, params):
+    """check, passes and gap_grid evaluate f and g on slices of u, or on the whole cube u[inv]
+    where one is not positive, and never on the x values; only check's f(0) side condition of
+    (alpha, m) membership evaluates a scalar."""
+    f, g, m = parse(f), g and parse(g), 1.0 if isinstance(params, RConvex) else params.m
+    grids = convexity._grids(0.0.hex(), 1.0.hex(), m, DEFAULT_GRID.n_xy, DEFAULT_GRID.n_lambda)
+    seen = []
+    spy = lambda e, pts: seen.append(pts) or evaluate(e, pts)
+    with mock.patch.object(convexity, "evaluate", spy):
+        for fn in (check, passes, gap_grid):
+            _raised(fn, f, UNIT, params, g)
+    scalars = [pts for pts in seen if np.ndim(pts) == 0]
+    assert scalars == ([0.0] if g is None and isinstance(params, AlphaM) else [])
+    assert len(seen) > len(scalars)
+    for pts in (pts for pts in seen if np.ndim(pts)):
+        assert not any(np.shares_memory(pts, xs) for xs, *_ in grids)
+        assert any(pts.ndim == 1 and np.shares_memory(pts, u) or pts.tobytes() == u[inv].tobytes()
+                   for _, _, u, inv, _ in grids)
 
 
 # ------------------------- the mirror half of a grid -------------------------
