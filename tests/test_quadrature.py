@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import any_tree
 from hhcert import quadrature
@@ -236,8 +237,17 @@ def test_prefetch_matches_on_rough_integrands(f, iv, max_panels):
     ("exp(x)*x^2 + sqrt(x + 1)", 0.0, 3.0), ("log(x)", 1e-3, 2.0),
     # singular at the right end, or at an end other than 0
     ("-log(1 - x)", 0.0, 1.0), ("(1 - x)^-0.5", 0.0, 1.0), ("-log(x - 2)", 2.0, 3.0),
-    ("-log(-x)", -1.0, 0.0)])
-@pytest.mark.parametrize("max_panels", [1, 5, 1000, None])
+    ("-log(-x)", -1.0, 0.0), ("-1.2345*log(x)", 0.0, 1.0),
+    # toward b, the far panel at depth 490 fails and its subtree meets x = -c as panel 991,
+    # before the near panels below it: at budgets from 991 on this ends in that DomainError
+    ("-log(-x) - log(abs(x + 4.105834472543469e-148))", -1.0, 0.0)])
+# -1.2345*log(x) walks chains toward 0 of 6, 12, 24, 48 and then 64 levels, and examines
+# 2135 panels: near the end the one at depth d as panel d + 1, far from it as 2136 - d;
+# -log(-x) walks them toward 0 at its right end, the far panel at depth d as panel 2d and
+# the near one as 2d + 1.  From 13 on, each budget but the last runs out inside a chain
+# walk of one of them: in the first block (13), the last (1000, 1100 and 2000 toward a),
+# a middle one (1000 toward b, 1600) or the first far run (2126); 2135 is the exact total
+@pytest.mark.parametrize("max_panels", [1, 5, 1000, None, 13, 1100, 1600, 2000, 2126, 2135])
 def test_prefetch_matches_on_domain_edges(text, lo, hi, max_panels):
     _same_as_reference(parse(text), Interval(lo, hi), max_panels)
 
@@ -297,3 +307,39 @@ def test_chain_prefetch_makes_no_more_calls_than_trees(monkeypatch, text, lo, hi
     except (DomainError, NonConvergence):    # nodes round onto the end, or the budget runs out
         pass
     assert counts["calls"] <= tree_calls
+
+
+def test_prefetch_calls_stay_bounded_when_far_panels_fail(monkeypatch):
+    # x on [0, 1e308]: every far panel of the chains toward 0 fails its error test and is
+    # bisected in trees until the budget runs out; fetching one block per tree or chain
+    # makes 543 and 1,564 calls here, and walking a chain must add none
+    counts = _counting_evaluate(monkeypatch)
+    for max_panels, calls in ((4096, 543), (65536, 1564)):
+        counts["calls"] = 0
+        with pytest.raises(NonConvergence, match=f"within {max_panels} panels"):
+            integrate(X, Interval(0.0, 1e308), max_panels=max_panels)
+        assert counts["calls"] <= calls
+
+
+# both signs, magnitudes up to 1e300, subnormals and zeros of both signs
+_ROW_VALUES = st.floats(-1e300, 1e300, allow_subnormal=True)
+_ROWS = st.integers(1, 8).flatmap(
+    lambda n: arrays(np.float64, (n, 15), elements=_ROW_VALUES, fill=st.nothing()))
+
+
+@settings(max_examples=PREFETCH_EXAMPLES, deadline=None)
+@given(_ROWS, st.one_of(st.just(None), _ROW_VALUES))
+def test_prefetch_block_sums_are_np_dot_of_each_row(rows, constant):
+    # one vecdot for a block gives both rules' sums of each row as np.dot gives them on
+    # that row alone, which the panel-by-panel loop takes; a constant's rows are a
+    # broadcast view, which np.dot copies first
+    if constant is not None:
+        rows = np.broadcast_to(np.float64(constant), rows.shape)
+    mid = np.full(len(rows), 0.5)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(quadrature, "evaluate", lambda f, x: rows)
+        sums = quadrature._sums(X, mid, mid)
+    assert sums.shape == (len(rows), 2)
+    for row, (k15, g7) in zip(rows, sums):
+        assert k15.tobytes() == np.dot(quadrature._W15, row).tobytes()
+        assert g7.tobytes() == np.dot(quadrature._W7, row).tobytes()
