@@ -25,9 +25,9 @@ n_lambda - 1), whose entries are the full grid's to the same bits, so a violatio
 at once; then the full grid until a violation.  Where f fails, it evaluates that grid whole.
 
 :func:`check` and :func:`passes` first ask :func:`proved`, which proves membership at
-alpha = 1 and r >= 1, and (alpha, m)-dominance at alpha = 1: a proved check returns a
-grid pass's result without a scan.  Any other pass is a finite certificate, not a proof:
-the inequality held at every sampled triple.
+alpha = 1 and r >= 1 and of constants in every class, and (alpha, m)-dominance at alpha = 1:
+a proved check returns a grid pass's result without a scan.  Any other pass is a finite
+certificate, not a proof: the inequality held at every sampled triple.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import (_AFFINE, _CONVEX, Add, DomainError, Expr, Interval, Sub, _exact_at_zero,
-                   _linear, _require_tol, _shape, evaluate, lin_comb)
+from .expr import (_CONCAVE, _CONSTANT, _CONVEX, _VAR, Add, DomainError, Expr, Interval, Sub,
+                   _compile, _exact_at_zero, _linear, _require_tol, _shape, evaluate, lin_comb)
 from .means import _power_mean_raw, _y_side
 
 __all__ = [
@@ -360,9 +360,10 @@ def passes(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None,
 
 
 def _convex(e: Expr, iv: Interval) -> bool:
-    """Whether each term of e is affine on iv, or convex with a positive coefficient."""
+    """Whether each term of e is convex on iv where its coefficient is positive, and concave
+    where it is negative."""
     return all(not c or (s := _shape(atom, iv)) is not None
-               and s[0] <= (_CONVEX if c > 0 else _AFFINE) for atom, c in _linear(e)[1].items())
+               and s[0] & (_CONVEX if c > 0 else _CONCAVE) for atom, c in _linear(e)[1].items())
 
 
 def _positive(e: Expr, iv: Interval, depth: int) -> bool:
@@ -376,23 +377,30 @@ def _positive(e: Expr, iv: Interval, depth: int) -> bool:
 
 def proved(f: Expr, iv: Interval, params: ClassParams, g: Expr | None = None) -> bool:
     """Whether f is in the class ``params`` on iv or, given g at alpha = 1 or r = 1,
-    g-dominated: g + f and g - f are in it.  Each such h is convex on iv, by ``expr._shape`` or
-    term by term over the ``expr._linear`` forms kept on f's and g's nodes, so in its class at
-    alpha = m = 1; at alpha = 1 on [0, b] if h(0) <= 0 exactly, as h(tx + m(1-t)y) <= t h(x) +
-    (1-t) h(my) <= t h(x) + (1-t)(m h(y) + (1-m) h(0)) (Toader, 1984); at r >= 1 if h > 0 on iv
-    or on each of up to 16 pieces, as M_r >= M_1.  M_1 is t a + (1-t) b, so g-dominance at r = 1
-    is dominance at alpha = m = 1, given f > 0 and g > 0 as the grid needs them.  Evaluate raises
-    nowhere on a proved f or g, which stay below 2^1020 in size; False proves nothing."""
+    g-dominated: g + f and g - f are in it.  A constant c (a tree that does not read x) is in every
+    r-class if c > 0, and in every (alpha, m) class if m = 1, or c <= 0 on [0, b].  Else each h
+    is convex on iv term by term over the ``expr._linear`` forms kept on f's and g's nodes, each
+    term's curvature by ``expr._shape``, so in its class at alpha = m = 1; at alpha = 1 on
+    [0, b] if h(0) <= 0 exactly, as h(tx + m(1-t)y) <= t h(x) + (1-t) h(my) <= t h(x) +
+    (1-t)(m h(y) + (1-m) h(0)) (Toader, 1984); at r >= 1 if h > 0 on iv or on each of up to 16
+    pieces, as M_r >= M_1.  M_1 is t a + (1-t) b, so g-dominance at r = 1 is dominance at
+    alpha = m = 1, given f > 0 and g > 0 as the grid needs them.  Evaluate raises nowhere on a
+    proved f or g, which stay below 2^1020 in size; False proves nothing."""
     r_class = isinstance(params, RConvex)
-    if not (params.r == 1.0 or params.r >= 1.0 and g is None if r_class else params.alpha == 1.0):
-        return False
+    rule = params.r == 1.0 or params.r >= 1.0 and g is None if r_class else params.alpha == 1.0
     try:
+        # with no rule, only a constant can be proved: a tree that does not read x
+        if not (rule or g is None and all(code != _VAR for code, *_ in _compile(f))):
+            return False
         shapes = [_shape(e, iv) for e in (f, g) if e is not None]
         # below 2^1020 in size, every sum and difference of a grid check stays finite
         if None in shapes or max(max(-low, high) for _, low, high in shapes) >= 2.0 ** 1020:
             return False
-        sides = (f,) if g is None else (Add(g, f), Sub(g, f))
-        if not (g is None and shapes[0][0] <= _CONVEX or all(_convex(s, iv) for s in sides)):
+        (c, low, high), sides = shapes[0], (f,) if g is None else (Add(g, f), Sub(g, f))
+        if g is None and c == _CONSTANT and (     # m < 1 lives on [0, b], as on the grid
+                low > 0.0 if r_class else params.m == 1.0 or high <= 0.0 and iv.lo >= 0.0):
+            return True
+        if not (rule and all(_convex(s, iv) for s in sides)):
             return False
         if r_class:
             return all(low > 0.0 or _positive(e, iv, 4) for e, (_, low, _) in zip((f, g), shapes))

@@ -156,11 +156,12 @@ class DomainError(ArithmeticError):
 # and inf^-1.
 _CONST, _VAR, _OP, _DOMAIN = range(4)
 _STRICT, _FAST = 1, 2
-_CONSTANT, _AFFINE, _CONVEX, _UNKNOWN = range(4)     # curvature ranks of the shape pass
+_CONVEX, _CONCAVE, _AFFINE, _CONSTANT = 1, 2, 3, 7   # curvature bits of the shape pass; 4: constant
 _UFUNCS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Exp: np.exp,
            Log: np.log, Sqrt: np.sqrt, Abs: np.abs}
 _DOMAINS = {Log: (operator.le, "log of non-positive value"),
             Sqrt: (operator.lt, "sqrt of negative value")}
+_MONOTONE = {Exp: (math.exp, _CONVEX), Log: (math.log, _CONCAVE), Sqrt: (math.sqrt, _CONCAVE)}
 
 
 def _divide(den, num):
@@ -257,18 +258,29 @@ def _out(lo: float, hi: float, ulps: int = 1) -> tuple[float, float]:
     return lo - ulps * math.ulp(lo), hi + ulps * math.ulp(hi)
 
 
+def _flip(c: int) -> int:
+    """The curvature bits of -h for h of curvature c: convex and concave swap."""
+    return c & 4 | (c & _CONVEX) << 1 | (c & _CONCAVE) >> 1
+
+
 @_kept
 @np.errstate(all="ignore")     # an overflowing power is inf, and refused
 def _shape(f: Expr, iv: Interval) -> tuple[int, float, float] | None:
-    """(curvature, low, high) of f on iv by the rules of disciplined convex programming (Grant,
-    Boyd & Ye, 2006), _UNKNOWN where none applies; None where no enclosure rule does or
-    evaluate could raise.  [low, high] holds f's exact and computed values on iv, widened at
-    a nonzero end grid points may round past; each step rounds outward (4 ulps: exp, power).
-    Each node the walk passes keeps its own result, so a subtree's costs a lookup."""
+    """(curvature, low, high) of f on iv, by one rule for each instruction of its tape; None
+    where evaluate could raise on iv: a domain check could fail on its operand's enclosure, or
+    a bound is not finite (or exp's argument reaches 709).  curvature holds the _CONVEX and
+    _CONCAVE bits of f on iv by the rules of disciplined convex programming (Grant, Boyd & Ye,
+    2006), both for affine f and, with bit 4, for f that does not read x; else 0.  [low,
+    high] holds f's exact and computed values on iv, widened at a nonzero end grid points may
+    round past; each step rounds outward (Moore, 1966; 4 ulps: exp, log, sqrt, power).  Each
+    node the walk passes keeps its own result, so a subtree's costs a lookup."""
     lo, hi = _out(iv.lo, iv.hi)
     x, vals = (_AFFINE, lo if iv.lo else 0.0, hi if iv.hi else 0.0), []
     for code, node, k, _ in _compile(f):
-        if code == _DOMAIN:
+        if code == _DOMAIN:     # could it fail at the operand's low end, or its point nearest 0?
+            _, l, h = vals[-1]
+            if k[0](l, 0.0) or k[0](min(max(l, 0.0), h), 0.0):
+                return None
             continue
         v = (_CONSTANT, float(k), float(k)) if code == _CONST else x
         if code == _OP:
@@ -276,24 +288,33 @@ def _shape(f: Expr, iv: Interval) -> tuple[int, float, float] | None:
             del vals[-k[1]:]
             match node, args:
                 case Add(), [(c, l1, h1), (d, l2, h2)]:
-                    v = max(c, d), *_out(l1 + l2, h1 + h2)
+                    v = c & d, *_out(l1 + l2, h1 + h2)
                 case Sub(), [(c, l1, h1), (d, l2, h2)]:
-                    v = max(c, d if d < _CONVEX else _UNKNOWN), *_out(l1 - h2, h1 - l2)
-                case Mul(), _ if min(args)[0] == _CONSTANT:
-                    (_, cl, ch), (d, dl, dh) = sorted(args)
-                    ends = (cl * dl, cl * dh, ch * dl, ch * dh)
-                    v = _UNKNOWN if d == _CONVEX and cl < 0 else d, *_out(min(ends), max(ends))
-                case Exp(), [(c, l, h)] if h < 709.0:
-                    v = c and max(c, _CONVEX), *_out(math.exp(l), math.exp(h), 4)
-                case Pow(_, e), [(c, l, h), _] if l > 0 or e >= 0 and e.is_integer():
+                    v = c & _flip(d), *_out(l1 - h2, h1 - l2)
+                case Mul() | Div(), [(c, l1, h1), (d, l2, h2)]:     # a quotient's divisor first
+                    if isinstance(node, Mul) and d == _CONSTANT:
+                        (c, l1, h1), (d, l2, h2) = args[::-1]
+                    ends = [k[0](a, b) for a in (l1, h1) for b in (l2, h2)]
+                    # a constant factor of fixed sign keeps d, or flips it
+                    v = ((d if h1 > 0 else _AFFINE) & (_flip(d) if l1 < 0 else _AFFINE)
+                         if c == _CONSTANT else 0), *_out(min(ends), max(ends))
+                case Exp() | Log() | Sqrt(), [(c, l, h)] if h < 709.0 or not isinstance(node, Exp):
+                    fn, keep = _MONOTONE[type(node)]
+                    v = c & keep, *_out(fn(l), fn(h), 4)
+                case Abs(), [(c, l, h)]:
+                    v = (c if l >= 0 else _flip(c) if h <= 0 else _CONVEX if c == _AFFINE else 0,
+                         max(l, -h, 0.0), max(-l, h))
+                case Pow(_, e), [(c, l, h), _]:
                     even = e % 2 == 0
                     ends = sorted(float(p) for p in np.power((l, h), e))
-                    convex = c < _UNKNOWN and (e > 1 and (l >= 0 or even and c == _AFFINE)
-                                               or e < 0 and c == _AFFINE)
-                    v = (c if c == _CONSTANT or e == 1 else _CONVEX if convex else _UNKNOWN,
+                    convex = (e > 1 and (l >= 0 and c & _CONVEX or even and c == _AFFINE)
+                              or e < 0 < l and c & _CONCAVE)     # 1/h^-e for concave h > 0
+                    v = (c if e == 1 else _CONVEX if convex else c & _CONCAVE if 0 < e < 1 else 0,
                          *_out(0.0 if even and l < 0 < h else ends[0], ends[1], 4))
                 case _:
                     return None
+            if all(a[0] == _CONSTANT for a in args):
+                v = _CONSTANT, v[1], v[2]
         if not (math.isfinite(v[1]) and math.isfinite(v[2])):
             return None
         if code == _OP:     # not a leaf, nor a power's exponent, which comes with its node

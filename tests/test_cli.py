@@ -339,14 +339,25 @@ def test_overflowing_dominance_leaves_one_error_line():
         assert err == "error: float64 overflow: cannot print non-finite float inf\n"
 
 
-@pytest.mark.parametrize("f", ["exp(30*x)", "1e12*exp(x)"])
+@pytest.mark.parametrize("f", ["exp(30*x)", "1e12*exp(x)", "exp(30*x) + abs(x - 2)"])
 def test_convex_functions_with_rounding_gaps_pass(f):
     # on the grid's diagonal x = y the inequality is an identity, and there these
-    # functions' gaps are rounding alone (0.00195 and 2.4e-4, above tol): a proof
-    # of convexity gives the pass, where a scan reported a violation
+    # functions' gaps are rounding alone (0.00195, 2.4e-4 and 0.00195, above tol): a
+    # proof of convexity gives the pass, where a scan reported a violation
     code, out, err = _run(["check-convexity", "--f", f, "--a", "0", "--b", "1",
                            "--alpha", "1", "--m", "1"])
     assert (code, out, err) == (0, "PASS: (1, 1)-convexity holds at all 70785 grid points\n", "")
+
+
+def test_concave_abs_still_fails_with_its_witnesses():
+    # abs of an affine argument is convex, so its negation is no proof, and the grid's
+    # witnesses are the ones it reported before abs had a rule
+    code, out, err = _run(["check-convexity", "--f=-abs(x-0.5)", "--a", "0", "--b", "1",
+                           "--alpha", "1", "--m", "1"])
+    assert (code, err) == (1, "")
+    assert out == ("VIOLATION: (1, 1)-convexity fails (70785 points checked)\n"
+                   "worst witness: x=0 y=1 t=0.5 lhs=-0 rhs=-0.5 gap=0.5\n"
+                   "first witness: x=0 y=0.53125 t=0.015625 gap=0.015625\n")
 
 
 def test_overflowing_gap_of_finite_sides_exit_two():

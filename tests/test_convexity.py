@@ -21,8 +21,8 @@ from hhcert.convexity import (DEFAULT_GRID, AlphaM, CheckResult, GridSpec,
                               check_alpha_m_convex, check_dominated_alpha_m,
                               check_dominated_r, check_r_convex, construct_dominated_pair,
                               gap_grid, passes, proved, split_pair)
-from hhcert.expr import (Add, Const, DomainError, Exp, Expr, Interval, Mul, Pow, Sub, Var, X,
-                         compose_affine, evaluate, lin_comb, parse, to_string)
+from hhcert.expr import (Abs, Add, Const, Div, DomainError, Exp, Expr, Interval, Log, Mul, Pow,
+                         Sqrt, Sub, Var, X, compose_affine, evaluate, lin_comb, parse, to_string)
 from hhcert.means import _power_mean_raw, power_mean
 from hhcert.search import StressConfig, _draw_pair, _trial_rng
 
@@ -862,14 +862,15 @@ def test_mirror_half_only_where_gaps_mirror(params, n_lambda, mirrored):
 # ------------------------- membership by construction -------------------------
 
 def shape_trees():
-    """Trees over the nodes that proved has rules for, with moderate constants."""
+    """Trees over every node kind, with moderate constants."""
     leaf = st.one_of(st.just(X), st.builds(Const, st.sampled_from(
         [0.0, 0.5, 1.0, 2.0, 3.0, -0.5, -1.0, -2.0, 0.1, 1.7])))
 
     def extend(kids):
         return st.one_of(
-            *(st.builds(t, kids, kids) for t in (Add, Sub)),
-            st.builds(Mul, leaf, kids), st.builds(Mul, kids, kids), st.builds(Exp, kids),
+            *(st.builds(t, kids, kids) for t in (Add, Sub, Div)),
+            st.builds(Mul, leaf, kids), st.builds(Mul, kids, kids),
+            *(st.builds(t, kids) for t in (Exp, Log, Sqrt, Abs)),
             st.builds(Pow, kids, st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, -1.0, -2.0])))
 
     return st.recursive(leaf, extend, max_leaves=6)
@@ -880,14 +881,17 @@ def _mp(e, x):
     match e:
         case Const(v):
             return mpmath.mpf(v)
-        case Add(l, r) | Sub(l, r) | Mul(l, r):
-            a, b = _mp(l, x), _mp(r, x)
-            return a + b if isinstance(e, Add) else a - b if isinstance(e, Sub) else a * b
+        case Add(l, r) | Sub(l, r) | Mul(l, r) | Div(l, r):
+            return _MP_BINARY[type(e)](_mp(l, x), _mp(r, x))
         case Pow(b, p):
             return _mp(b, x) ** (int(p) if p.is_integer() else mpmath.mpf(p))
-        case Exp(a):
-            return mpmath.exp(_mp(a, x))
+        case Exp(a) | Log(a) | Sqrt(a) | Abs(a):
+            return _MP_UNARY[type(e)](_mp(a, x))
     return x
+
+
+_MP_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+_MP_UNARY = {Exp: mpmath.exp, Log: mpmath.log, Sqrt: mpmath.sqrt, Abs: abs}
 
 
 # the proof-soundness tests: tier-1 runs them at multiples of the default
@@ -976,6 +980,40 @@ def test_proved_pairs_are_dominated(pair, iv, params):
         assert (gap_grid(f, iv, params, g, grid) <= grid.tol).all()
 
 
+def _subtrees(e):
+    yield e
+    for fd in dataclasses.fields(e):
+        if isinstance(kid := getattr(e, fd.name), Expr):
+            yield from _subtrees(kid)
+
+
+@settings(max_examples=4 * PROOF_EXAMPLES, deadline=None)
+@given(any_tree() | SHAPE_TREES,
+       st.sampled_from(SHAPE_INTERVALS + [Interval(0.25, 2.0), Interval(-2.0, -0.5)]))
+@example(parse("abs(log(x))"), Interval(0.5, 2.0))
+@example(parse("exp(30*x) + abs(x - 2)"), UNIT)
+@example(parse("(x + 3)^-0.5 - 2*sqrt(log(x + 3)) + 1/(x - 2)"), Interval(-2.0, -0.5))
+@example(parse("abs(x^3) - abs(x - 3)"), Interval(-2.0, -0.5))
+def test_shape_proof_sound_on_every_node(f, iv):
+    """Where _shape encloses f on iv, evaluate raises nowhere on iv, each value it computes
+    and each value to 50 digits lies in the enclosure, and f's second differences to 50
+    digits are >= 0 where the convex bit is set and <= 0 where the concave one is."""
+    if (shape := expr._shape(f, iv)) is None:
+        return
+    bits, low, high = shape
+    values = [*evaluate(f, np.linspace(iv.lo, iv.hi, 257)), evaluate(f, iv.lo), evaluate(f, iv.hi)]
+    assert all(low <= v <= high for v in values)
+    # mpmath rounds relative to the largest intermediate, which every node's enclosure bounds
+    scale = 1 + max(max(-s[1], s[2]) for s in (expr._shape(e, iv) for e in _subtrees(f)))
+    with mpmath.workdps(50):
+        ys = [_mp(f, x) for x in _mp_points(iv)]
+        assert all(low <= y <= high for y in ys)
+        if bits & expr._CONVEX:
+            assert _second_differences_ok(ys, scale)
+        if bits & expr._CONCAVE:
+            assert _second_differences_ok([-y for y in ys], scale)
+
+
 @pytest.mark.parametrize("text, iv, params", [
     ("x^1.5", UNIT, AlphaM(1.0, 1.0)),                          # evaluate raises at 0
     ("1e200*x^4", Interval(0.0, 1e80), AlphaM(1.0, 1.0)),       # overflows
@@ -985,8 +1023,8 @@ def test_proved_pairs_are_dominated(pair, iv, params):
     ("x^2 - 1", UNIT, RConvex(1.0)),                            # not positive
     ("x^2", UNIT, RConvex(2.0)),                                # zero at 0
     ("-x^2", UNIT, AlphaM(1.0, 1.0)),
-    ("sqrt(x)", UNIT, AlphaM(1.0, 1.0)),
-    ("abs(x - 0.5)", UNIT, AlphaM(1.0, 1.0)),
+    ("sqrt(x)", UNIT, AlphaM(1.0, 1.0)),                        # concave
+    ("-abs(x - 0.5)", UNIT, AlphaM(1.0, 1.0)),
     ("x^3", Interval(-1.0, 1.0), AlphaM(1.0, 1.0)),
     ("(x - 0.5)^3 + 2", UNIT, RConvex(1.0)),
     ("x^-1", Interval(-2.0, -1.0), AlphaM(1.0, 1.0)),
@@ -996,6 +1034,12 @@ def test_proved_pairs_are_dominated(pair, iv, params):
     ("x^2 + 1", UNIT, RConvex(0.5)),                            # nor below r = 1
     ("2e307*x^2", UNIT, AlphaM(1.0, 1.0)),                      # beyond 2^1020
     ("x^2 - 1.5*x^2", UNIT, AlphaM(1.0, 1.0)),                  # concave once collected
+    ("abs(x^2 - 1)", Interval(-2.0, 2.0), AlphaM(1.0, 1.0)),    # abs of a tree not affine
+    ("1/x", Interval(-1.0, 1.0), AlphaM(1.0, 1.0)),             # evaluate raises at 0
+    ("log(x)", UNIT, AlphaM(1.0, 1.0)),                         # evaluate raises at 0
+    ("3", UNIT, AlphaM(0.5, 0.5)),                              # a constant > 0 at m < 1
+    ("-2", Interval(-1.0, 1.0), AlphaM(0.5, 0.5)),              # m < 1 lives on [0, b]
+    ("2 - exp(1)", UNIT, RConvex(0.0)),                         # not positive
 ])
 def test_proved_refuses(text, iv, params):
     assert proved(parse(text), iv, params) is False
@@ -1010,6 +1054,12 @@ def test_proved_refuses(text, iv, params):
     # the enclosure's low end comes from a power, a numpy float
     ("1.5715*(1.8735-x)^-1", Interval(0.25, 1.0), RConvex(2.0)),
     ("x^2 - 0.5*x^2 - x", Interval(0.0, 3.0), AlphaM(1.0, 0.5)),  # convex once collected
+    ("abs(x - 0.5)", UNIT, AlphaM(1.0, 1.0)),                   # abs of an affine argument
+    # constants, in every class they belong to
+    ("3", UNIT, AlphaM(0.5, 1.0)),
+    ("-2*exp(1)", UNIT, AlphaM(0.5, 0.5)),
+    ("exp(1) - 2", Interval(0.5, 2.0), RConvex(-1.0)),
+    ("1 - 1", UNIT, AlphaM(1.0, 0.5)),     # its enclosure reaches above 0, but it is 0 at 0
 ])
 def test_proved_accepts(text, iv, params):
     f = parse(text)
@@ -1033,7 +1083,7 @@ def _pair(h: str, k: str):
     ((parse("0.5"), parse("x^2 + 2")), UNIT, RConvex(0.5)),     # no rule below r = 1
     (_pair("x^2", "x^2 + 1"), UNIT, AlphaM(1.0, 0.5)),          # (g - f)(0) > 0
     (_pair("x^2 + 1e-300*1e-300", "x^2"), UNIT, AlphaM(1.0, 0.5)),  # (g + f)(0) > 0
-    (_pair("x^2", "sqrt(x + 1)"), UNIT, AlphaM(1.0, 1.0)),      # no rule for sqrt
+    (_pair("x^2", "sqrt(x + 1)"), UNIT, AlphaM(1.0, 1.0)),      # g - f = sqrt(x + 1), concave
     # g - f = 0, but f and g reach 1.7e308, where the grid's sums overflow
     ((parse("1.7e308*(2*x-1)^2 - 1.7e308*(1-(2*x-1)^2)"),) * 2, UNIT, AlphaM(1.0, 1.0)),
     ((parse("2e307*x^2"),) * 2, UNIT, AlphaM(1.0, 1.0)),
@@ -1150,21 +1200,25 @@ def _ref_shape(e, iv):
 
 def _ref_convex(e, iv):
     return all(not c or (s := _ref_shape(atom, iv)) is not None
-               and s[0] <= (expr._CONVEX if c > 0 else expr._AFFINE)
+               and s[0] & (expr._CONVEX if c > 0 else expr._CONCAVE)
                for atom, c in _ref_linear(e).items())
 
 
 def _ref_proved(f, iv, params, g=None):
     r_class = isinstance(params, RConvex)
-    if not (params.r == 1.0 or params.r >= 1.0 and g is None if r_class else params.alpha == 1.0):
-        return False
     try:
         shapes = [_ref_shape(e, iv) for e in (f, g) if e is not None]
         if None in shapes or max(max(-low, high) for _, low, high in shapes) >= 2.0 ** 1020:
             return False
+        if g is None and shapes[0][0] == expr._CONSTANT:
+            _, low, high = shapes[0]
+            if low > 0.0 if r_class else params.m == 1.0 or high <= 0.0 and iv.lo >= 0.0:
+                return True
+        if not (params.r == 1.0 or params.r >= 1.0 and g is None if r_class
+                else params.alpha == 1.0):
+            return False
         sides = (f,) if g is None else (Add(g, f), Sub(g, f))
-        if not (g is None and shapes[0][0] <= expr._CONVEX
-                or all(_ref_convex(s, iv) for s in sides)):
+        if not all(_ref_convex(s, iv) for s in sides):
             return False
         if r_class:
             return all(low > 0.0 or convexity._positive(_fresh(e), iv, 4)
@@ -1176,8 +1230,8 @@ def _ref_proved(f, iv, params, g=None):
 
 
 ONE = Const(1.0)
-# atoms that _shape ranks but that have no exact value at 0: a fractional, negative or
-# large power, and exp of a tree that is not 0 at 0; log and sqrt have neither rule
+# atoms that _shape gives a curvature but that have no exact value at 0: a fractional, negative or
+# large power, exp of a tree that is not 0 at 0, log and sqrt
 NO_ZERO_RULE = [parse(t) for t in ("(x + 1)^1.5", "(x + 2)^-1", "x^66", "exp(x + 1)",
                                    "log(x + 2)", "sqrt(x + 1)")]
 PROOF_PARAMS = [AlphaM(1.0, 1.0), AlphaM(1.0, 0.5), AlphaM(1.0, 0.75), AlphaM(0.5, 1.0),
