@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import sys
 
@@ -33,7 +32,7 @@ def _f(v: float) -> str:
 
 
 # StressConfig's field defaults, read without constructing one
-_STRESS = {fld.name: fld.default for fld in dataclasses.fields(StressConfig)}
+_STRESS = {name: getattr(StressConfig, name) for name in StressConfig.__match_args__}
 
 
 def _flags(*names: str, **kw) -> argparse.ArgumentParser:

@@ -33,13 +33,13 @@ certificate, not a proof: the inequality held at every sampled triple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .expr import (_CONCAVE, _CONSTANT, _CONVEX, _VAR, Add, DomainError, Expr, Interval, Sub,
-                   _compile, _exact_at_zero, _linear, _require_tol, _shape, evaluate, lin_comb)
+                   Value, _compile, _exact_at_zero, _linear, _require_tol, _shape, evaluate,
+                   lin_comb)
 from .means import _power_mean_raw, _y_side
 
 __all__ = [
@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AlphaM:
+class AlphaM(Value):
     """Parameters of the (alpha, m) class; both lie in (0, 1]."""
     alpha: float
     m: float
@@ -64,8 +63,7 @@ class AlphaM:
             raise ValueError(f"m must lie in (0, 1], got {self.m}")
 
 
-@dataclass(frozen=True)
-class RConvex:
+class RConvex(Value):
     """Order of the r-convex class: any finite real."""
     r: float
 
@@ -77,8 +75,7 @@ class RConvex:
 ClassParams = AlphaM | RConvex
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Value):
     """Certification grid: n_xy points per axis, n_lambda weights, and the
     absolute tolerance below which a violation is ignored."""
     n_xy: int = 33
@@ -96,8 +93,7 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Value):
     """A grid triple where the checked inequality fails: lhs > rhs + tol."""
     x: float
     y: float
@@ -110,8 +106,7 @@ class Witness:
         return self.lhs - self.rhs
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
     """Outcome of a grid check.
 
     ``witness`` is the largest violation found (None when the check

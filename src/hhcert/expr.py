@@ -1,10 +1,10 @@
 """Closed-form scalar functions as small expression trees.
 
-A function of one variable is represented as an immutable tree of
-dataclass nodes.  Trees can be parsed from a plain infix syntax,
-pretty-printed back, evaluated on floats or numpy arrays, and composed
-with affine argument changes (needed to form terms like f(x/m)), which
-substitute p*x + q for the variable.
+A function of one variable is represented as an immutable tree of nodes,
+each a :class:`Value`, whose methods are written once: no class generates
+code as it is created.  Trees can be parsed from a plain infix syntax,
+pretty-printed back, evaluated on floats or numpy arrays, and composed with
+affine argument changes (for terms like f(x/m)), which substitute p*x + q for x.
 
 Evaluation never returns NaN or infinity: any point outside the real
 domain of the expression raises :class:`DomainError` instead.
@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
     "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Exp", "Log",
-    "Sqrt", "Abs", "Expr", "X", "Interval",
+    "Sqrt", "Abs", "Expr", "X", "Interval", "Value",
     "ParseError", "DomainError",
     "parse", "to_string", "evaluate", "compose_affine", "lin_comb",
 ]
@@ -30,65 +30,120 @@ __all__ = [
 
 # ------------------------- node types -------------------------
 
-@dataclass(frozen=True)
-class Const:
+class Value:
+    """A frozen dataclass of the fields annotated in its class body (a parent's first), each
+    defaulting to the class attribute of its name; its methods are written once, not per class."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        names = cls.__match_args__ = (*cls.__match_args__, *cls.__dict__.get("__annotations__", ()))
+        get = operator.attrgetter(*names) if names else lambda self: ()
+        cls._key = property(get if len(names) != 1 else lambda self: (get(self),))
+        cls._defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+
+    def __init__(self, *args, **kw) -> None:
+        cls, names = type(self), self.__match_args__
+        if kw or len(args) != len(names):     # bind as a call does, defaults filled in
+            got = self._defaults | dict(zip(names, args)) | kw
+            if len(args) > len(names) or got.keys() != set(names) or kw.keys() & names[:len(args)]:
+                raise TypeError(f"{cls.__name__}() takes {names}, got {len(args)} and {list(kw)}")
+            args = tuple(map(got.__getitem__, names))
+        for name, value in zip(names, args):     # as a dataclass does: no dict of its own yet
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    __post_init__ = object.__init__     # a subclass's checks of its fields; none here
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __reduce__(self):     # the fields alone: a kept result may hold the node as a key
+        return type(self), self._key
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Const(Value):
     value: float
 
+    def __init__(self, value: float) -> None:
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
-class Var:
+
+class Var(Value):
     """The single free variable x."""
 
 
-@dataclass(frozen=True)
-class Add:
+class _Binary(Value):
     left: Expr
     right: Expr
 
-
-@dataclass(frozen=True)
-class Sub:
-    left: Expr
-    right: Expr
+    def __init__(self, left: Expr, right: Expr) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    """left + right"""
 
 
-@dataclass(frozen=True)
-class Div:
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    """left - right"""
 
 
-@dataclass(frozen=True)
-class Pow:
+class Mul(_Binary):
+    """left * right"""
+
+
+class Div(_Binary):
+    """left / right"""
+
+
+class Pow(Value):
     """base raised to a fixed real exponent (the exponent is not a subtree)."""
     base: Expr
     exponent: float
 
+    def __init__(self, base: Expr, exponent: float) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
-@dataclass(frozen=True)
-class Exp:
+
+class _Unary(Value):
     arg: Expr
 
-
-@dataclass(frozen=True)
-class Log:
-    arg: Expr
+    def __init__(self, arg: Expr) -> None:
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Sqrt:
-    arg: Expr
+class Exp(_Unary):
+    """exp(arg)"""
 
 
-@dataclass(frozen=True)
-class Abs:
-    arg: Expr
+class Log(_Unary):
+    """log(arg), the natural logarithm"""
+
+
+class Sqrt(_Unary):
+    """sqrt(arg)"""
+
+
+class Abs(_Unary):
+    """abs(arg)"""
 
 
 Expr = Const | Var | Add | Sub | Mul | Div | Pow | Exp | Log | Sqrt | Abs
@@ -96,8 +151,7 @@ Expr = Const | Var | Add | Sub | Mul | Div | Pow | Exp | Log | Sqrt | Abs
 X = Var()
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Value):
     lo: float
     hi: float
 
@@ -292,15 +346,18 @@ def _shape(f: Expr, iv: Interval) -> tuple[int, float, float] | None:
                 case Sub(), [(c, l1, h1), (d, l2, h2)]:
                     v = c & _flip(d), *_out(l1 - h2, h1 - l2)
                 case Mul() | Div(), [(c, l1, h1), (d, l2, h2)]:     # a quotient's divisor first
-                    if isinstance(node, Mul) and d == _CONSTANT:
-                        (c, l1, h1), (d, l2, h2) = args[::-1]
                     ends = [k[0](a, b) for a in (l1, h1) for b in (l2, h2)]
+                    if isinstance(node, Div) and d == _CONSTANT:    # 1/h: convex for concave h > 0,
+                        c = _flip(c) & (_CONVEX if l1 > 0 else _CONCAVE)  # concave for convex h < 0
+                    if d == _CONSTANT:
+                        (c, l1, h1), (d, l2, h2) = (d, l2, h2), (c, l1, h1)
                     # a constant factor of fixed sign keeps d, or flips it
                     v = ((d if h1 > 0 else _AFFINE) & (_flip(d) if l1 < 0 else _AFFINE)
                          if c == _CONSTANT else 0), *_out(min(ends), max(ends))
                 case Exp() | Log() | Sqrt(), [(c, l, h)] if h < 709.0 or not isinstance(node, Exp):
                     fn, keep = _MONOTONE[type(node)]
-                    v = c & keep, *_out(fn(l), fn(h), 4)
+                    lo, hi = _out(fn(l), fn(h), 4)     # exp and sqrt are never below 0
+                    v = c & keep, lo if isinstance(node, Log) else max(lo, 0.0), hi
                 case Abs(), [(c, l, h)]:
                     v = (c if l >= 0 else _flip(c) if h <= 0 else _CONVEX if c == _AFFINE else 0,
                          max(l, -h, 0.0), max(-l, h))
@@ -408,7 +465,7 @@ def compose_affine(f: Expr, p: float, q: float) -> Expr:
     def sub(e: Expr) -> Expr:
         if isinstance(e, Var):
             return arg
-        kids = (getattr(e, fd.name) for fd in fields(e))
+        kids = e._key
         return type(e)(*(sub(k) if isinstance(k, Expr) else k for k in kids))
 
     return sub(f)

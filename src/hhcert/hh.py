@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,7 +38,7 @@ import numpy as np
 from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec,
                         NonPositiveFunction, RConvex, Witness, _require_positive,
                         check)
-from .expr import (DomainError, Expr, Interval, _require_tol, compose_affine,
+from .expr import (DomainError, Expr, Interval, Value, _require_tol, compose_affine,
                    evaluate, lin_comb)
 from .jsonio import dumps
 from .means import gen_log_mean
@@ -54,15 +53,13 @@ __all__ = [
 TOL_DEFAULT = 1e-8
 
 
-@dataclass(frozen=True)
-class HypothesisStatus:
+class HypothesisStatus(Value):
     status: str  # "pass" | "violation" | "skipped" | "domain_error"
     witness: Witness | None = None
     detail: str | None = None
 
 
-@dataclass(frozen=True)
-class IneqReport:
+class IneqReport(Value):
     theorem_id: str
     params: dict[str, float]
     lhs: float
@@ -168,8 +165,7 @@ def _log_mean(F: Callable, a: float, b: float, c: ClassParams) -> float:
 
 # ------------------------- the catalogue -------------------------
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(Value):
     params: tuple[str, ...]      # class parameters in report order; alpha, m default to 1
     weights: Callable            # class -> (c1, c2): c1*f(x) + c2*f(x/m) is averaged over [a, b]
     form: Callable               # (F, a, b, class) -> the point side, F mapping x to f(x)

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .expr import Value
 
 __all__ = [
     "EPS_R", "EPS_XY", "MeanBranchTag", "MeanBranch",
@@ -37,8 +38,7 @@ class MeanBranchTag(Enum):
     DIAGONAL = "diagonal"
 
 
-@dataclass(frozen=True)
-class MeanBranch:
+class MeanBranch(Value):
     tag: MeanBranchTag
     value: float
 

@@ -24,12 +24,11 @@ names; after a dropped chain, the end fetches trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
-from .expr import DomainError, Expr, Interval, _require_tol, evaluate
+from .expr import DomainError, Expr, Interval, Value, _require_tol, evaluate
 
 __all__ = ["IntegralResult", "NonConvergence", "integrate", "MAX_PANELS",
            "QUAD_TOL_DEFAULT"]
@@ -77,8 +76,7 @@ class NonConvergence(RuntimeError):
     """The panel budget was exhausted before the tolerance was met."""
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(Value):
     value: float
     error_bound: float
     subdivisions: int

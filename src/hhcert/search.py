@@ -21,13 +21,12 @@ Trials are reproducible: each uses an RNG substream derived from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec, NonPositiveFunction,
                         RConvex, construct_dominated_pair, passes)
-from .expr import (Add, Const, DomainError, Expr, Interval, Mul, Pow, Sub, Exp, X,
+from .expr import (Add, Const, DomainError, Expr, Interval, Mul, Pow, Sub, Exp, Value, X,
                    _require_tol)
 from .hh import TOL_DEFAULT, IneqReport, _over_power, run_verifier, run_verifiers
 from .jsonio import dumps
@@ -45,8 +44,7 @@ STRESS_THEOREMS = ("theorem_a_first", "theorem_a_second", "t1_first",
                    "t1_second", "t2", "gill_r", "gr_dominated")
 
 
-@dataclass(frozen=True)
-class StressConfig:
+class StressConfig(Value):
     """Pools and budgets for a stress campaign.
 
     Each trial draws its class parameters uniformly from the product of
@@ -89,16 +87,14 @@ class StressConfig:
         return alpha_m + tuple(RConvex(r) for r in self.r_pool)
 
 
-@dataclass(frozen=True)
-class TheoremStats:
+class TheoremStats(Value):
     passes: int
     fails: int
     skips: int
     min_slack: float | None
 
 
-@dataclass(frozen=True)
-class StressSummary:
+class StressSummary(Value):
     trials: int
     rejected_trials: int
     rejected_candidates: int
@@ -281,8 +277,7 @@ def stress(config: StressConfig) -> StressSummary:
 
 # ------------------------- tightness scans -------------------------
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(Value):
     alpha: float
     m: float
     theorem_id: str

@@ -339,11 +339,12 @@ def test_overflowing_dominance_leaves_one_error_line():
         assert err == "error: float64 overflow: cannot print non-finite float inf\n"
 
 
-@pytest.mark.parametrize("f", ["exp(30*x)", "1e12*exp(x)", "exp(30*x) + abs(x - 2)"])
+@pytest.mark.parametrize("f", ["exp(30*x)", "1e12*exp(x)", "exp(30*x) + abs(x - 2)",
+                               "exp(30*x) + 1/(x + 1)"])
 def test_convex_functions_with_rounding_gaps_pass(f):
     # on the grid's diagonal x = y the inequality is an identity, and there these
-    # functions' gaps are rounding alone (0.00195, 2.4e-4 and 0.00195, above tol): a
-    # proof of convexity gives the pass, where a scan reported a violation
+    # functions' gaps are rounding alone (0.00195, 2.4e-4, 0.00195 and 0.00195, above
+    # tol): a proof of convexity gives the pass, where a scan reported a violation
     code, out, err = _run(["check-convexity", "--f", f, "--a", "0", "--b", "1",
                            "--alpha", "1", "--m", "1"])
     assert (code, out, err) == (0, "PASS: (1, 1)-convexity holds at all 70785 grid points\n", "")

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import operator
 import sys
@@ -869,7 +868,7 @@ def shape_trees():
     def extend(kids):
         return st.one_of(
             *(st.builds(t, kids, kids) for t in (Add, Sub, Div)),
-            st.builds(Mul, leaf, kids), st.builds(Mul, kids, kids),
+            st.builds(Mul, leaf, kids), st.builds(Mul, kids, kids), st.builds(Div, leaf, kids),
             *(st.builds(t, kids) for t in (Exp, Log, Sqrt, Abs)),
             st.builds(Pow, kids, st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, -1.0, -2.0])))
 
@@ -982,8 +981,8 @@ def test_proved_pairs_are_dominated(pair, iv, params):
 
 def _subtrees(e):
     yield e
-    for fd in dataclasses.fields(e):
-        if isinstance(kid := getattr(e, fd.name), Expr):
+    for name in e.__match_args__:
+        if isinstance(kid := getattr(e, name), Expr):
             yield from _subtrees(kid)
 
 
@@ -994,6 +993,8 @@ def _subtrees(e):
 @example(parse("exp(30*x) + abs(x - 2)"), UNIT)
 @example(parse("(x + 3)^-0.5 - 2*sqrt(log(x + 3)) + 1/(x - 2)"), Interval(-2.0, -0.5))
 @example(parse("abs(x^3) - abs(x - 3)"), Interval(-2.0, -0.5))
+@example(parse("-sqrt(sqrt(x)) + 2/(x - 3) - 0.5/(x^2 + 1)"), UNIT)
+@example(parse("sqrt(exp(-800*x)) + 3/sqrt(x + 1) - 1/log(x + 2)"), UNIT)
 def test_shape_proof_sound_on_every_node(f, iv):
     """Where _shape encloses f on iv, evaluate raises nowhere on iv, each value it computes
     and each value to 50 digits lies in the enclosure, and f's second differences to 50
@@ -1012,6 +1013,18 @@ def test_shape_proof_sound_on_every_node(f, iv):
             assert _second_differences_ok(ys, scale)
         if bits & expr._CONCAVE:
             assert _second_differences_ok([-y for y in ys], scale)
+
+
+@pytest.mark.parametrize("text, bits", [("sqrt(sqrt(x))", expr._CONCAVE),
+                                         ("-sqrt(sqrt(x))", expr._CONVEX),
+                                         ("sqrt(exp(-800*x))", 0)])
+def test_shape_encloses_sqrt_and_exp_from_zero(text, bits):
+    # sqrt and exp are never below 0, so their low ends are not rounded out past it, where
+    # a sqrt above would read them as negative
+    bits_got, low, high = expr._shape(parse(text), UNIT)
+    assert bits_got == bits
+    assert (low, high) == ((0.0, 1.0000000000000013) if bits != expr._CONVEX
+                           else (-1.0000000000000016, 5e-324))
 
 
 @pytest.mark.parametrize("text, iv, params", [
@@ -1040,6 +1053,9 @@ def test_shape_proof_sound_on_every_node(f, iv):
     ("3", UNIT, AlphaM(0.5, 0.5)),                              # a constant > 0 at m < 1
     ("-2", Interval(-1.0, 1.0), AlphaM(0.5, 0.5)),              # m < 1 lives on [0, b]
     ("2 - exp(1)", UNIT, RConvex(0.0)),                         # not positive
+    ("-1/(x + 1)", UNIT, AlphaM(1.0, 1.0)),                     # concave
+    ("1/(x^2 + 1)", UNIT, AlphaM(1.0, 1.0)),                    # 1 over a convex h > 0
+    ("1/(x^2 - 4)", UNIT, AlphaM(1.0, 1.0)),                    # 1 over a convex h < 0
 ])
 def test_proved_refuses(text, iv, params):
     assert proved(parse(text), iv, params) is False
@@ -1060,6 +1076,10 @@ def test_proved_refuses(text, iv, params):
     ("-2*exp(1)", UNIT, AlphaM(0.5, 0.5)),
     ("exp(1) - 2", Interval(0.5, 2.0), RConvex(-1.0)),
     ("1 - 1", UNIT, AlphaM(1.0, 0.5)),     # its enclosure reaches above 0, but it is 0 at 0
+    # a constant over a concave h > 0 or a convex h < 0, as that constant times h^-1
+    ("1/(x + 1)", UNIT, AlphaM(1.0, 1.0)),
+    ("-2/(x - 2) + 3/sqrt(x + 1)", UNIT, AlphaM(1.0, 1.0)),
+    ("-1/(x^2 - 4)", Interval(-1.0, 1.0), AlphaM(1.0, 1.0)),
 ])
 def test_proved_accepts(text, iv, params):
     f = parse(text)
@@ -1160,7 +1180,7 @@ def test_tree_too_deep_for_the_proof_is_left_to_the_grid():
 def _fresh(e):
     """A copy of e that shares no node with it, and so no result kept on one."""
     return type(e)(*(_fresh(v) if isinstance(v, Expr) else v
-                     for v in (getattr(e, fd.name) for fd in dataclasses.fields(e))))
+                     for v in (getattr(e, name) for name in e.__match_args__)))
 
 
 # proved as it was before linear forms and values at 0 were kept on the nodes, as a
@@ -1297,7 +1317,7 @@ def _or_error(fn, e):
 
 def _looks(e):
     return (e == _fresh(e), hash(e), repr(e), to_string(e),
-            [(fd.name, getattr(e, fd.name)) for fd in dataclasses.fields(e)],
+            [(name, getattr(e, name)) for name in e.__match_args__],
             compose_affine(e, 0.5, 0.25))
 
 
