@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 
 from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec, RConvex,
@@ -105,6 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-list", default="0.25,0.5,0.75,1")
     p.add_argument("--m-list", default="0.25,0.5,0.75,1")
     p.add_argument("--csv", action="store_true")
+    for p in (top, *sub.choices.values()):     # "-1e-3" is a negative number, not a flag
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return top
 
 
@@ -249,8 +252,11 @@ def _stress_config_from(raw) -> StressConfig:
 def _load_stress_config(args) -> StressConfig:
     """The --config file if given, else the flags as the same JSON object."""
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            return _stress_config_from(json.load(fh))
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                return _stress_config_from(json.load(fh))
+        except (OSError, ValueError, RecursionError) as exc:     # unreadable, not JSON or too deep
+            raise ValueError(f"--config: {exc}") from exc
     raw = {"seed": args.seed, "trials": args.trials,
            "grid_xy": args.grid_xy, "grid_lambda": args.grid_lambda,
            "intervals": [[args.a, args.b]], "tol": args.tol}
@@ -280,9 +286,17 @@ def _cmd_stress(args):
     return (1 if fails else 0), summary_to_dict(summary), text
 
 
+def _floats(flag: str, text: str) -> tuple[float, ...]:
+    """A comma-separated list of numbers; one that is not a number names the flag."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
+
+
 def _cmd_scan(args):
-    alphas = tuple(float(v) for v in args.alpha_list.split(","))
-    ms = tuple(float(v) for v in args.m_list.split(","))
+    alphas = _floats("--alpha-list", args.alpha_list)
+    ms = _floats("--m-list", args.m_list)
     rows = tightness_scan(*_exprs(args), Interval(args.a, args.b), alphas, ms, tol=args.tol)
 
     def text():

@@ -32,6 +32,7 @@ certificate, not a proof: the inequality held at every sampled triple.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -268,6 +269,13 @@ def _on_distinct(f: Expr, u, inv, positive: bool, name: str):
     _require_positive(lhs, pts, name)
 
 
+@functools.lru_cache(maxsize=64)
+def _weights(ts: bytes, alpha: float, m: float):
+    """t^alpha and m*(1 - t^alpha) along an rhs's t axis, on the weights whose bytes are ts."""
+    ta = np.power(np.frombuffer(ts), alpha)     # returned as read-only views: checks share them
+    return np.broadcast_to(ta, (1, 1, ta.size)), np.broadcast_to(m * (1.0 - ta), (1, 1, ta.size))
+
+
 def _rows(f: Expr, g: Expr | None, params: ClassParams, ts, u, inv):
     """rows(slice, j0) gives lhs and rhs, rhs in an array of its own, on those x rows and the y
     columns from j0 of a grid of :func:`_grids`: the sides of params' defining inequality for f
@@ -277,7 +285,7 @@ def _rows(f: Expr, g: Expr | None, params: ClassParams, ts, u, inv):
     classes.  It keeps each one's values on u, on the x values (read at y = lo and t = 1, where
     t*x + m*(1-t)*y is x to the bit) and the y side of its rhs."""
     r_class = isinstance(params, RConvex)
-    ta = None if r_class else np.power(ts, params.alpha)
+    ta, y_weight = (None, None) if r_class else _weights(ts.tobytes(), params.alpha, params.m)
     order = [("f", f)] if g is None else [("g", g), ("f", f)] if r_class else [("f", f), ("g", g)]
     kept = {}   # name: (values on u, values on the x values, rhs's y side), once per check
 
@@ -286,7 +294,7 @@ def _rows(f: Expr, g: Expr | None, params: ClassParams, ts, u, inv):
         if r_class:
             return lhs, _power_mean_raw(fx[sl, None, None], fx[None, j0:, None], ts, params.r,
                                         out=np.empty_like(lhs), y_side=y_side[:, j0:])
-        return lhs, np.add(ta[None, None, :] * fx[sl, None, None], y_side[:, j0:],
+        return lhs, np.add(ta * fx[sl, None, None], y_side[:, j0:],
                            out=np.empty_like(lhs))
 
     def rows(sl: slice, j0: int):
@@ -294,7 +302,7 @@ def _rows(f: Expr, g: Expr | None, params: ClassParams, ts, u, inv):
             fu = _on_distinct(e, u, inv, r_class, name)
             fx = fu.take(inv[:, 0, -1])
             kept[name] = fu, fx, (_y_side(fx[None, :, None], ts, params.r) if r_class
-                                  else (params.m * (1.0 - ta))[None, None, :] * fx[None, :, None])
+                                  else y_weight * fx[None, :, None])
         lhs, rhs = sides(*kept["f"], sl, j0)
         if g is None:
             return lhs, rhs

@@ -7,7 +7,8 @@ pretty-printed back, evaluated on floats or numpy arrays, and composed with
 affine argument changes (for terms like f(x/m)), which substitute p*x + q for x.
 
 Evaluation never returns NaN or infinity: any point outside the real
-domain of the expression raises :class:`DomainError` instead.
+domain of the expression raises :class:`DomainError` instead.  Each walk over
+a tree's nodes looks a node's class up once: a ``match`` ladder was over half a compile.
 """
 
 from __future__ import annotations
@@ -211,15 +212,19 @@ class DomainError(ArithmeticError):
 _CONST, _VAR, _OP, _DOMAIN = range(4)
 _STRICT, _FAST = 1, 2
 _CONVEX, _CONCAVE, _AFFINE, _CONSTANT = 1, 2, 3, 7   # curvature bits of the shape pass; 4: constant
-_UFUNCS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Exp: np.exp,
-           Log: np.log, Sqrt: np.sqrt, Abs: np.abs}
-_DOMAINS = {Log: (operator.le, "log of non-positive value"),
-            Sqrt: (operator.lt, "sqrt of negative value")}
-_MONOTONE = {Exp: (math.exp, _CONVEX), Log: (math.log, _CONCAVE), Sqrt: (math.sqrt, _CONCAVE)}
 
 
 def _divide(den, num):
     return num / den
+
+
+# each operator node's (function, operands it takes off the stack), a quotient's divisor first
+_OPS = {Add: (operator.add, 2), Sub: (operator.sub, 2), Mul: (operator.mul, 2), Div: (_divide, 2),
+        Pow: (np.power, 2), Exp: (np.exp, 1), Log: (np.log, 1), Sqrt: (np.sqrt, 1),
+        Abs: (np.abs, 1)}
+_DOMAINS = {Log: (operator.le, "log of non-positive value"),
+            Sqrt: (operator.lt, "sqrt of negative value")}
+_MONOTONE = {Exp: (math.exp, _CONVEX), Log: (math.log, _CONCAVE), Sqrt: (math.sqrt, _CONCAVE)}
 
 
 def _kept(compute):
@@ -241,37 +246,34 @@ def _compile(f: Expr) -> tuple:
     def emit(node: Expr, check: int) -> None:
         """Append node's instructions; ``check`` holds the passes that check
         its value."""
-        match node:
-            case Const(v):
-                return put((_CONST, node, np.float64(v), check | _STRICT))
-            case Var():
-                return put((_VAR, node, None, check))
-            case Add(l, r) | Sub(l, r) | Mul(l, r):
-                emit(l, 0)
-                emit(r, 0)
-                op = (_UFUNCS[type(node)], 2)
-            case Div(l, r):
-                emit(r, _FAST)
-                put((_DOMAIN, node, (operator.eq, "division by zero"), 0))
-                emit(l, 0)
-                op = (_divide, 2)
-            case Pow(b, e):
-                emit(b, _FAST if e <= 0 else 0)
-                if not float(e).is_integer():
-                    put((_DOMAIN, node,
-                         (operator.le, "non-positive base with fractional exponent"), 0))
-                elif e < 0:
-                    put((_DOMAIN, node, (operator.eq, "zero base with negative exponent"), 0))
-                put((_CONST, node, e, 0))
-                op = (np.power, 2)
-            case Exp(a) | Log(a) | Sqrt(a) | Abs(a):
-                emit(a, _FAST if isinstance(node, Exp) else 0)
-                if type(node) in _DOMAINS:
-                    put((_DOMAIN, node, _DOMAINS[type(node)], 0))
-                op = (_UFUNCS[type(node)], 1)
-            case _:
-                raise TypeError(f"not an Expr node: {node!r}")
-        put((_OP, node, op, check if isinstance(node, Abs) else check | _STRICT))
+        kind = type(node)
+        if kind is Const:
+            return put((_CONST, node, np.float64(node.value), check | _STRICT))
+        if kind is Var:
+            return put((_VAR, node, None, check))
+        if (op := _OPS.get(kind)) is None:
+            raise TypeError(f"not an Expr node: {node!r}")
+        if kind is Pow:
+            e = node.exponent
+            emit(node.base, _FAST if e <= 0 else 0)
+            if not float(e).is_integer():
+                put((_DOMAIN, node,
+                     (operator.le, "non-positive base with fractional exponent"), 0))
+            elif e < 0:
+                put((_DOMAIN, node, (operator.eq, "zero base with negative exponent"), 0))
+            put((_CONST, node, e, 0))
+        elif kind is Div:
+            emit(node.right, _FAST)
+            put((_DOMAIN, node, (operator.eq, "division by zero"), 0))
+            emit(node.left, 0)
+        elif op[1] == 2:
+            emit(node.left, 0)
+            emit(node.right, 0)
+        else:
+            emit(node.arg, _FAST if kind is Exp else 0)
+            if kind in _DOMAINS:
+                put((_DOMAIN, node, _DOMAINS[kind], 0))
+        put((_OP, node, op, check if kind is Abs else check | _STRICT))
 
     emit(f, _FAST)
     return tuple(tape)
@@ -290,9 +292,8 @@ def _run(tape: tuple, xv: np.ndarray, mode: int):
     vals: list = []
     for code, node, k, check in tape:
         if code == _OP:
-            fn, n = k
-            v = fn(*vals[-n:])     # a value that does not depend on x stays a scalar
-            del vals[-n:]
+            fn, n = k     # a value that does not depend on x stays a scalar
+            v = fn(vals.pop()) if n == 1 else fn(vals.pop(-2), vals.pop())
         elif code == _CONST:
             v = k
         elif code == _VAR:
@@ -337,40 +338,41 @@ def _shape(f: Expr, iv: Interval) -> tuple[int, float, float] | None:
                 return None
             continue
         v = (_CONSTANT, float(k), float(k)) if code == _CONST else x
-        if code == _OP:
-            args = vals[-k[1]:]
-            del vals[-k[1]:]
-            match node, args:
-                case Add(), [(c, l1, h1), (d, l2, h2)]:
-                    v = c & d, *_out(l1 + l2, h1 + h2)
-                case Sub(), [(c, l1, h1), (d, l2, h2)]:
-                    v = c & _flip(d), *_out(l1 - h2, h1 - l2)
-                case Mul() | Div(), [(c, l1, h1), (d, l2, h2)]:     # a quotient's divisor first
-                    ends = [k[0](a, b) for a in (l1, h1) for b in (l2, h2)]
-                    if isinstance(node, Div) and d == _CONSTANT:    # 1/h: convex for concave h > 0,
-                        c = _flip(c) & (_CONVEX if l1 > 0 else _CONCAVE)  # concave for convex h < 0
-                    if d == _CONSTANT:
-                        (c, l1, h1), (d, l2, h2) = (d, l2, h2), (c, l1, h1)
-                    # a constant factor of fixed sign keeps d, or flips it
-                    v = ((d if h1 > 0 else _AFFINE) & (_flip(d) if l1 < 0 else _AFFINE)
-                         if c == _CONSTANT else 0), *_out(min(ends), max(ends))
-                case Exp() | Log() | Sqrt(), [(c, l, h)] if h < 709.0 or not isinstance(node, Exp):
-                    fn, keep = _MONOTONE[type(node)]
-                    lo, hi = _out(fn(l), fn(h), 4)     # exp and sqrt are never below 0
-                    v = c & keep, lo if isinstance(node, Log) else max(lo, 0.0), hi
-                case Abs(), [(c, l, h)]:
-                    v = (c if l >= 0 else _flip(c) if h <= 0 else _CONVEX if c == _AFFINE else 0,
-                         max(l, -h, 0.0), max(-l, h))
-                case Pow(_, e), [(c, l, h), _]:
-                    even = e % 2 == 0
-                    ends = sorted(float(p) for p in np.power((l, h), e))
-                    convex = (e > 1 and (l >= 0 and c & _CONVEX or even and c == _AFFINE)
-                              or e < 0 < l and c & _CONCAVE)     # 1/h^-e for concave h > 0
-                    v = (c if e == 1 else _CONVEX if convex else c & _CONCAVE if 0 < e < 1 else 0,
-                         *_out(0.0 if even and l < 0 < h else ends[0], ends[1], 4))
-                case _:
-                    return None
-            if all(a[0] == _CONSTANT for a in args):
+        if code == _OP:     # the last operand, and the first of two
+            kind, (d, l2, h2) = type(node), vals.pop()
+            c, l, h = vals.pop() if k[1] == 2 else (d, l2, h2)
+            constant = c == d == _CONSTANT
+            if kind is Add:
+                v = c & d, *_out(l + l2, h + h2)
+            elif kind is Sub:
+                v = c & _flip(d), *_out(l - h2, h - l2)
+            elif kind is Mul or kind is Div:     # a quotient's divisor first
+                ends = [k[0](a, b) for a in (l, h) for b in (l2, h2)]
+                if kind is Div and d == _CONSTANT:     # 1/h: convex for concave h > 0,
+                    c = _flip(c) & (_CONVEX if l > 0 else _CONCAVE)  # concave for convex h < 0
+                if d == _CONSTANT:
+                    (c, l, h), (d, l2, h2) = (d, l2, h2), (c, l, h)
+                # a constant factor of fixed sign keeps d, or flips it
+                v = ((d if h > 0 else _AFFINE) & (_flip(d) if l < 0 else _AFFINE)
+                     if c == _CONSTANT else 0), *_out(min(ends), max(ends))
+            elif kind is Pow:
+                e = node.exponent
+                even = e % 2 == 0
+                ends = sorted(float(p) for p in np.power((l, h), e))
+                convex = (e > 1 and (l >= 0 and c & _CONVEX or even and c == _AFFINE)
+                          or e < 0 < l and c & _CONCAVE)     # 1/h^-e for concave h > 0
+                v = (c if e == 1 else _CONVEX if convex else c & _CONCAVE if 0 < e < 1 else 0,
+                     *_out(0.0 if even and l < 0 < h else ends[0], ends[1], 4))
+            elif kind is Abs:
+                v = (c if l >= 0 else _flip(c) if h <= 0 else _CONVEX if c == _AFFINE else 0,
+                     max(l, -h, 0.0), max(-l, h))
+            elif kind is Exp and h >= 709.0:
+                return None
+            else:
+                fn, keep = _MONOTONE[kind]
+                lo, hi = _out(fn(l), fn(h), 4)     # exp and sqrt are never below 0
+                v = c & keep, lo if kind is Log else max(lo, 0.0), hi
+            if constant:
                 v = _CONSTANT, v[1], v[2]
         if not (math.isfinite(v[1]) and math.isfinite(v[2])):
             return None
@@ -389,23 +391,23 @@ def _linear(e: Expr) -> tuple[int, dict[Expr, int]]:
     differences or products with a constant, keyed by structural equality; Const(1.0) keys
     the constant term.  Floats are dyadic, so ints over one power of two hold every
     coefficient exactly.  e's constants must be finite."""
-    match e:
-        case Const(v):
-            n, d = float(v).as_integer_ratio()
-            return d.bit_length() - 1, {_ONE: n}
-        case Add(l, r) | Sub(l, r):
-            (i, a), (j, b), op = _linear(l), _linear(r), _UFUNCS[type(e)]
-            k = max(i, j)
-            terms = {atom: c << k - i for atom, c in a.items()} if k > i else dict(a)
-            for atom, c in b.items():
-                terms[atom] = op(terms.get(atom, 0), c << k - j)
-            return k, terms
-        case Mul(l, r):
-            (i, a), (j, b) = _linear(l), _linear(r)
-            if len(b) == 1 and _ONE in b:   # a constant's form, as _ONE is its one key
-                (i, a), (j, b) = (j, b), (i, a)
-            if len(a) == 1 and _ONE in a:
-                return i + j, {atom: a[_ONE] * c for atom, c in b.items()}
+    kind = type(e)
+    if kind is Const:
+        n, d = float(e.value).as_integer_ratio()
+        return d.bit_length() - 1, {_ONE: n}
+    if kind is Add or kind is Sub:
+        (i, a), (j, b), op = _linear(e.left), _linear(e.right), _OPS[kind][0]
+        k = max(i, j)
+        terms = {atom: c << k - i for atom, c in a.items()} if k > i else dict(a)
+        for atom, c in b.items():
+            terms[atom] = op(terms.get(atom, 0), c << k - j)
+        return k, terms
+    if kind is Mul:
+        (i, a), (j, b) = _linear(e.left), _linear(e.right)
+        if len(b) == 1 and _ONE in b:   # a constant's form, as _ONE is its one key
+            (i, a), (j, b) = (j, b), (i, a)
+        if len(a) == 1 and _ONE in a:
+            return i + j, {atom: a[_ONE] * c for atom, c in b.items()}
     return 0, {e: 1}
 
 
@@ -413,16 +415,16 @@ def _linear(e: Expr) -> tuple[int, dict[Expr, int]]:
 def _exact_at_zero(e: Expr) -> Fraction | None:
     """e(0) in rational arithmetic from its children's kept values; None where no rule gives it
     at e or at a node it needs, whatever that node's factor, or for a power above 64."""
-    match e:
-        case Const() | Var():
-            return Fraction(getattr(e, "value", 0))
-        case Add(l, r) | Sub(l, r) | Mul(l, r) if None not in (a := [_exact_at_zero(l),
-                                                                    _exact_at_zero(r)]):
-            return _UFUNCS[type(e)](*a)
-        case Exp(a) if _exact_at_zero(a) == 0:
-            return Fraction(1)
-        case Pow(b, p) if 0 <= p <= 64 and p.is_integer() and (v := _exact_at_zero(b)) is not None:
-            return v ** int(p)
+    kind = type(e)
+    if kind is Const or kind is Var:
+        return Fraction(getattr(e, "value", 0))
+    if kind is Add or kind is Sub or kind is Mul:
+        if None not in (a := [_exact_at_zero(e.left), _exact_at_zero(e.right)]):
+            return _OPS[kind][0](*a)
+    elif kind is Exp and _exact_at_zero(e.arg) == 0:
+        return Fraction(1)
+    elif kind is Pow and 0 <= e.exponent <= 64 and e.exponent.is_integer():
+        return None if (v := _exact_at_zero(e.base)) is None else v ** int(e.exponent)
     return None
 
 
@@ -463,10 +465,16 @@ def compose_affine(f: Expr, p: float, q: float) -> Expr:
     arg = Add(Mul(Const(p), X), Const(q))
 
     def sub(e: Expr) -> Expr:
-        if isinstance(e, Var):
+        kind = type(e)
+        if kind is Var:
             return arg
-        kids = e._key
-        return type(e)(*(sub(k) if isinstance(k, Expr) else k for k in kids))
+        if kind is Const:
+            return Const(e.value)
+        if kind is Pow:
+            return Pow(sub(e.base), e.exponent)
+        if _OPS[kind][1] == 1:
+            return kind(sub(e.arg))
+        return kind(sub(e.left), sub(e.right))
 
     return sub(f)
 

@@ -8,8 +8,8 @@ so identical inputs serialize to identical bytes.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 
 __all__ = ["dumps", "fmt_float"]
 
@@ -28,13 +28,13 @@ def dumps(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return fmt_float(obj)
     if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
+        items = ", ".join(f"{_quote(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps(v) for v in obj) + "]"

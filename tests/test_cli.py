@@ -467,6 +467,75 @@ def test_parse_error_names_its_flag(command, bad, text, message):
     assert err.startswith(f"error: --{bad}: {message}") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("config, message", [
+    ("missing", "--config: [Errno 2] No such file or directory"),
+    ("{not json", "--config: Expecting property name"),
+    (b"\xff\xfe", "--config: 'utf-8' codec can't decode"),
+    ("[" * 100000, "--config: maximum recursion depth exceeded")],
+    ids=["missing", "not_json", "bytes", "nested_too_deep"])
+def test_unreadable_stress_config_names_its_flag(tmp_path, config, message):
+    path = tmp_path / "cfg.json"
+    if config != "missing":
+        path.write_bytes(config if isinstance(config, bytes) else config.encode())
+    code, out, err = _run(["stress", "--config", str(path), "--json"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag, text, bad", [("--alpha-list", "0.5,abc", "'abc'"),
+                                             ("--m-list", "1,,0.5", "''")])
+def test_bad_scan_list_names_its_flag(flag, text, bad):
+    code, out, err = _run(["scan", "--f", "0", "--g", "x^2", "--a", "0", "--b", "1", flag, text])
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag}: could not convert string to float: {bad}\n"
+
+
+# each subcommand's required flags, to which a test adds one numeric flag
+_REQUIRED = {"means": ["--kind", "power", "--x", "1", "--y", "2", "--r", "1"],
+             "integrate": ["--f", "x", "--a", "0", "--b", "1"],
+             "check-convexity": ["--f", "x", "--a", "0", "--b", "1"],
+             "check-dominance": ["--f", "x", "--g", "x", "--a", "0", "--b", "1"],
+             "verify": ["t2", "--f", "x", "--a", "0", "--b", "1"],
+             "stress": [], "scan": ["--f", "x", "--g", "x", "--a", "0", "--b", "1"]}
+
+
+def _numeric_flags():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return [(command, action.option_strings[0]) for command, parser in sub.choices.items()
+            for action in parser._actions if action.type in (float, int)]
+
+
+def _parsed(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return {"exit": exc.code}
+
+
+@pytest.mark.parametrize("command, flag", _numeric_flags())
+@pytest.mark.parametrize("value", ["-1e-3", "-1E0", "-.5e+1"])
+def test_negative_numbers_in_exponent_notation_are_values(command, flag, value):
+    # argparse takes an argument that starts with "-" for a flag unless it reads as a
+    # negative number; after "=" it is always the flag's value, so both forms read alike
+    parser, given = build_parser(), [command, *_REQUIRED[command]]
+    spaced = _parsed(parser, given + [flag, value])
+    assert spaced == _parsed(parser, given + [f"{flag}={value}"])
+    # a float flag takes the value; an int flag refuses it as it refuses any float
+    assert ("exit" in spaced) == (flag in ("--seed", "--trials", "--grid-xy", "--grid-lambda"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--f", "x", "--b", "1", "--a", "-1e-3"],
+    ["integrate", "--f", "exp(x)", "--a", "-1", "--b", "-1E-1"],
+    ["check-convexity", "--f", "x^2 + 1", "--a", "0", "--b", "1", "--r", "-5e-1"],
+    ["verify", "classic_hh_left", "--f", "x^2", "--b", "1", "--a", "-1e-3"]],
+    ids=lambda argv: argv[0])
+def test_exponent_notation_prints_as_the_joined_form(argv):
+    code, out, err = _run(argv)
+    assert (code, out, err) == _run(argv[:-2] + [f"{argv[-2]}={argv[-1]}"])
+    assert out and err == ""
+
+
 def test_error_after_output_leaves_stdout_empty(monkeypatch):
     def fails_in_handler(args):
         raise ValueError("late failure")

@@ -25,7 +25,7 @@ from hhcert.expr import (Abs, Add, Const, Div, DomainError, Exp, Expr, Interval,
 from hhcert.means import _power_mean_raw, power_mean
 from hhcert.search import StressConfig, _draw_pair, _trial_rng
 
-from conftest import any_tree, atom_combination
+from conftest import any_tree, atom_combination, shape_trees
 
 UNIT = Interval(0.0, 1.0)
 COARSE = GridSpec(2, 5)
@@ -859,21 +859,6 @@ def test_mirror_half_only_where_gaps_mirror(params, n_lambda, mirrored):
 
 
 # ------------------------- membership by construction -------------------------
-
-def shape_trees():
-    """Trees over every node kind, with moderate constants."""
-    leaf = st.one_of(st.just(X), st.builds(Const, st.sampled_from(
-        [0.0, 0.5, 1.0, 2.0, 3.0, -0.5, -1.0, -2.0, 0.1, 1.7])))
-
-    def extend(kids):
-        return st.one_of(
-            *(st.builds(t, kids, kids) for t in (Add, Sub, Div)),
-            st.builds(Mul, leaf, kids), st.builds(Mul, kids, kids), st.builds(Div, leaf, kids),
-            *(st.builds(t, kids) for t in (Exp, Log, Sqrt, Abs)),
-            st.builds(Pow, kids, st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, -1.0, -2.0])))
-
-    return st.recursive(leaf, extend, max_leaves=6)
-
 
 def _mp(e, x):
     """e at x in mpmath's working precision."""
