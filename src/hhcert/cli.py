@@ -16,7 +16,7 @@ import sys
 
 from .convexity import (DEFAULT_GRID, AlphaM, ClassParams, GridSpec, RConvex,
                         check)
-from .expr import DomainError, Expr, Interval, ParseError, parse, to_string
+from .expr import DomainError, Expr, Interval, parse, to_string
 from .hh import (QUAD_TOL_DEFAULT, THEOREM_IDS, TOL_DEFAULT, _witness_dict,
                  report_to_dict, run_verifier)
 from .jsonio import dumps, fmt_float
@@ -106,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-list", default="0.25,0.5,0.75,1")
     p.add_argument("--m-list", default="0.25,0.5,0.75,1")
     p.add_argument("--csv", action="store_true")
-    for p in (top, *sub.choices.values()):     # "-1e-3" is a negative number, not a flag
-        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+    # argparse asks this only of a token that names no option: "-x^2" is a value
+    for p in (top, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-[^-]")
     return top
 
 
@@ -126,17 +127,18 @@ def _cmd_means(args):
     return 0, payload, lambda: [_f(payload["value"])]
 
 
+def _read(flag: str, convert, text: str):
+    """convert(text); an error in it names the flag the text came from."""
+    try:
+        return convert(text)
+    except (ValueError, RecursionError, OSError) as exc:     # bad, too deep or unread
+        raise ValueError(f"{flag}: {exc}") from exc
+
+
 def _exprs(args) -> tuple[Expr, Expr | None]:
-    """--f, and --g or None where the command has no --g or it is not given;
-    a text that fails to parse names the flag it came from."""
-    out = []
-    for flag in ("f", "g"):
-        text = getattr(args, flag, None)
-        try:
-            out.append(None if text is None else parse(text))
-        except (ParseError, RecursionError) as exc:     # the latter: nested too deep
-            raise ValueError(f"--{flag}: {exc}") from exc
-    return out[0], out[1]
+    """--f, and --g or None where the command has no --g or it is not given."""
+    g = getattr(args, "g", None)
+    return _read("--f", parse, args.f), None if g is None else _read("--g", parse, g)
 
 
 def _cmd_integrate(args):
@@ -249,14 +251,15 @@ def _stress_config_from(raw) -> StressConfig:
         raise ValueError(f"bad stress config: {exc}") from exc
 
 
+def _config_file(path: str) -> StressConfig:
+    with open(path, encoding="utf-8") as fh:
+        return _stress_config_from(json.load(fh))
+
+
 def _load_stress_config(args) -> StressConfig:
     """The --config file if given, else the flags as the same JSON object."""
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                return _stress_config_from(json.load(fh))
-        except (OSError, ValueError, RecursionError) as exc:     # unreadable, not JSON or too deep
-            raise ValueError(f"--config: {exc}") from exc
+        return _read("--config", _config_file, args.config)
     raw = {"seed": args.seed, "trials": args.trials,
            "grid_xy": args.grid_xy, "grid_lambda": args.grid_lambda,
            "intervals": [[args.a, args.b]], "tol": args.tol}
@@ -286,17 +289,12 @@ def _cmd_stress(args):
     return (1 if fails else 0), summary_to_dict(summary), text
 
 
-def _floats(flag: str, text: str) -> tuple[float, ...]:
-    """A comma-separated list of numbers; one that is not a number names the flag."""
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from exc
-
-
 def _cmd_scan(args):
-    alphas = _floats("--alpha-list", args.alpha_list)
-    ms = _floats("--m-list", args.m_list)
+    # each entry is checked as AlphaM checks it, so a bad one names its list
+    alphas = _read("--alpha-list", lambda text: tuple(
+        AlphaM(float(v), 1.0).alpha for v in text.split(",")), args.alpha_list)
+    ms = _read("--m-list", lambda text: tuple(
+        AlphaM(1.0, float(v)).m for v in text.split(",")), args.m_list)
     rows = tightness_scan(*_exprs(args), Interval(args.a, args.b), alphas, ms, tol=args.tol)
 
     def text():

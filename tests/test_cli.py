@@ -490,6 +490,16 @@ def test_bad_scan_list_names_its_flag(flag, text, bad):
     assert err == f"error: {flag}: could not convert string to float: {bad}\n"
 
 
+@pytest.mark.parametrize("flag, name", [("--alpha-list", "alpha"), ("--m-list", "m")])
+@pytest.mark.parametrize("entry", ["2", "0", "-1", "nan"])
+def test_out_of_range_scan_list_entry_names_its_flag(flag, name, entry):
+    # a number outside (0, 1] is as bad an entry as a text that is no number
+    code, out, err = _run(["scan", "--f", "0", "--g", "x^2", "--a", "0", "--b", "1",
+                           flag, f"1,{entry}"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag}: {name} must lie in (0, 1], got {float(entry)}\n"
+
+
 # each subcommand's required flags, to which a test adds one numeric flag
 _REQUIRED = {"means": ["--kind", "power", "--x", "1", "--y", "2", "--r", "1"],
              "integrate": ["--f", "x", "--a", "0", "--b", "1"],
@@ -536,6 +546,42 @@ def test_exponent_notation_prints_as_the_joined_form(argv):
     assert out and err == ""
 
 
+@pytest.mark.parametrize("command, flag", _numeric_flags())
+@pytest.mark.parametrize("value", ["-1_000", "-inf", "-nan"])
+def test_negative_values_print_as_the_joined_form(command, flag, value):
+    # float and int read "-1_000"; the others fail in float, int or a range check
+    given = [command, *_REQUIRED[command]]
+    assert _run(given + [flag, value]) == _run(given + [f"{flag}={value}"])
+
+
+# a full command for each subcommand that reads expressions, on small grids
+_EXPR_COMMANDS = {
+    "integrate": ["integrate", "--f", "x^2", "--a", "0", "--b", "1"],
+    "check-convexity": ["check-convexity", "--f", "x^2", "--a", "0", "--b", "1",
+                        "--alpha", "1", "--m", "1", "--grid-xy", "9", "--grid-lambda", "9"],
+    "check-dominance": ["check-dominance", "--f", "x^2", "--g", "x^2", "--a", "0", "--b", "1",
+                        "--alpha", "1", "--m", "1", "--grid-xy", "9", "--grid-lambda", "9"],
+    "verify": ["verify", "t2", "--f", "x^2", "--g", "x^2", "--a", "0", "--b", "1",
+               "--alpha", "1", "--m", "1", "--grid-xy", "9", "--grid-lambda", "9"],
+    "scan": ["scan", "--f", "x^2", "--g", "x^2", "--a", "0", "--b", "1",
+             "--alpha-list", "1", "--m-list", "1"]}
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, argv
+                                           in _EXPR_COMMANDS.items()
+                                           for flag in ("--f", "--g") if flag in argv])
+@pytest.mark.parametrize("text", ["-x", "-abs(x)", "-(x)", "-x^2"])
+def test_expressions_that_start_with_minus_print_as_the_joined_form(command, flag, text):
+    # the paper's dominated functions need not be convex, and a negation is the
+    # simplest that is not; a spaced text with no space in it once read as a flag
+    argv = list(_EXPR_COMMANDS[command])
+    at = argv.index(flag)
+    argv[at + 1] = text
+    spaced = _run(argv)
+    argv[at:at + 2] = [f"{flag}={text}"]
+    assert spaced == _run(argv)
+
+
 def test_error_after_output_leaves_stdout_empty(monkeypatch):
     def fails_in_handler(args):
         raise ValueError("late failure")
@@ -570,6 +616,19 @@ def test_domain_error_names_the_subexpression():
     assert (code, out) == (2, "")
     assert re.fullmatch(r"error: non-finite value at x=\S+ in \(1e\+160\*x \+ 0\)\^2\n",
                         err)
+
+
+def test_stress_text_names_the_worst_failure():
+    # a tol far below rounding turns rounding-sized negative slack into failures
+    argv = ["stress", "--trials", "3", "--tol", "1e-300", "--seed", "0"]
+    code, out, err = _run(argv)
+    assert (code, err) == (1, "")
+    worst = json.loads(_run(argv + ["--json"])[1])["worst_failure"]
+    prefix = "worst failure: "
+    line, = (line for line in out.splitlines() if line.startswith(prefix))
+    named = ast.literal_eval(line[len(prefix):])
+    assert ([named[k] for k in ("trial", "theorem_id", "slack")]
+            == [worst[k] for k in ("trial", "theorem_id", "slack")])
 
 
 def test_stress_rejects_r_with_alpha_m():
